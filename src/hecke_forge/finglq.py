@@ -10,6 +10,11 @@ reproducibility:
 Matrices are tuples of row tuples of element codes.  Enumeration is
 capped (default 25000 elements, override via HECKE_FORGE_MAX_GROUP_ORDER)
 and every enumerated order is checked against the closed-form count.
+
+Conjugacy classes of GL(n, q) are orbits under conjugation by a small
+generating set S: |G| * |S| conjugations in all, not one scan of G per
+class.  The Bruhat decomposition reduces each element to a monomial
+matrix by elimination instead of forming all |B|^2 * n! products b1 w b2.
 """
 
 from __future__ import annotations
@@ -328,10 +333,13 @@ def char_poly(F: Fq, a: Mat) -> tuple[int, ...]:
     return tuple(acc)
 
 
+def _inversions(perm) -> int:
+    return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+               if perm[i] > perm[j])
+
+
 def _perm_parity(perm) -> bool:
-    inv_count = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                    if perm[i] > perm[j])
-    return inv_count % 2 == 1
+    return _inversions(perm) % 2 == 1
 
 
 def poly_is_irreducible(F: Fq, coeffs: tuple[int, ...]) -> bool:
@@ -583,6 +591,7 @@ class MatrixGroup:
     elements: list = field(repr=False)
     _index: dict = field(default=None, repr=False)
     _inverses: dict = field(default=None, repr=False)
+    _all_inverses: bool = field(default=False, repr=False)
     _classes: list = field(default=None, repr=False)
     _class_of: dict = field(default=None, repr=False)
 
@@ -621,27 +630,68 @@ class MatrixGroup:
         return got
 
     def precompute_inverses(self):
-        F = self.field_
-        self._inverses = {g: mat_inv(F, g) for g in self.elements}
+        """Cache the inverse of every element; free once all are known."""
+        if self._all_inverses:
+            return
+        for g in self.elements:
+            self.inv(g)
+        self._all_inverses = True
 
     def det(self, a: Mat) -> int:
         return mat_det(self.field_, a)
 
+    def conjugation_generators(self) -> list[Mat]:
+        """A generating set S for conjugacy-class orbits.
+
+        For full GL(n, q): the elementary matrices E_{i,i+1}(1) and
+        E_{i+1,i}(1) with diag(zeta, 1, ..., 1), zeta = Fq.generator
+        (dropped when it is the identity, q = 2).  They generate GL(n, q):
+        conjugating E_{ij}(1) by the diagonal gives E_{ij}(zeta^k), and
+        commutators of neighbours give every other E_{ij}(a).  Any other
+        subgroup kind uses all of its elements.
+        """
+        if self.spec.kind != "full":
+            return self.elements
+        n, ident = self.n, self.identity
+        gens = []
+        for i in range(n - 1):
+            for r, c in ((i, i + 1), (i + 1, i)):
+                m = [list(row) for row in ident]
+                m[r][c] = 1
+                gens.append(tuple(tuple(row) for row in m))
+        zeta = self.field_.generator
+        if zeta != 1:
+            gens.append(((zeta,) + ident[0][1:],) + ident[1:])
+        return gens
+
     def conjugacy_classes(self) -> list[list[Mat]]:
+        """Classes ordered by first appearance in `elements`, each sorted.
+
+        Each class is the orbit of its first element under conjugation by
+        `conjugation_generators()`, found by breadth-first search, so every
+        element is reached once: |G| * |S| conjugations in all.
+        """
         if self._classes is None:
+            pairs = [(s, self.inv(s)) for s in self.conjugation_generators()]
+            mul = self.mul
             classes, class_of = [], {}
             for g in self.elements:
                 if g in class_of:
                     continue
-                orbit = {self.mul(self.mul(x, g), self.inv(x))
-                         for x in self.elements}
-                orbit = sorted(orbit)
                 idx = len(classes)
-                classes.append(orbit)
-                for y in orbit:
-                    class_of[y] = idx
-            self._classes = classes
+                class_of[g] = idx
+                orbit = [g]
+                for y in orbit:  # the queue grows while it is read
+                    for s, s_inv in pairs:
+                        z = mul(mul(s, y), s_inv)
+                        if z not in class_of:
+                            class_of[z] = idx
+                            orbit.append(z)
+                classes.append(sorted(orbit))
+            # publish the index first: a thread that sees _classes set
+            # must also see _class_of
             self._class_of = class_of
+            self._classes = classes
         return self._classes
 
     def class_index(self, g: Mat) -> int:
@@ -688,24 +738,50 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     v is well defined: stabilizer pairs b1 w b2 = w have diag products
     multiplying to 1, because conjugation by a permutation matrix permutes
     the diagonal of a triangular matrix.
+
+    Each g is reduced to a monomial matrix u1 g u2 = w * diag(pivots) by
+    elimination with upper unitriangular u1, u2, so w is read off the
+    pivot positions and v is the product of the pivots.  Every cell is
+    checked to have its closed-form size |B| * q^l(w).
     """
-    import itertools
     F = get_field(q)
-    G = gl_group(e, q)
-    B = subgroup(e, q, SubgroupSpec.borel())
-    out: dict = {}
-    b_data = [(b, diag_product(F, b)) for b in B.elements]
+    out = {g: _bruhat_cell(F, g) for g in gl_group(e, q).elements}
+    sizes: dict = {}
+    for w, _ in out.values():
+        sizes[w] = sizes.get(w, 0) + 1
+    b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
-        wm = perm_matrix(e, w)
-        for b1, v1 in b_data:
-            left = mat_mul(F, b1, wm)
-            for b2, v2 in b_data:
-                g = mat_mul(F, left, b2)
-                if g not in out:
-                    out[g] = (w, F.mul(v1, v2))
-    if len(out) != G.order:
-        raise AssertionError("Bruhat cells do not cover the group")
+        if sizes.get(w, 0) != b_order * q ** _inversions(w):
+            raise AssertionError(f"Bruhat cell of {w} has the wrong size")
     return out
+
+
+def _bruhat_cell(F: Fq, g: Mat) -> tuple[tuple[int, ...], int]:
+    """(w, v) for one g.  For each column j, pivot on the lowest nonzero
+    entry in a row not yet used; clear the pivot's row to the right with
+    column operations and its column above with row operations.  Used
+    rows are zero right of their pivot, so the pivot row is the lowest
+    nonzero entry of the column and the operations stay unitriangular."""
+    n = len(g)
+    m = [list(row) for row in g]
+    mul_, sub, inv = F.mul, F.sub, F.inv
+    w = [0] * n
+    v = 1
+    for j in range(n):
+        r = next(i for i in range(n - 1, -1, -1) if m[i][j])
+        p = m[r][j]
+        w[j] = r
+        v = mul_(v, p)
+        p_inv = inv(p)
+        for k in range(j + 1, n):
+            c = m[r][k]
+            if c:
+                f = mul_(c, p_inv)
+                for i in range(n):
+                    m[i][k] = sub(m[i][k], mul_(f, m[i][j]))
+        for i in range(r):
+            m[i][j] = 0
+    return tuple(w), v
 
 
 def proper_parabolic_avoidance(n: int, q: int, g: Mat) -> bool:

@@ -10,7 +10,9 @@ supported on the Bruhat cell of w, and the normalized sum of the basis is
 the idempotent cutting out the one-dimensional constituent chi∘det.  The
 trace formulas, the Steinberg alternating sum, the sign identity on
 elliptic regular classes, and the module-action transport identity are
-all implemented against brute-force sums over the group.
+all implemented against explicit sums.  Sums of class functions run over
+conjugacy classes weighted by class size, and fixed-point counts run over
+coset representatives rather than over the whole group.
 
 Convolution uses the counting measure giving every singleton volume 1,
 so the unit is the function (1/|H|) sigma on H.  Values stay exact
@@ -148,12 +150,13 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
 
 
 def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
-    """dim End_G(Ind_B sigma) = <chi_Ind, chi_Ind>, by a full-group sum."""
+    """dim End_G(Ind_B sigma) = <chi_Ind, chi_Ind>, as a sum over classes:
+    (1/|G|) sum_C |C| |chi_Ind(rep C)|^2."""
     ind = induced_character(e, q, chi)
     G = gl_group(e, q)
     acc = 0.0
-    for g in G.elements:
-        acc += abs(complex(ind(g))) ** 2
+    for cls in G.conjugacy_classes():
+        acc += len(cls) * abs(complex(ind(cls[0]))) ** 2
     val = acc / G.order
     out = round(val)
     if abs(val - out) > 1e-6:
@@ -332,6 +335,9 @@ class InducedRep:
         self.coset_of = data.coset_of
         self.dim = len(self.transversal)
         self._mats: dict = {}
+        # (id(e_idem), tol) -> (e_idem, dim pi_e); holding e_idem keeps
+        # its id from being reused
+        self._cut_dims: dict = {}
 
     def mat(self, y) -> np.ndarray:
         got = self._mats.get(y)
@@ -470,7 +476,9 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
 
     Hypotheses are checked, not assumed: the cut module is irreducible
     (character norm), e(x^-1) is the adjoint of e(x), and e(1) is a
-    positive scalar lam1.
+    positive scalar lam1.  The first two, and dim pi_e, do not depend on
+    gamma: they are computed on the first call for each (e_idem, ind)
+    pair and kept on `ind`.
     """
     G, H = e_idem.group, e_idem.sub
     if ind is None:
@@ -478,6 +486,25 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     lam1 = e_idem(G.identity)
     if abs(complex(lam1).imag) > tol or complex(lam1).real <= 0:
         raise ValueError("e(1) must be a positive scalar")
+    dim_pi = _cut_dimension(e_idem, ind, tol)
+    data = _coset_data(G, H)
+    acc = 0
+    for x in data.transversal:
+        acc += e_idem(G.mul(G.mul(x, gamma), G.inv(x)))
+    scale = Fraction(dim_pi) * Fraction(H.order, G.order)
+    if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
+        return scale / lam1 * acc
+    return complex(scale) / complex(lam1) * complex(acc)
+
+
+def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep, tol: float) -> int:
+    """dim pi_e after checking adjointness and irreducibility; cached on
+    `ind` per (e_idem, tol)."""
+    key = (id(e_idem), tol)
+    got = ind._cut_dims.get(key)
+    if got is not None and got[0] is e_idem:
+        return got[1]
+    G = e_idem.group
     G.precompute_inverses()
     for x in G.elements:  # adjointness: scalar sigma, so adjoint = conjugate
         if abs(complex(e_idem(G.inv(x))) - complex(e_idem(x)).conjugate()) > tol:
@@ -487,14 +514,8 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     norm = _operator_char_norm(ind, E)
     if abs(norm - 1) > 1e-6:
         raise ValueError("pi_e is not irreducible")
-    data = _coset_data(G, H)
-    acc = 0
-    for x in data.transversal:
-        acc += e_idem(G.mul(G.mul(x, gamma), G.inv(x)))
-    scale = Fraction(dim_pi) * Fraction(H.order, G.order)
-    if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
-        return scale / lam1 * acc
-    return complex(scale) / complex(lam1) * complex(acc)
+    ind._cut_dims[key] = (e_idem, dim_pi)
+    return dim_pi
 
 
 def _operator_char_norm(ind: InducedRep, E: np.ndarray) -> float:
@@ -542,18 +563,31 @@ class ClassFunction:
 
 
 def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
-    """Character of Ind_{P_T}^G 1 by fixed-point counting on G/P_T."""
+    """Character of Ind_{P_T}^G 1 by fixed-point counting on P_T\\G: at
+    each class representative gamma, the number of cosets P t with
+    t gamma t^-1 in P."""
     G = gl_group(e, q)
     P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
     p_set = set(P.elements)
-    G.precompute_inverses()
+    pairs = [(t, G.inv(t)) for t in _right_transversal(G, P)]
     values = []
-    for cls in G.conjugacy_classes():
-        gamma = cls[0]
-        count = sum(1 for x in G.elements
-                    if G.mul(G.mul(G.inv(x), gamma), x) in p_set)
-        values.append(Fraction(count, P.order))
+    for gamma in G.class_reps():
+        count = sum(1 for t, t_inv in pairs
+                    if G.mul(G.mul(t, gamma), t_inv) in p_set)
+        values.append(Fraction(count))
     return ClassFunction(G, values)
+
+
+def _right_transversal(G: MatrixGroup, H: MatrixGroup) -> list:
+    """First element of each right coset H g in the order of G.elements;
+    built on every call, not kept on G."""
+    seen: set = set()
+    out = []
+    for g in G.elements:
+        if g not in seen:
+            out.append(g)
+            seen.update(G.mul(h, g) for h in H.elements)
+    return out
 
 
 @lru_cache(maxsize=None)

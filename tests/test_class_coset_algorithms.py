@@ -1,0 +1,196 @@
+"""The class, coset and elimination algorithms of `finglq` and `repth`
+against their whole-group reference implementations, and against closed
+forms that do not depend on either."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from hecke_forge import finglq, repth
+from hecke_forge.finglq import (
+    MultChar, SubgroupSpec, all_characters, get_field, gl_group, gl_order,
+    max_group_order, mat_mul, perm_matrix, subgroup,
+)
+
+SMALL = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
+# --- reference implementations: sums and scans over the whole group ------------
+
+def ref_conjugacy_classes(G):
+    """Every class as {x g x^-1 : x in G}, one full scan per class."""
+    classes, seen = [], set()
+    for g in G.elements:
+        if g in seen:
+            continue
+        orbit = sorted({G.mul(G.mul(x, g), G.inv(x)) for x in G.elements})
+        classes.append(orbit)
+        seen.update(orbit)
+    return classes
+
+
+def ref_bruhat_decomposition(e, q):
+    """Every product b1 w b2 over B x W x B: |B|^2 * e! products."""
+    F = get_field(q)
+    B = subgroup(e, q, SubgroupSpec.borel())
+    out = {}
+    b_data = [(b, finglq.diag_product(F, b)) for b in B.elements]
+    for w in itertools.permutations(range(e)):
+        wm = perm_matrix(e, w)
+        for b1, v1 in b_data:
+            left = mat_mul(F, b1, wm)
+            for b2, v2 in b_data:
+                g = mat_mul(F, left, b2)
+                if g not in out:
+                    out[g] = (w, F.mul(v1, v2))
+    assert len(out) == gl_order(e, q), "Bruhat cells do not cover the group"
+    return out
+
+
+def ref_intertwining_dimension(e, q, chi):
+    """<chi_Ind, chi_Ind> summed over every element of G."""
+    ind = repth.induced_character(e, q, chi)
+    G = gl_group(e, q)
+    val = sum(abs(complex(ind(g))) ** 2 for g in G.elements) / G.order
+    out = round(val)
+    assert abs(val - out) <= 1e-6
+    return out
+
+
+def ref_parabolic_induction_values(e, q, nodes):
+    """#{x in G : x^-1 gamma x in P} / |P| at every class representative."""
+    G = gl_group(e, q)
+    P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
+    p_set = set(P.elements)
+    values = []
+    for cls in G.conjugacy_classes():
+        gamma = cls[0]
+        count = sum(1 for x in G.elements
+                    if G.mul(G.mul(G.inv(x), gamma), x) in p_set)
+        values.append(Fraction(count, P.order))
+    return values
+
+
+def all_types(e):
+    return [nodes for r in range(e)
+            for nodes in itertools.combinations(range(1, e), r)]
+
+
+def compare_with_reference(e, q):
+    G = gl_group(e, q)
+    assert G.conjugacy_classes() == ref_conjugacy_classes(G)
+    assert finglq.bruhat_decomposition(e, q) == ref_bruhat_decomposition(e, q)
+    for chi in all_characters(q):
+        assert (repth.intertwining_dimension(e, q, chi)
+                == ref_intertwining_dimension(e, q, chi))
+    for nodes in all_types(e):
+        got = repth.parabolic_induction_character(e, q, nodes).values
+        want = ref_parabolic_induction_values(e, q, nodes)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("e,q", SMALL)
+def test_fast_routines_match_reference(e, q):
+    compare_with_reference(e, q)
+
+
+@pytest.mark.slow
+def test_fast_routines_match_reference_33():
+    compare_with_reference(3, 3)
+
+
+def test_subgroup_classes_match_reference():
+    # other subgroup kinds conjugate by all of their own elements
+    for spec in (SubgroupSpec.borel(), SubgroupSpec.levi((1, 2))):
+        H = subgroup(3, 2, spec)
+        assert H.conjugation_generators() == H.elements
+        assert H.conjugacy_classes() == ref_conjugacy_classes(H)
+
+
+# --- closed forms ----------------------------------------------------------------
+
+def under_cap():
+    return [(n, q) for n in range(1, 5) for q in SUPPORTED_Q
+            if gl_order(n, q) <= max_group_order()]
+
+
+def class_number(n, q):
+    """Number of conjugacy classes of GL(n, q), n <= 4 (Green 1955)."""
+    return {1: q - 1, 2: q ** 2 - 1, 3: q ** 3 - q, 4: q ** 4 - q}[n]
+
+
+def slow_if_large(pairs, limit=15000):
+    return [pytest.param(n, q, marks=pytest.mark.slow)
+            if gl_order(n, q) > limit else (n, q) for n, q in pairs]
+
+
+@pytest.mark.parametrize("n,q", slow_if_large(under_cap()))
+def test_class_number_closed_form(n, q):
+    G = gl_group(n, q)
+    classes = G.conjugacy_classes()
+    assert len(classes) == class_number(n, q)
+    assert sum(len(c) for c in classes) == G.order
+    assert all(G.class_index(g) == i
+               for i, c in enumerate(classes) for g in c)
+
+
+@pytest.mark.parametrize("n,q", slow_if_large(under_cap()))
+def test_conjugation_generators_generate(n, q):
+    G = gl_group(n, q)
+    gens = G.conjugation_generators()
+    assert len(gens) == 2 * (n - 1) + (q > 2)
+    reached = {G.identity}
+    queue = [G.identity]
+    for x in queue:
+        for s in gens:
+            y = G.mul(x, s)
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    assert len(reached) == G.order
+    assert reached == set(G.elements)
+
+
+def inversions(w):
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
+               if w[i] > w[j])
+
+
+@pytest.mark.parametrize("e,q", [(1, 5), (2, 7), (2, 9), (3, 2), (3, 3)])
+def test_bruhat_cell_sizes(e, q):
+    dec = finglq.bruhat_decomposition(e, q)
+    b_order = finglq.group_order(e, q, SubgroupSpec.borel())
+    sizes = {}
+    for w, v in dec.values():
+        sizes[w] = sizes.get(w, 0) + 1
+        assert v != 0
+    assert set(sizes) == set(itertools.permutations(range(e)))
+    for w, size in sizes.items():
+        assert size == b_order * q ** inversions(w)
+    assert len(dec) == gl_order(e, q)
+
+
+def test_bruhat_decomposition_of_w_times_b():
+    # g = 1 * w * b lies in the cell of w with unit diag(b)
+    e, q = 3, 3
+    F = get_field(q)
+    B = subgroup(e, q, SubgroupSpec.borel())
+    G = gl_group(e, q)
+    dec = finglq.bruhat_decomposition(e, q)
+    for w in itertools.permutations(range(e)):
+        wm = perm_matrix(e, w)
+        for b in B.elements[::7]:
+            g = G.mul(wm, b)
+            assert dec[g] == (w, finglq.diag_product(F, b))
+
+
+@pytest.mark.parametrize("e,q", slow_if_large(
+    [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (3, 2), (3, 3),
+     (4, 2)]))
+def test_steinberg_degree(e, q):
+    G = gl_group(e, q)
+    st = repth.steinberg_char(e, q, MultChar(q, 0))
+    assert st.at(G.identity) == q ** (e * (e - 1) // 2)

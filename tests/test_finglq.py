@@ -179,6 +179,42 @@ def test_conjugacy_classes_gl22():
         assert G.centralizer_order(rep) * len(cls) == G.order
 
 
+def test_class_index_readable_once_classes_are_published():
+    # a reader in another thread may run right after `_classes` is set;
+    # the class index must already be there
+    seen = []
+
+    class ReadsOnPublish(finglq.MatrixGroup):
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "_classes" and value is not None:
+                seen.append(self.class_index(self.identity))
+
+    G = ReadsOnPublish(2, 3, SubgroupSpec.full(),
+                       enumerate_group(2, 3, SubgroupSpec.full()))
+    G.conjugacy_classes()
+    assert seen == [G.class_index(G.identity)]
+
+
+def test_precompute_inverses_only_computes_missing_ones(monkeypatch):
+    G = finglq.MatrixGroup(2, 3, SubgroupSpec.full(),
+                           enumerate_group(2, 3, SubgroupSpec.full()))
+    calls = []
+
+    def counting(F, a):
+        calls.append(a)
+        return mat_inv(F, a)
+
+    monkeypatch.setattr(finglq, "mat_inv", counting)
+    G.inv(G.elements[5])
+    G.precompute_inverses()
+    assert len(calls) == G.order
+    G.precompute_inverses()
+    assert len(calls) == G.order
+    assert all(mat_mul(G.field_, g, G.inv(g)) == G.identity
+               for g in G.elements)
+
+
 def test_serialization_roundtrip():
     g = ((0, 1), (2, 1))
     assert mat_from_ints(2, mat_to_ints(g)) == g

@@ -383,6 +383,43 @@ def test_trace_via_coset_sum_gl32_class_reps():
         assert trace_via_coset_sum(rep, et, ind) == 1
 
 
+def test_trace_via_coset_sum_builds_operator_once_per_pair(monkeypatch):
+    q = 3
+    chi = trivial(q)
+    et = e_tau(2, q, chi)
+    ind = induce(2, q, chi)
+    built = []
+    original = InducedRep.hecke_operator
+
+    def counting(self, phi):
+        built.append(phi)
+        return original(self, phi)
+
+    monkeypatch.setattr(InducedRep, "hecke_operator", counting)
+    for gamma in gl_group(2, q).class_reps():
+        assert trace_via_coset_sum(gamma, et, ind) == 1
+    assert built == [et]
+    # a new module, or a new idempotent, is checked again
+    trace_via_coset_sum(gl_group(2, q).identity, et, induce(2, q, chi))
+    assert len(built) == 2
+
+
+def test_trace_via_coset_sum_rejects_non_adjoint_idempotent():
+    q = 3
+    chi = trivial(q)
+    et = e_tau(2, q, chi)
+    ind = induce(2, q, chi)
+    G = gl_group(2, q)
+    trace_via_coset_sum(G.identity, et, ind)  # the valid pair is now cached
+    x = next(g for g in G.elements if G.mul(g, g) != G.identity)
+    values = dict(et.values)
+    values[x] = values.get(x, 0) + 1
+    bad = repth.FinHeckeElt(et.group, et.sub, et.sigma, values)
+    for _ in range(2):  # a failed check is not cached as a pass
+        with pytest.raises(ValueError, match="adjoint"):
+            trace_via_coset_sum(G.identity, bad, ind)
+
+
 def test_char_generalized_trivial_examples():
     assert char_generalized_trivial(three_cycle_gl22(), 2, 2, trivial(2)) == 1
     G3 = gl_group(2, 3)
