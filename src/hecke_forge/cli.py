@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import finglq, hecke, pseudocoef, repth, verify, weyl
-from .report import reports_to_csv, reports_to_json
+from .report import SCHEMA, reports_to_csv, reports_to_json
 
 
 def _parse_nodes(raw: str) -> frozenset:
@@ -147,7 +147,7 @@ def cmd_pseudocoef_assemble(args) -> int:
     f0_lift = pseudocoef.assemble_F0(params)
     ok = pseudocoef.projection_check(params)
     payload = {
-        "schema": "hecke-forge/1",
+        "schema": SCHEMA,
         "e": args.e, "e_prime": args.eprime, "q": str(args.q),
         "terms": pseudocoef.hecke_elt_to_json(f0_lift),
         "projection_equals_average": ok,
@@ -178,8 +178,7 @@ def cmd_char_verify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    reports = verify.run_all(max_e=args.max_e, max_q=args.max_q,
-                             jobs=args.jobs)
+    reports = verify.run_all(max_e=args.max_e, max_q=args.max_q)
     with_ts = not args.no_timestamps
     if args.format == "json":
         text = reports_to_json(reports, with_timestamps=with_ts,
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--no-timestamps", action="store_true",
                    help="zero timings for byte-identical output")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify_all)
 
     return parser

@@ -504,17 +504,17 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     F = get_field(q)
     if spec.kind == "full":
         out = [m for m in _all_matrices(n, q) if mat_det(F, m) != 0]
-    elif spec.kind == "borel":
-        out = list(_enumerate_parabolic(F, n, (1,) * n))
-    elif spec.kind == "standard_parabolic":
-        _validate_blocks(n, spec.blocks)
-        out = list(_enumerate_parabolic(F, n, spec.blocks))
-    elif spec.kind == "unipotent_radical":
-        _validate_blocks(n, spec.blocks)
-        out = list(_enumerate_unipotent(n, q, spec.blocks))
-    elif spec.kind == "levi":
-        _validate_blocks(n, spec.blocks)
-        out = list(_enumerate_levi(F, n, spec.blocks))
+    elif spec.kind in ("borel", "standard_parabolic", "unipotent_radical",
+                       "levi"):
+        blocks = (1,) * n if spec.kind == "borel" else spec.blocks
+        _validate_blocks(n, blocks)
+        if spec.kind == "unipotent_radical":
+            diag = [[identity_mat(b)] for b in blocks]
+        else:
+            diag = [[m for m in _all_matrices(b, q) if mat_det(F, m) != 0]
+                    for b in blocks]
+        out = list(_enumerate_block_upper(
+            n, q, blocks, diag, free_above=spec.kind != "levi"))
     else:
         raise ValueError(f"unknown subgroup kind {spec.kind!r}")
     if len(out) != order:
@@ -528,55 +528,26 @@ def _all_matrices(n: int, q: int):
         yield tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-def _enumerate_parabolic(F: Fq, n: int, blocks):
-    """Block upper triangular with invertible diagonal blocks."""
+def _enumerate_block_upper(n: int, q: int, blocks, diag, free_above: bool):
+    """Block upper triangular matrices: each diagonal block runs over its
+    list in `diag` (outer loop, in product order), and the entries above
+    the blocks run over all of F_q when `free_above`, else stay 0."""
     starts = _block_starts(blocks)
-    gl_blocks = []
-    for b in blocks:
-        gl_blocks.append([m for m in _all_matrices(b, F.q)
-                          if mat_det(F, m) != 0])
     above = [(i, j) for bi, si in enumerate(starts)
              for i in range(si, si + blocks[bi])
-             for j in range(si + blocks[bi], n)]
-    for diag_choice in itertools.product(*gl_blocks):
+             for j in range(si + blocks[bi], n)] if free_above else []
+    for diag_choice in itertools.product(*diag):
         base = [[0] * n for _ in range(n)]
         for bi, m in enumerate(diag_choice):
             s = starts[bi]
             for i in range(blocks[bi]):
                 for j in range(blocks[bi]):
                     base[s + i][s + j] = m[i][j]
-        for vals in itertools.product(range(F.q), repeat=len(above)):
+        for vals in itertools.product(range(q), repeat=len(above)):
             g = [row[:] for row in base]
             for (i, j), v in zip(above, vals):
                 g[i][j] = v
             yield tuple(tuple(row) for row in g)
-
-
-def _enumerate_unipotent(n: int, q: int, blocks):
-    starts = _block_starts(blocks)
-    above = [(i, j) for bi, si in enumerate(starts)
-             for i in range(si, si + blocks[bi])
-             for j in range(si + blocks[bi], n)]
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for vals in itertools.product(range(q), repeat=len(above)):
-        g = [row[:] for row in ident]
-        for (i, j), v in zip(above, vals):
-            g[i][j] = v
-        yield tuple(tuple(row) for row in g)
-
-
-def _enumerate_levi(F: Fq, n: int, blocks):
-    starts = _block_starts(blocks)
-    gl_blocks = [[m for m in _all_matrices(b, F.q) if mat_det(F, m) != 0]
-                 for b in blocks]
-    for diag_choice in itertools.product(*gl_blocks):
-        g = [[0] * n for _ in range(n)]
-        for bi, m in enumerate(diag_choice):
-            s = starts[bi]
-            for i in range(blocks[bi]):
-                for j in range(blocks[bi]):
-                    g[s + i][s + j] = m[i][j]
-        yield tuple(tuple(row) for row in g)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +565,9 @@ class MatrixGroup:
     _all_inverses: bool = field(default=False, repr=False)
     _classes: list = field(default=None, repr=False)
     _class_of: dict = field(default=None, repr=False)
+    # subgroup spec -> right-coset data of that subgroup, filled by
+    # repth._coset_data
+    _cosets: dict = field(default_factory=dict, repr=False)
 
     @property
     def field_(self) -> Fq:

@@ -1,10 +1,19 @@
 """Euler-Poincare functions, the averaged variant, and its finite lift.
 
-All three live over the extended affine Hecke algebra of GL_e:
+All three are one signed, volume-weighted sum over parahoric types,
+written out once in `weighted_type_terms`:
+
+    sum over T, 0 <= l < periods * n_T, w in W_T of
+        weight(T) * epsilon_T^l / vol P_T * T_{z_T^l w},   z_T = Pi^{u_T},
+
+and they differ only in the types summed over, the per-type weight and
+the number of periods.  They live over the extended affine Hecke algebra
+of GL_e:
 
 * `kottwitz_ep(theta)`: the alternating sum over a representative system
   theta of simplex-orbit types of signed, volume-normalized parahoric
-  indicators with the rotation sign character,
+  indicators with the rotation sign character (weight (-1)^{d_T}/n_T,
+  one period),
 
       sum over T of (-1)^{d_T} (1/(n_T vol P_T)) 1_{K_T} sgn_T,
 
@@ -14,10 +23,12 @@ All three live over the extended affine Hecke algebra of GL_e:
 * `laumon_f0`: the exact average of the signed functions over all
   representative systems drawn from subsets of S = {1..e-1}; its weights
   collapse termwise because each orbit meets the subsets of S in
-  u_T (d_T + 1) / e members.
+  u_T (d_T + 1) / e members, leaving (-1)^{e-1} (-1)^{d_T} / (d_T + 1)
+  over every T ⊆ S, one period.
 
 * `assemble_F0`: the finite lift in the plain Iwahori-Hecke algebra whose
-  central-character reduction at omega = 1 recovers laumon_f0.
+  central-character reduction at omega = 1 recovers laumon_f0: the same
+  types, the weight divided by e', and e' periods.
 
 Everything is exact rational arithmetic at a concrete q.
 """
@@ -75,22 +86,41 @@ def validate_representative_system(theta, e: int) -> list[ParahoricType]:
     return theta
 
 
-def kottwitz_ep(theta, params: PseudoCoefParams) -> CentralHeckeElt:
-    """The Euler-Poincare element attached to a representative system."""
-    _require_trivial_omega(params)
+def weighted_type_terms(types, params: PseudoCoefParams, weight,
+                        periods: int = 1):
+    """The one weighted sum over types behind all three builders.
+
+    Yields (T, l, w, x, c) for T in types, w in W_T and
+    0 <= l < periods * n_T, with x = z_T^l w (z_T = Pi^{u_T}) and
+    c = weight(T, n_T) * epsilon_T^l / vol P_T.  Each z_T^l is formed
+    once per l, not once per w.
+    """
     e = params.e
-    theta = validate_representative_system(theta, e)
-    terms: dict = {}
-    for T in theta:
+    for T in types:
         u, n, eps, vol, W_T = _type_data(T, params.q)
-        base = Fraction((-1) ** T.d, n) / vol
-        for k in range(n):
-            zk = pi_power(e, u * k)
-            c = QPoly.const(base * eps ** k)
-            for w in W_T:
-                x = mul(zk, w)
-                terms[x] = terms.get(x, QPoly()) + c
-    return CentralHeckeElt(e, params.omega_at_pi, terms)
+        base = weight(T, n) / vol
+        zs = [pi_power(e, u * l) for l in range(periods * n)]
+        for w in W_T:
+            for l, z in enumerate(zs):
+                yield T, l, w, mul(z, w), base * eps ** l
+
+
+def _summed(terms) -> dict:
+    """Coefficients of the terms added up per element, as constants."""
+    acc: dict = {}
+    for _T, _l, _w, x, c in terms:
+        acc[x] = acc.get(x, 0) + c
+    return {x: QPoly.const(c) for x, c in acc.items()}
+
+
+def kottwitz_ep(theta, params: PseudoCoefParams) -> CentralHeckeElt:
+    """The Euler-Poincare element attached to a representative system:
+    weight (-1)^{d_T} / n_T."""
+    _require_trivial_omega(params)
+    theta = validate_representative_system(theta, params.e)
+    terms = weighted_type_terms(
+        theta, params, lambda T, n: Fraction((-1) ** T.d, n))
+    return CentralHeckeElt(params.e, params.omega_at_pi, _summed(terms))
 
 
 def kottwitz_pseudocoef(theta, params: PseudoCoefParams) -> CentralHeckeElt:
@@ -99,22 +129,19 @@ def kottwitz_pseudocoef(theta, params: PseudoCoefParams) -> CentralHeckeElt:
     return kottwitz_ep(theta, params).scale(QPoly.const((-1) ** (params.e - 1)))
 
 
+def _averaged_weight(e: int, e_prime: int):
+    """(-1)^(e-1) (-1)^{d_T} / (e' (d_T + 1)): the weight after averaging
+    over representative systems, spread over e' periods."""
+    sign = (-1) ** (e - 1)
+    return lambda T, n: Fraction(sign * (-1) ** T.d, e_prime * (T.d + 1))
+
+
 def laumon_f0(params: PseudoCoefParams) -> CentralHeckeElt:
     """The averaged pseudo-coefficient, summed over all T ⊆ S directly."""
     _require_trivial_omega(params)
-    e = params.e
-    sign = (-1) ** (e - 1)
-    terms: dict = {}
-    for T in proper_subsets_of_s(e):
-        u, n, eps, vol, W_T = _type_data(T, params.q)
-        base = Fraction(sign * (-1) ** T.d, T.d + 1) / vol
-        for l in range(n):
-            zl = pi_power(e, u * l)
-            c = QPoly.const(base * eps ** l)
-            for w in W_T:
-                x = mul(zl, w)
-                terms[x] = terms.get(x, QPoly()) + c
-    return CentralHeckeElt(e, params.omega_at_pi, terms)
+    terms = weighted_type_terms(proper_subsets_of_s(params.e), params,
+                                _averaged_weight(params.e, 1))
+    return CentralHeckeElt(params.e, params.omega_at_pi, _summed(terms))
 
 
 def representative_systems(e: int):
@@ -141,24 +168,14 @@ def assemble_F0_terms(params: PseudoCoefParams) -> list:
     Each coefficient carries exactly the four displayed factors
     (-1)^(e-1)/e' , (-1)^(d_T), 1/((d_T+1) vol P_T), epsilon_T^l.
     """
-    e, ep = params.e, params.e_prime
-    out = []
-    for T in proper_subsets_of_s(e):
-        u, n, eps, vol, W_T = _type_data(T, params.q)
-        base = Fraction((-1) ** (e - 1) * (-1) ** T.d, ep * (T.d + 1)) / vol
-        for w in W_T:
-            for l in range(ep * n):
-                x = mul(pi_power(e, u * l), w)
-                out.append((T, l, w, x, base * eps ** l))
-    return out
+    return list(weighted_type_terms(
+        proper_subsets_of_s(params.e), params,
+        _averaged_weight(params.e, params.e_prime), periods=params.e_prime))
 
 
 def assemble_F0(params: PseudoCoefParams) -> HeckeElt:
     """The finitely-supported lift of laumon_f0 in the T-basis."""
-    terms: dict = {}
-    for _T, _l, _w, x, c in assemble_F0_terms(params):
-        terms[x] = terms.get(x, QPoly()) + QPoly.const(c)
-    return HeckeElt(params.e, terms)
+    return HeckeElt(params.e, _summed(assemble_F0_terms(params)))
 
 
 def projection_check(params: PseudoCoefParams) -> bool:
@@ -215,10 +232,5 @@ def _elt_to_json(x: AffineElt) -> dict:
 
 
 def hecke_elt_to_json(f: HeckeElt) -> list:
-    return [{"element": _elt_to_json(x), "coefficient": _coeff_to_json(c)}
-            for x, c in sorted(f.terms.items())]
-
-
-def central_elt_to_json(f: CentralHeckeElt) -> list:
     return [{"element": _elt_to_json(x), "coefficient": _coeff_to_json(c)}
             for x, c in sorted(f.terms.items())]

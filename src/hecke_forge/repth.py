@@ -150,36 +150,21 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
 
 
 def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
-    """dim End_G(Ind_B sigma) = <chi_Ind, chi_Ind>, as a sum over classes:
-    (1/|G|) sum_C |C| |chi_Ind(rep C)|^2."""
-    ind = induced_character(e, q, chi)
-    G = gl_group(e, q)
-    acc = 0.0
-    for cls in G.conjugacy_classes():
-        acc += len(cls) * abs(complex(ind(cls[0]))) ** 2
-    val = acc / G.order
+    """dim End_G(Ind_B sigma) = <chi_Ind, chi_Ind>, the class norm of the
+    induced character."""
+    val = class_norm(gl_group(e, q), induce(e, q, chi).char_value)
     out = round(val)
     if abs(val - out) > 1e-6:
         raise ValueError(f"non-integral character norm {val}")
     return out
 
 
-def induced_character(e: int, q: int, chi: MultChar):
-    """Character of Ind_B^G of the inflated chi, via fixed cosets."""
-    G = gl_group(e, q)
-    B = borel(e, q)
-    data = _coset_data(G, B)
-    sig = sigma_tilde(e, q, chi)
-
-    def char(g):
-        acc = 0
-        for r in data.transversal:
-            i, h = data.coset_of[G.mul(r, g)]
-            if data.transversal[i] == r:
-                acc += sig(h)
-        return acc
-
-    return char
+def class_norm(G: MatrixGroup, char_fn) -> float:
+    """<chi, chi> = (1/|G|) sum over classes C of |C| |chi(rep C)|^2."""
+    acc = 0.0
+    for cls in G.conjugacy_classes():
+        acc += len(cls) * abs(complex(char_fn(cls[0]))) ** 2
+    return acc / G.order
 
 
 def basis_sign(chi: MultChar, w) -> object:
@@ -256,12 +241,8 @@ class _CosetData:
 
 
 def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
-    key = "_coset_cache"
-    cache = getattr(G, key, None)
-    if cache is None:
-        cache = {}
-        setattr(G, key, cache)
-    got = cache.get(H.spec)
+    """Right cosets H g of G, kept on G in `G._cosets` by H.spec."""
+    got = G._cosets.get(H.spec)
     if got is not None:
         return got
     coset_of: dict = {}
@@ -274,7 +255,7 @@ def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
         for h in H.elements:
             coset_of[G.mul(h, g)] = (i, h)
     data = _CosetData(transversal, coset_of)
-    cache[H.spec] = data
+    G._cosets[H.spec] = data
     return data
 
 
@@ -316,10 +297,7 @@ class FinRep:
         return M / self.group.order
 
     def character_norm(self) -> float:
-        acc = 0.0
-        for cls in self.group.conjugacy_classes():
-            acc += len(cls) * abs(self.char_value(cls[0])) ** 2
-        return acc / self.group.order
+        return class_norm(self.group, self.char_value)
 
 
 class InducedRep:
@@ -407,35 +385,43 @@ def subrep_from_idempotent(e_idem: FinHeckeElt, ind: InducedRep,
     E = ind.hecke_operator(e_idem)
     if np.max(np.abs(E @ E - E)) > tol:
         raise ValueError("operator is not idempotent")
-    rank = int(round(np.trace(E).real))
-    if rank == 0:
-        raise ValueError("zero idempotent")
-    u, s, _ = np.linalg.svd(E)
-    basis = u[:, :rank]
-    if s[rank - 1] < tol:
-        raise ValueError("idempotent rank does not match its trace")
-    mats = {}
-    for g in ind.group.elements:
-        mats[g] = basis.conj().T @ ind.mat(g) @ basis
-    rep = FinRep(ind.group, mats, rank)
+    rep = restrict_to_image(ind, E, tol)
     norm = rep.character_norm()
     if abs(norm - 1) > 1e-6:
         raise ValueError(f"cut-out module is not irreducible: <chi,chi>={norm}")
     return rep
 
 
-def isotypic_projector_character(ind: InducedRep, char_fn, degree: int):
-    """Oracle: character of the char_fn-isotypic component of ind.
+def restrict_to_image(ind: InducedRep, E: np.ndarray,
+                      tol: float = 1e-8) -> FinRep:
+    """The action of ind on the image of the projector E, in the
+    orthonormal basis of its first Tr(E) left singular vectors."""
+    rank = int(round(np.trace(E).real))
+    if rank == 0:
+        raise ValueError("zero idempotent")
+    u, s, _ = np.linalg.svd(E)
+    if s[rank - 1] < tol:
+        raise ValueError("idempotent rank does not match its trace")
+    basis = u[:, :rank]
+    mats = {g: basis.conj().T @ ind.mat(g) @ basis for g in ind.group.elements}
+    return FinRep(ind.group, mats, rank)
 
-    Classical projector P = (deg/|G|) sum_g conj(char(g)) rho(g); returns
-    the class function gamma -> Tr(rho(gamma) P).
-    """
+
+def isotypic_projector(ind: InducedRep, char_fn, degree: int) -> np.ndarray:
+    """Classical projector onto the char_fn-isotypic component of ind:
+    P = (deg/|G|) sum_g conj(char(g)) rho(g)."""
     G = ind.group
-    n = ind.dim
-    P = np.zeros((n, n), dtype=complex)
+    P = np.zeros((ind.dim, ind.dim), dtype=complex)
     for g in G.elements:
         P += complex(char_fn(g)).conjugate() * ind.mat(g)
     P *= degree / G.order
+    return P
+
+
+def isotypic_projector_character(ind: InducedRep, char_fn, degree: int):
+    """Oracle: character of the char_fn-isotypic component of ind, the
+    class function gamma -> Tr(rho(gamma) P) of its projector P."""
+    P = isotypic_projector(ind, char_fn, degree)
 
     def value(gamma) -> complex:
         return complex(np.trace(ind.mat(gamma) @ P))
@@ -511,20 +497,11 @@ def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep, tol: float) -> int:
             raise ValueError("e(x^-1) is not the adjoint of e(x)")
     E = ind.hecke_operator(e_idem)
     dim_pi = int(round(np.trace(E).real))
-    norm = _operator_char_norm(ind, E)
+    norm = class_norm(ind.group, lambda g: np.trace(ind.mat(g) @ E))
     if abs(norm - 1) > 1e-6:
         raise ValueError("pi_e is not irreducible")
     ind._cut_dims[key] = (e_idem, dim_pi)
     return dim_pi
-
-
-def _operator_char_norm(ind: InducedRep, E: np.ndarray) -> float:
-    G = ind.group
-    acc = 0.0
-    for cls in G.conjugacy_classes():
-        val = complex(np.trace(ind.mat(cls[0]) @ E))
-        acc += len(cls) * abs(val) ** 2
-    return acc / G.order
 
 
 def char_generalized_trivial(gamma, e: int, q: int, chi: MultChar):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 
 from . import charformula, finglq, hecke, pseudocoef, repth, weyl
 from .finglq import GroupSizeError, MultChar, all_characters, gl_group
@@ -356,20 +357,12 @@ def check_group_averaged_trace(max_e, max_q):
 
 
 def _steinberg_rep(e, q):
-    import numpy as np
     chi = MultChar(q, 0)
     ind = repth.induce(e, q, chi)
-    G = gl_group(e, q)
-    st_vals = repth.steinberg_char(e, q, chi)
-    P = np.zeros((ind.dim, ind.dim), dtype=complex)
-    for g in G.elements:
-        P += complex(st_vals.at(g)).conjugate() * ind.mat(g)
-    P *= complex(st_vals.at(G.identity)) / G.order
-    rank = int(round(np.trace(P).real))
-    u, _s, _ = np.linalg.svd(P)
-    basis = u[:, :rank]
-    mats = {g: basis.conj().T @ ind.mat(g) @ basis for g in G.elements}
-    return repth.FinRep(G, mats, rank)
+    st = repth.steinberg_char(e, q, chi)
+    degree = int(st.at(ind.group.identity))
+    return repth.restrict_to_image(
+        ind, repth.isotypic_projector(ind, st.at, degree))
 
 
 def check_matrix_coefficient_sum(max_e, max_q):
@@ -563,22 +556,25 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(max_e: int = 3, max_q: int = 5, jobs: int = 1):
-    """Run every check; reports come back in canonical order."""
-    def run_one(fn):
-        try:
-            return _timed(lambda: fn(max_e, max_q))
-        except GroupSizeError as exc:
-            return [VerificationReport.skipped(fn.__name__, {}, str(exc))]
+def run_all(max_e: int = 3, max_q: int = 5):
+    """Run every check; reports come back in canonical order.
 
+    A check over the group-size cap becomes one `skipped` record; a check
+    that raises anything else becomes one `fail` record whose lhs is the
+    exception (its traceback goes to stderr), and the other checks still
+    run.
+    """
     reports = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(run_one, ALL_CHECKS):
-                reports.extend(batch)
-    else:
-        for fn in ALL_CHECKS:
-            reports.extend(run_one(fn))
+    for fn in ALL_CHECKS:
+        try:
+            reports.extend(_timed(lambda: fn(max_e, max_q)))
+        except GroupSizeError as exc:
+            reports.append(
+                VerificationReport.skipped(fn.__name__, {}, str(exc)))
+        except Exception as exc:  # one raising check must not hide the rest
+            traceback.print_exc()
+            reports.append(VerificationReport(
+                fn.__name__, {}, f"{type(exc).__name__}: {exc}", "",
+                1.0, 0.0, "fail"))
     reports.sort(key=lambda r: r.sort_key())
     return reports

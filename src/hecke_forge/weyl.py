@@ -64,11 +64,6 @@ def perm_sign(a: tuple[int, ...]) -> int:
     return sign
 
 
-def inversions(a: tuple[int, ...]) -> int:
-    e = len(a)
-    return sum(1 for i in range(e) for j in range(i + 1, e) if a[i] > a[j])
-
-
 def transposition(e: int, i: int, j: int) -> tuple[int, ...]:
     out = list(range(e))
     out[i], out[j] = out[j], out[i]
@@ -204,29 +199,16 @@ def bfs_ball(e: int, radius: int) -> dict[AffineElt, int]:
 
 
 def length_bfs(x: AffineElt, radius: int = 12) -> int:
-    """Oracle length: minimal word for the affine part of x, by BFS."""
+    """Oracle length: the distance of the affine part of x in bfs_ball."""
     k, y = pi_normal_form(x)
     if y == affine_identity(x.rank):
         return 0
     if x.rank == 1:
         raise ValueError("rank-1 affine part must be trivial")
-    gens = [simple_reflection(x.rank, i) for i in range(x.rank)]
-    start = affine_identity(x.rank)
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        z = frontier.popleft()
-        d = dist[z]
-        if d == radius:
-            continue
-        for s in gens:
-            znew = mul(z, s)
-            if znew == y:
-                return d + 1
-            if znew not in dist:
-                dist[znew] = d + 1
-                frontier.append(znew)
-    raise ValueError(f"element beyond BFS radius {radius}")
+    d = bfs_ball(x.rank, radius).get(y)
+    if d is None:
+        raise ValueError(f"element beyond BFS radius {radius}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +350,6 @@ def parahoric_volume(T: ParahoricType, q) -> Fraction:
     if q <= 0:
         raise ValueError("q must be positive")
     return _volume_any(T, q)
-
-
-def volume_poly(T: ParahoricType) -> QPoly:
-    """parahoric_volume with q left symbolic."""
-    out = QPoly()
-    for w in parahoric_weyl_group(T):
-        out = out + QPoly.monomial(length(w))
-    return out
 
 
 def poincare_poly(e: int) -> QPoly:

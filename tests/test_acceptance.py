@@ -13,13 +13,11 @@ import pytest
 
 from hecke_forge import charformula, finglq, hecke, pseudocoef, repth, weyl
 from hecke_forge.finglq import MultChar, all_characters, get_field, gl_group, mat_det
+from hecke_forge.verify import ORACLE_PAIRS
 
 
 def _line(n, title):
     print(f"ACCEPTANCE {n}: {title} ... pass")
-
-
-ORACLE_PAIRS = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
 
 
 def test_criterion_01_hecke_oracle_equivalence():

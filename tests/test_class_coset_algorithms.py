@@ -51,7 +51,7 @@ def ref_bruhat_decomposition(e, q):
 
 def ref_intertwining_dimension(e, q, chi):
     """<chi_Ind, chi_Ind> summed over every element of G."""
-    ind = repth.induced_character(e, q, chi)
+    ind = repth.induce(e, q, chi).char_value
     G = gl_group(e, q)
     val = sum(abs(complex(ind(g))) ** 2 for g in G.elements) / G.order
     out = round(val)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hecke_forge import verify
 from hecke_forge.cli import main
 
 
@@ -125,15 +126,39 @@ def test_verify_all_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_all_jobs_flag_same_output(tmp_path, capsys):
+def test_verify_all_raising_check_is_one_fail_record(tmp_path, capsys,
+                                                     monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     code, _, _ = run(capsys, "verify", "all", "--max-e", "2", "--max-q", "2",
                      "--no-timestamps", "--out", str(a))
     assert code == 0
-    code, _, _ = run(capsys, "verify", "all", "--max-e", "2", "--max-q", "2",
-                     "--no-timestamps", "--jobs", "4", "--out", str(b))
-    assert code == 0
-    assert a.read_bytes() == b.read_bytes()
+
+    def check_raises(max_e, max_q):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS",
+                        [check_raises] + verify.ALL_CHECKS)
+    code, _, err = run(capsys, "verify", "all", "--max-e", "2",
+                       "--max-q", "2", "--no-timestamps", "--out", str(b))
+    assert code == 1
+    assert "fail=1" in err
+    assert "Traceback" in err and "ValueError: boom" in err
+    before = json.loads(a.read_text())
+    after = json.loads(b.read_text())
+    assert after["schema"] == before["schema"] == "hecke-forge/1"
+    failed = [r for r in after["reports"] if r["status"] == "fail"]
+    assert failed == [{
+        "name": "check_raises", "params": {}, "lhs": "ValueError: boom",
+        "rhs": "", "abs_error": 1.0, "tolerance": 0.0, "status": "fail",
+        "elapsed_ms": 0}]
+    assert [r for r in after["reports"] if r["status"] != "fail"] \
+        == before["reports"]
+
+
+def test_verify_all_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_unknown_flag_exits_2():

@@ -110,6 +110,32 @@ def test_subgroup_orders_and_membership():
             assert mat_det(F, g) != 0
 
 
+def _block_of(blocks):
+    return [bi for bi, b in enumerate(blocks) for _ in range(b)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_levi_and_unipotent_are_slices_of_the_parabolic(n, q):
+    """Levi elements: the parabolic's elements with zeros above the blocks;
+    unipotent-radical elements: those with identity diagonal blocks; both
+    in the parabolic's order."""
+    for blocks in finglq._compositions(n):
+        par = enumerate_group(n, q, SubgroupSpec.standard_parabolic(blocks))
+        bo = _block_of(blocks)
+        above = [(i, j) for i in range(n) for j in range(n) if bo[i] < bo[j]]
+        diag = [(i, j) for i in range(n) for j in range(n) if bo[i] == bo[j]]
+        levi = [g for g in par if all(g[i][j] == 0 for i, j in above)]
+        unip = [g for g in par
+                if all(g[i][j] == (i == j) for i, j in diag)]
+        assert enumerate_group(n, q, SubgroupSpec.levi(blocks)) == levi
+        assert enumerate_group(
+            n, q, SubgroupSpec.unipotent_radical(blocks)) == unip
+    borel = enumerate_group(n, q, SubgroupSpec.borel())
+    assert borel == enumerate_group(
+        n, q, SubgroupSpec.standard_parabolic((1,) * n))
+
+
 def test_blocks_from_type():
     assert blocks_from_type(set(), 3) == (1, 1, 1)
     assert blocks_from_type({1}, 3) == (2, 1)

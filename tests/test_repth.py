@@ -13,8 +13,8 @@ from hecke_forge.repth import (
     ClassFunction, FinRep, InducedRep, alvis_curtis_sign_check, borel,
     char_generalized_trivial, conj_avg, dim_from_e_tau, double_coset_basis,
     e_tau, elliptic_regular_class_reps, finite_hecke_basis,
-    frobenius_transport_check, induce, induced_character,
-    intertwining_dimension, isotypic_projector_character, sigma_tilde,
+    frobenius_transport_check, induce, intertwining_dimension,
+    isotypic_projector_character, sigma_tilde,
     steinberg_char, subrep_from_idempotent, torus_character,
     trace_via_coset_sum,
 )
@@ -510,6 +510,16 @@ def test_intertwining_dimension_values():
     assert intertwining_dimension(2, 2, trivial(2)) == 2
     assert intertwining_dimension(2, 3, MultChar(3, 1)) == 2
     assert intertwining_dimension(3, 2, trivial(2)) == 6
+
+
+def test_coset_data_is_kept_on_the_group():
+    G, B = gl_group(2, 3), borel(2, 3)
+    ind = induce(2, 3, MultChar(3, 1))
+    data = G._cosets[B.spec]
+    assert data.transversal == ind.transversal
+    assert data.coset_of is ind.coset_of
+    assert len(data.transversal) == G.order // B.order
+    assert repth._coset_data(G, B) is data
 
 
 def test_double_coset_basis_asymmetric_character():
