@@ -14,13 +14,15 @@ and every enumerated order is checked against the closed-form count.
 Conjugacy classes of GL(n, q) are orbits under conjugation by a small
 generating set S: |G| * |S| conjugations in all, not one scan of G per
 class.  The Bruhat decomposition reduces each element to a monomial
-matrix by elimination instead of forming all |B|^2 * n! products b1 w b2.
+matrix by elimination instead of forming all |B|^2 * n! products b1 w b2,
+and checks its labels against the generators of B on both sides.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
@@ -249,6 +251,12 @@ Mat = tuple  # tuple of row tuples of element codes
 
 def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def elementary_mat(n: int, r: int, c: int, x: int) -> Mat:
+    """The identity matrix with entry (r, c) replaced by x."""
+    return tuple(tuple(x if (i, j) == (r, c) else int(i == j)
+                       for j in range(n)) for i in range(n))
 
 
 def mat_mul(F: Fq, a: Mat, b: Mat) -> Mat:
@@ -626,17 +634,10 @@ class MatrixGroup:
         """
         if self.spec.kind != "full":
             return self.elements
-        n, ident = self.n, self.identity
-        gens = []
-        for i in range(n - 1):
-            for r, c in ((i, i + 1), (i + 1, i)):
-                m = [list(row) for row in ident]
-                m[r][c] = 1
-                gens.append(tuple(tuple(row) for row in m))
-        zeta = self.field_.generator
-        if zeta != 1:
-            gens.append(((zeta,) + ident[0][1:],) + ident[1:])
-        return gens
+        n, zeta = self.n, self.field_.generator
+        gens = [elementary_mat(n, r, c, 1) for i in range(n - 1)
+                for r, c in ((i, i + 1), (i + 1, i))]
+        return gens + ([elementary_mat(n, 0, 0, zeta)] if zeta != 1 else [])
 
     def conjugacy_classes(self) -> list[list[Mat]]:
         """Classes ordered by first appearance in `elements`, each sorted.
@@ -716,18 +717,39 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     Each g is reduced to a monomial matrix u1 g u2 = w * diag(pivots) by
     elimination with upper unitriangular u1, u2, so w is read off the
     pivot positions and v is the product of the pivots.  Every cell is
-    checked to have its closed-form size |B| * q^l(w).
+    checked to have its closed-form size |B| * q^l(w), and the labels to be
+    B-bi-equivariant in field codes: (w, v)(s g) = (w, v)(g s) = (w, d(s) v),
+    d the diagonal product, for every g and s in a generating set of B.  So
+    a function of the label alone, like `repth.e_tau`, is fixed by its
+    values at the permutation matrices, and the convolution of two such
+    functions is |B| times a sum over the cosets of B.
     """
     F = get_field(q)
     out = {g: _bruhat_cell(F, g) for g in gl_group(e, q).elements}
-    sizes: dict = {}
-    for w, _ in out.values():
-        sizes[w] = sizes.get(w, 0) + 1
+    sizes = Counter(w for w, _ in out.values())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
-        if sizes.get(w, 0) != b_order * q ** _inversions(w):
+        if sizes[w] != b_order * q ** _inversions(w):
             raise AssertionError(f"Bruhat cell of {w} has the wrong size")
+    for s in _borel_generators(F, e):
+        d = diag_product(F, s)
+        for g, (w, v) in out.items():
+            label = (w, F.mul(d, v))
+            if (out[mat_mul(F, s, g)] != label
+                    or out[mat_mul(F, g, s)] != label):
+                raise AssertionError(
+                    f"Bruhat label of {g} is not B-bi-equivariant")
     return out
+
+
+def _borel_generators(F: Fq, n: int) -> list[Mat]:
+    """diag(1, ..., zeta, ..., 1) at each position (none when zeta = 1,
+    q = 2) and E_{i,i+1}(1).  They generate B: conjugating E_{i,i+1}(1)
+    by the diagonal gives E_{i,i+1}(a) for every unit a, sums of those
+    give every a, and commutators of neighbours the entries further up."""
+    diag = [elementary_mat(n, i, i, F.generator) for i in range(n)
+            if F.generator != 1]
+    return diag + [elementary_mat(n, i, i + 1, 1) for i in range(n - 1)]
 
 
 def _bruhat_cell(F: Fq, g: Mat) -> tuple[tuple[int, ...], int]:

@@ -43,9 +43,9 @@ from math import gcd
 from .hecke import CentralHeckeElt, HeckeElt, central_reduction
 from .qpoly import QPoly
 from .weyl import (
-    AffineElt, ParahoricType, _volume_any, canonical_rep, epsilon, mul,
-    orbit_reps, parahoric_type, period_and_n, pi_power,
-    parahoric_weyl_group, proper_subsets_of_s, standard_orbit_members,
+    AffineElt, ParahoricType, canonical_rep, epsilon, mul, orbit_reps,
+    parahoric_type, period_and_n, pi_power, parahoric_weyl_group,
+    poincare_sum, proper_subsets_of_s, standard_orbit_members,
 )
 
 
@@ -70,8 +70,8 @@ def _require_trivial_omega(params: PseudoCoefParams):
 
 def _type_data(T: ParahoricType, q):
     u, n = period_and_n(T)
-    vol = _volume_any(T, Fraction(q))
-    return u, n, epsilon(T), vol, parahoric_weyl_group(T)
+    W_T = parahoric_weyl_group(T)
+    return u, n, epsilon(T), poincare_sum(W_T, Fraction(q)), W_T
 
 
 def validate_representative_system(theta, e: int) -> list[ParahoricType]:

@@ -83,18 +83,6 @@ class FinHeckeElt:
     def support_size(self) -> int:
         return sum(1 for v in self.values.values() if v != 0)
 
-    def convolve_at(self, other: "FinHeckeElt", g):
-        """(self * other)(g) = sum_x self(x) other(x^-1 g)."""
-        G = self.group
-        acc = 0
-        for x, vx in self.values.items():
-            if vx == 0:
-                continue
-            w = other.values.get(G.mul(G.inv(x), g), 0)
-            if w != 0:
-                acc += vx * w
-        return acc
-
     def convolve(self, other: "FinHeckeElt") -> "FinHeckeElt":
         """Full convolution; quadratic in the support, desk scale only."""
         G = self.group
@@ -196,39 +184,34 @@ def e_tau(e: int, q: int, chi: MultChar) -> FinHeckeElt:
     return out
 
 
-def _idempotency_holds(elt: FinHeckeElt, e: int, q: int,
-                       tol: float = 1e-10) -> bool:
-    """Check elt * elt = elt.  Both sides are bi-equivariant, so checking
-    at one point per Bruhat cell is equivalent; small groups are also
-    checked in full."""
-    G = elt.group
-    G.precompute_inverses()
+def _idempotency_holds(elt: FinHeckeElt, e: int, q: int) -> bool:
+    """Check elt * elt = elt: exactly when every value is a Fraction, else
+    within 1e-10.
+
+    elt is a function of the Bruhat label (w, v), whose bi-equivariance
+    `bruhat_decomposition` checks, so elt and elt * elt are
+    (B, sigma)-bi-equivariant and one point per cell is enough.  At each
+    permutation matrix g, y = b r (r in the right transversal of B\\G)
+    turns (elt * elt)(g) = sum_y elt(g y^-1) elt(y) into |B| times the
+    sum over r, since sigma(b^-1) sigma(b) = 1.
+    """
+    G, B = elt.group, elt.sub
+    transversal = _coset_data(G, B).transversal
     exact = all(isinstance(v, Fraction) for v in elt.values.values())
     for w in all_perms(e):
         pt = perm_matrix(e, w)
-        lhs = elt.convolve_at(elt, pt)
-        rhs = elt(pt)
-        if exact:
-            if lhs != rhs:
-                return False
-        elif abs(complex(lhs) - complex(rhs)) > tol:
+        lhs = B.order * sum(elt(G.mul(pt, G.inv(r))) * elt(r)
+                            for r in transversal)
+        if (lhs != elt(pt) if exact
+                else abs(complex(lhs) - complex(elt(pt))) > 1e-10):
             return False
-    if G.order <= 700:
-        full = elt.convolve(elt)
-        for g in G.elements:
-            if exact and full(g) != elt(g):
-                return False
-            if not exact and abs(complex(full(g)) - complex(elt(g))) > tol:
-                return False
     return True
 
 
 def dim_from_e_tau(e: int, q: int, chi: MultChar) -> Fraction:
     """Tr(e_tau(1)) * |G|; the dimension of the cut-out constituent."""
-    et = e_tau(e, q, chi)
     G = gl_group(e, q)
-    val = et(G.identity) * G.order
-    return val
+    return e_tau(e, q, chi)(G.identity) * G.order
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +296,8 @@ class InducedRep:
         self.coset_of = data.coset_of
         self.dim = len(self.transversal)
         self._mats: dict = {}
-        # (id(e_idem), tol) -> (e_idem, dim pi_e); holding e_idem keeps
-        # its id from being reused
+        # id(e_idem) -> (e_idem, dim pi_e); holding e_idem keeps its id
+        # from being reused
         self._cut_dims: dict = {}
 
     def mat(self, y) -> np.ndarray:
@@ -371,36 +354,30 @@ def induce(e: int, q: int, chi: MultChar) -> InducedRep:
     return InducedRep(gl_group(e, q), borel(e, q), sigma_tilde(e, q, chi))
 
 
-def induce_from(G: MatrixGroup, H: MatrixGroup, sigma) -> InducedRep:
-    return InducedRep(G, H, sigma)
-
-
-def subrep_from_idempotent(e_idem: FinHeckeElt, ind: InducedRep,
-                           tol: float = 1e-8) -> FinRep:
+def subrep_from_idempotent(e_idem: FinHeckeElt, ind: InducedRep) -> FinRep:
     """Restrict the action to the image of the convolution idempotent.
 
     Verifies idempotency of the operator and irreducibility of the result
     (character norm 1).
     """
     E = ind.hecke_operator(e_idem)
-    if np.max(np.abs(E @ E - E)) > tol:
+    if np.max(np.abs(E @ E - E)) > 1e-8:
         raise ValueError("operator is not idempotent")
-    rep = restrict_to_image(ind, E, tol)
+    rep = restrict_to_image(ind, E)
     norm = rep.character_norm()
     if abs(norm - 1) > 1e-6:
         raise ValueError(f"cut-out module is not irreducible: <chi,chi>={norm}")
     return rep
 
 
-def restrict_to_image(ind: InducedRep, E: np.ndarray,
-                      tol: float = 1e-8) -> FinRep:
+def restrict_to_image(ind: InducedRep, E: np.ndarray) -> FinRep:
     """The action of ind on the image of the projector E, in the
     orthonormal basis of its first Tr(E) left singular vectors."""
     rank = int(round(np.trace(E).real))
     if rank == 0:
         raise ValueError("zero idempotent")
     u, s, _ = np.linalg.svd(E)
-    if s[rank - 1] < tol:
+    if s[rank - 1] < 1e-8:
         raise ValueError("idempotent rank does not match its trace")
     basis = u[:, :rank]
     mats = {g: basis.conj().T @ ind.mat(g) @ basis for g in ind.group.elements}
@@ -452,8 +429,7 @@ def conj_avg(T: np.ndarray, rep: FinRep, v: np.ndarray) -> complex:
 
 
 def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
-                      ind: InducedRep | None = None,
-                      tol: float = 1e-9) -> complex:
+                        ind: InducedRep) -> complex:
     """Trace of the idempotent-cut subrepresentation at gamma, evaluated
     through the coset sum
 
@@ -467,33 +443,29 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     pair and kept on `ind`.
     """
     G, H = e_idem.group, e_idem.sub
-    if ind is None:
-        ind = InducedRep(G, H, e_idem.sigma)
     lam1 = e_idem(G.identity)
-    if abs(complex(lam1).imag) > tol or complex(lam1).real <= 0:
+    if abs(complex(lam1).imag) > 1e-9 or complex(lam1).real <= 0:
         raise ValueError("e(1) must be a positive scalar")
-    dim_pi = _cut_dimension(e_idem, ind, tol)
-    data = _coset_data(G, H)
-    acc = 0
-    for x in data.transversal:
-        acc += e_idem(G.mul(G.mul(x, gamma), G.inv(x)))
+    dim_pi = _cut_dimension(e_idem, ind)
+    acc = sum(e_idem(G.mul(G.mul(x, gamma), G.inv(x)))
+              for x in _coset_data(G, H).transversal)
     scale = Fraction(dim_pi) * Fraction(H.order, G.order)
     if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
         return scale / lam1 * acc
     return complex(scale) / complex(lam1) * complex(acc)
 
 
-def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep, tol: float) -> int:
+def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
     """dim pi_e after checking adjointness and irreducibility; cached on
-    `ind` per (e_idem, tol)."""
-    key = (id(e_idem), tol)
+    `ind` per e_idem."""
+    key = id(e_idem)
     got = ind._cut_dims.get(key)
     if got is not None and got[0] is e_idem:
         return got[1]
     G = e_idem.group
     G.precompute_inverses()
     for x in G.elements:  # adjointness: scalar sigma, so adjoint = conjugate
-        if abs(complex(e_idem(G.inv(x))) - complex(e_idem(x)).conjugate()) > tol:
+        if abs(complex(e_idem(G.inv(x))) - complex(e_idem(x)).conjugate()) > 1e-9:
             raise ValueError("e(x^-1) is not the adjoint of e(x)")
     E = ind.hecke_operator(e_idem)
     dim_pi = int(round(np.trace(E).real))

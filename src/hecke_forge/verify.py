@@ -244,6 +244,7 @@ def check_elliptic_equivalence(max_e, max_q):
 # --- repth ------------------------------------------------------------------------
 
 def check_e_tau(max_e, max_q):
+    name = "repth.e_tau_idempotent_dim"
     out = []
     for e, q in ORACLE_PAIRS:
         if e > max_e or q > max_q:
@@ -254,13 +255,13 @@ def check_e_tau(max_e, max_q):
                 d = repth.dim_from_e_tau(e, q, chi)  # e_tau checks idempotency
             except ValueError as exc:
                 out.append(VerificationReport(
-                    "repth.e_tau_idempotent_dim", params, str(exc), "",
-                    1.0, 0.0, "fail"))
+                    name, params, str(exc), "", 1.0, 0.0, "fail"))
                 continue
-            err = abs(complex(d) - 1)
-            tol = 0.0 if chi.is_rational else 1e-10
-            out.append(VerificationReport.passfail(
-                "repth.e_tau_idempotent_dim", params, d, 1, err, tol))
+            if chi.is_rational:
+                out.append(VerificationReport.exact(name, params, d, 1, d == 1))
+            else:
+                out.append(VerificationReport.passfail(
+                    name, params, d, 1, abs(complex(d) - 1), 1e-10))
     return out
 
 

@@ -334,8 +334,12 @@ def parahoric_weyl_group(T: ParahoricType) -> list[AffineElt]:
 
 
 def _volume_any(T: ParahoricType, q) -> Fraction:
-    return sum((Fraction(q) ** length(w) for w in parahoric_weyl_group(T)),
-               Fraction(0))
+    return poincare_sum(parahoric_weyl_group(T), q)
+
+
+def poincare_sum(elements, q) -> Fraction:
+    """Sum of q^l(w) over the given elements, e.g. a W_T already built."""
+    return sum((Fraction(q) ** length(w) for w in elements), Fraction(0))
 
 
 def parahoric_volume(T: ParahoricType, q) -> Fraction:

@@ -244,3 +244,39 @@ def test_precompute_inverses_only_computes_missing_ones(monkeypatch):
 def test_serialization_roundtrip():
     g = ((0, 1), (2, 1))
     assert mat_from_ints(2, mat_to_ints(g)) == g
+
+
+def _mislabel(monkeypatch, e, q, wrong_label):
+    """Patch `_bruhat_cell` so that `wrong_label(g, (w, v))` gives the
+    label of g."""
+    real = finglq._bruhat_cell
+
+    def patched(F, g):
+        return wrong_label(g, real(F, g))
+
+    monkeypatch.setattr(finglq, "_bruhat_cell", patched)
+
+
+@pytest.mark.parametrize("e,q", [
+    (2, 3), pytest.param(3, 3, marks=pytest.mark.slow)])
+def test_bruhat_rejects_a_wrong_unit_at_one_element(monkeypatch, e, q):
+    # v times a unit other than 1 at one g: every cell keeps its size
+    F = get_field(q)
+    target = gl_group(e, q).elements[len(gl_group(e, q).elements) // 2]
+    _mislabel(monkeypatch, e, q, lambda g, wv: (
+        (wv[0], F.mul(F.generator, wv[1])) if g == target else wv))
+    with pytest.raises(AssertionError, match="bi-equivariant"):
+        finglq.bruhat_decomposition.__wrapped__(e, q)
+
+
+@pytest.mark.parametrize("e,q", [
+    (2, 3), pytest.param(3, 3, marks=pytest.mark.slow)])
+def test_bruhat_rejects_two_swapped_labels(monkeypatch, e, q):
+    # g1 and g2 from different cells trade labels: cell sizes stay right
+    dec = finglq.bruhat_decomposition(e, q)
+    g1 = identity_mat(e)
+    g2 = next(g for g, (w, _) in dec.items() if w != dec[g1][0])
+    swap = {g1: dec[g2], g2: dec[g1]}
+    _mislabel(monkeypatch, e, q, lambda g, wv: swap.get(g, wv))
+    with pytest.raises(AssertionError, match="bi-equivariant"):
+        finglq.bruhat_decomposition.__wrapped__(e, q)

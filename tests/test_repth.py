@@ -242,8 +242,7 @@ def test_induce_from_whole_group_returns_sigma():
     q = 3
     G = gl_group(1, q)
     chi = MultChar(q, 1)
-    from hecke_forge.repth import induce_from
-    ind = induce_from(G, G, lambda g: chi(g[0][0]))
+    ind = InducedRep(G, G, lambda g: chi(g[0][0]))
     assert ind.dim == 1
     for g in G.elements:
         assert abs(ind.mat(g)[0, 0] - complex(chi(g[0][0]))) < 1e-12
@@ -556,3 +555,32 @@ def test_class_function_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "class_rep,class_size,value_re,value_im"
     assert len(lines) == 1 + len(gl_group(2, 2).conjugacy_classes())
+
+
+# --- the one-point-per-cell idempotency check ---------------------------------
+
+@pytest.mark.parametrize("e,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_e_tau_equals_its_full_self_convolution(e, q):
+    # the whole-group oracle for the check e_tau runs at one point per cell
+    G = gl_group(e, q)
+    for chi in all_characters(q):
+        et = e_tau(e, q, chi)
+        full = et.convolve(et)
+        for g in G.elements:
+            if chi.is_rational:
+                assert full(g) == et(g), (chi.k, g)
+            else:
+                assert abs(complex(full(g)) - complex(et(g))) <= 1e-10, \
+                    (chi.k, g)
+
+
+@pytest.mark.parametrize("e,q", [
+    (2, 5), (3, 2), pytest.param(3, 3, marks=pytest.mark.slow)])
+def test_idempotency_check_rejects_non_idempotents(e, q):
+    for chi in all_characters(q):
+        et = e_tau(e, q, chi)
+        w0 = tuple(reversed(range(e)))
+        longest = dict(zip(all_perms(e), finite_hecke_basis(e, q, chi)))[w0]
+        assert repth._idempotency_holds(et, e, q)
+        assert not repth._idempotency_holds(et.scale(2), e, q)
+        assert not repth._idempotency_holds(longest, e, q)
