@@ -15,7 +15,9 @@ Conjugacy classes of GL(n, q) are orbits under conjugation by a small
 generating set S: |G| * |S| conjugations in all, not one scan of G per
 class.  The Bruhat decomposition reduces each element to a monomial
 matrix by elimination instead of forming all |B|^2 * n! products b1 w b2,
-and checks its labels against the generators of B on both sides.
+and checks its labels against the generators of B on both sides.  Those
+generators are elementary or diagonal, so a product with one is a single
+row or column operation (`multiplier`), not a matrix product.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def elementary_mat(n: int, r: int, c: int, x: int) -> Mat:
 
 def mat_mul(F: Fq, a: Mat, b: Mat) -> Mat:
     n = len(a)
-    mul_, add = F.mul, F.add
+    mul_, add = F._mul, F._add
     out = []
     for i in range(n):
         ai = a[i]
@@ -269,10 +271,42 @@ def mat_mul(F: Fq, a: Mat, b: Mat) -> Mat:
         for j in range(n):
             acc = 0
             for k in range(n):
-                acc = add(acc, mul_(ai[k], b[k][j]))
+                acc = add[acc][mul_[ai[k]][b[k][j]]]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def multiplier(F: Fq, s: Mat, left: bool):
+    """The map g -> s g (left) or g -> g s (right).
+
+    When s is elementary_mat(n, r, c, x), as every generator of GL(n, q)
+    and of its Borel in `MatrixGroup.generators()` is, the map is one row
+    operation on row r (left) or one column operation on column c (right):
+    scaling by x when r = c, else adding x times row c (column r).  Any
+    other s falls back on `mat_mul`.
+    """
+    n = len(s)
+    off = [(i, j) for i in range(n) for j in range(n)
+           if s[i][j] != int(i == j)]
+    if len(off) != 1:
+        if left:
+            return lambda g: mat_mul(F, s, g)
+        return lambda g: mat_mul(F, g, s)
+    ((r, c),) = off
+    add, times_x = F._add, F._mul[s[r][c]]
+    if left and r == c:
+        return lambda g: (g[:r] + (tuple([times_x[a] for a in g[r]]),)
+                          + g[r + 1:])
+    if left:
+        return lambda g: (g[:r] + (tuple([add[a][times_x[b]]
+                                          for a, b in zip(g[r], g[c])]),)
+                          + g[r + 1:])
+    if r == c:
+        return lambda g: tuple([row[:c] + (times_x[row[c]],) + row[c + 1:]
+                                for row in g])
+    return lambda g: tuple([row[:c] + (add[row[c]][times_x[row[r]]],)
+                            + row[c + 1:] for row in g])
 
 
 def mat_det(F: Fq, a: Mat) -> int:
@@ -576,10 +610,10 @@ class MatrixGroup:
     # subgroup spec -> right-coset data of that subgroup, filled by
     # repth._coset_data
     _cosets: dict = field(default_factory=dict, repr=False)
+    field_: Fq = field(init=False, repr=False, compare=False)
 
-    @property
-    def field_(self) -> Fq:
-        return get_field(self.q)
+    def __post_init__(self):
+        self.field_ = get_field(self.q)
 
     @property
     def order(self) -> int:
@@ -639,16 +673,27 @@ class MatrixGroup:
                 for r, c in ((i, i + 1), (i + 1, i))]
         return gens + ([elementary_mat(n, 0, 0, zeta)] if zeta != 1 else [])
 
+    def generators(self) -> list[Mat]:
+        """A generating set: `conjugation_generators()` for full GL(n, q),
+        the elementary and diagonal `_borel_generators` for the Borel, and
+        every element for any other subgroup kind."""
+        if self.spec.kind == "borel":
+            return _borel_generators(self.field_, self.n)
+        return self.conjugation_generators()
+
     def conjugacy_classes(self) -> list[list[Mat]]:
         """Classes ordered by first appearance in `elements`, each sorted.
 
         Each class is the orbit of its first element under conjugation by
         `conjugation_generators()`, found by breadth-first search, so every
-        element is reached once: |G| * |S| conjugations in all.
+        element is reached once: |G| * |S| conjugations in all, each one
+        row and one column operation for full GL(n, q) (`multiplier`).
         """
         if self._classes is None:
-            pairs = [(s, self.inv(s)) for s in self.conjugation_generators()]
-            mul = self.mul
+            F = self.field_
+            pairs = [(multiplier(F, s, left=True),
+                      multiplier(F, self.inv(s), left=False))
+                     for s in self.conjugation_generators()]
             classes, class_of = [], {}
             for g in self.elements:
                 if g in class_of:
@@ -657,8 +702,8 @@ class MatrixGroup:
                 class_of[g] = idx
                 orbit = [g]
                 for y in orbit:  # the queue grows while it is read
-                    for s, s_inv in pairs:
-                        z = mul(mul(s, y), s_inv)
+                    for left, right in pairs:
+                        z = right(left(y))
                         if z not in class_of:
                             class_of[z] = idx
                             orbit.append(z)
@@ -733,10 +778,11 @@ def bruhat_decomposition(e: int, q: int) -> dict:
             raise AssertionError(f"Bruhat cell of {w} has the wrong size")
     for s in _borel_generators(F, e):
         d = diag_product(F, s)
+        left = multiplier(F, s, left=True)
+        right = multiplier(F, s, left=False)
         for g, (w, v) in out.items():
             label = (w, F.mul(d, v))
-            if (out[mat_mul(F, s, g)] != label
-                    or out[mat_mul(F, g, s)] != label):
+            if out[left(g)] != label or out[right(g)] != label:
                 raise AssertionError(
                     f"Bruhat label of {g} is not B-bi-equivariant")
     return out

@@ -85,7 +85,7 @@ class FinHeckeElt:
 
     def convolve(self, other: "FinHeckeElt") -> "FinHeckeElt":
         """Full convolution; quadratic in the support, desk scale only."""
-        G = self.group
+        mul = self.group.mul
         out: dict = {}
         for x, vx in self.values.items():
             if vx == 0:
@@ -93,7 +93,7 @@ class FinHeckeElt:
             for y, vy in other.values.items():
                 if vy == 0:
                     continue
-                z = G.mul(x, y)
+                z = mul(x, y)
                 out[z] = out.get(z, 0) + vx * vy
         return FinHeckeElt(self.group, self.sub, self.sigma, out)
 
@@ -333,19 +333,34 @@ class InducedRep:
         return complex(self.sigma(h)) * vec[i]
 
     def hecke_operator(self, phi: FinHeckeElt) -> np.ndarray:
-        """Matrix of f -> phi * f in the transversal coordinates."""
-        G, H = self.group, self.sub
+        """Matrix of f -> phi * f in the transversal coordinates:
+        m[i, j] = |H| phi(r_i r_j^-1).
+
+        The entry is sum over h in H of phi(r_i r_j^-1 h^-1) sigma(h), and
+        right sigma-equivariance, phi(g h) = phi(g) sigma(h), makes every
+        term phi(r_i r_j^-1) (Iwahori 1964).  That hypothesis is checked,
+        not assumed: phi(g s) = phi(g) sigma(s) for every g in G and every
+        s in `H.generators()`, exactly when phi and sigma take Fraction
+        values, else within 1e-10.  Raises ValueError when it fails.
+        """
+        G, H, sigma = self.group, self.sub, self.sigma
+        values = phi.values
+        gens = [(finglq.multiplier(G.field_, s, left=False), sigma(s))
+                for s in H.generators()]
+        exact = (all(isinstance(v, Fraction) for v in values.values())
+                 and all(isinstance(sig, Fraction) for _, sig in gens))
+        for right, sig in gens:
+            for g in G.elements:
+                lhs, rhs = values.get(right(g), 0), values.get(g, 0) * sig
+                if (lhs != rhs if exact
+                        else abs(complex(lhs) - complex(rhs)) > 1e-10):
+                    raise ValueError("phi is not right sigma-equivariant")
         n = self.dim
+        inverses = [G.inv(r) for r in self.transversal]
         m = np.zeros((n, n), dtype=complex)
         for i, ri in enumerate(self.transversal):
-            for j, rj in enumerate(self.transversal):
-                base = G.mul(ri, G.inv(rj))
-                acc = 0j
-                for h in H.elements:
-                    v = phi.values.get(G.mul(base, G.inv(h)), 0)
-                    if v != 0:
-                        acc += complex(v) * complex(self.sigma(h))
-                m[i, j] = acc
+            for j, rj_inv in enumerate(inverses):
+                m[i, j] = complex(H.order * values.get(G.mul(ri, rj_inv), 0))
         return m
 
 

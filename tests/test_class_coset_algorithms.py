@@ -5,6 +5,7 @@ forms that do not depend on either."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hecke_forge import finglq, repth
@@ -73,6 +74,26 @@ def ref_parabolic_induction_values(e, q, nodes):
     return values
 
 
+def ref_hecke_operator(ind, phis):
+    """The matrices of f -> phi * f for each phi in `phis`, each entry the
+    |H|-fold sum over h in H of phi(r_i r_j^-1 h^-1) sigma(h).  The
+    products r_i r_j^-1 h^-1 are formed once and shared by every phi."""
+    G, H = ind.group, ind.sub
+    n = ind.dim
+    h_data = [(G.inv(h), complex(ind.sigma(h))) for h in H.elements]
+    mats = [np.zeros((n, n), dtype=complex) for _ in phis]
+    for i, ri in enumerate(ind.transversal):
+        for j, rj in enumerate(ind.transversal):
+            base = G.mul(ri, G.inv(rj))
+            for h_inv, sig in h_data:
+                g = G.mul(base, h_inv)
+                for m, phi in zip(mats, phis):
+                    v = phi.values.get(g, 0)
+                    if v != 0:
+                        m[i, j] += complex(v) * sig
+    return mats
+
+
 def all_types(e):
     return [nodes for r in range(e)
             for nodes in itertools.combinations(range(1, e), r)]
@@ -100,6 +121,39 @@ def test_fast_routines_match_reference(e, q):
 @pytest.mark.slow
 def test_fast_routines_match_reference_33():
     compare_with_reference(3, 3)
+
+
+def compare_hecke_operator(e, q, chi):
+    ind = repth.induce(e, q, chi)
+    phis = [repth.e_tau(e, q, chi)] + repth.finite_hecke_basis(e, q, chi)
+    for phi, want in zip(phis, ref_hecke_operator(ind, phis)):
+        assert np.max(np.abs(ind.hecke_operator(phi) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("e,q", SMALL)
+def test_hecke_operator_matches_reference(e, q):
+    for chi in all_characters(q):
+        compare_hecke_operator(e, q, chi)
+
+
+@pytest.mark.slow
+def test_hecke_operator_matches_reference_33():
+    compare_hecke_operator(3, 3, MultChar(3, 0))
+
+
+@pytest.mark.parametrize("e,q,k", [(2, 3, 0), (2, 3, 1), (2, 5, 1)])
+def test_hecke_operator_rejects_non_equivariant(e, q, k):
+    # e_tau changed at one element off the permutation matrices: the
+    # |H| phi(r_i r_j^-1) form would give a wrong operator, so it raises
+    chi = MultChar(q, k)
+    et = repth.e_tau(e, q, chi)
+    perms = {perm_matrix(e, w) for w in itertools.permutations(range(e))}
+    x = next(g for g in gl_group(e, q).elements if g not in perms)
+    values = dict(et.values)
+    values[x] = 2 * values[x]
+    bad = repth.FinHeckeElt(et.group, et.sub, et.sigma, values)
+    with pytest.raises(ValueError, match="equivariant"):
+        repth.induce(e, q, chi).hecke_operator(bad)
 
 
 def test_subgroup_classes_match_reference():

@@ -156,6 +156,41 @@ def test_mat_ops_random():
             assert mat_mul(F, a, mat_inv(F, a)) == identity_mat(3)
 
 
+@pytest.mark.parametrize("n,q", [(2, 4), (2, 9), (3, 2), (3, 3), (3, 8)])
+def test_multiplier_matches_mat_mul(n, q):
+    # row and column operations for the elementary and diagonal generators
+    # of GL(n, q) and its Borel, the mat_mul fallback for any other matrix
+    import random
+    rng = random.Random(n * 10 + q)
+    F = get_field(q)
+    # generators need no enumeration: GL(3, 8) is above the cap
+    gens = (finglq.MatrixGroup(n, q, SubgroupSpec.full(), []).generators()
+            + finglq.MatrixGroup(n, q, SubgroupSpec.borel(), []).generators())
+    mats = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+            for _ in range(30)]
+    for s in gens + mats[:5]:
+        left = finglq.multiplier(F, s, left=True)
+        right = finglq.multiplier(F, s, left=False)
+        for g in mats:
+            assert left(g) == mat_mul(F, s, g)
+            assert right(g) == mat_mul(F, g, s)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2), (3, 3)])
+def test_borel_generators_generate_the_borel(n, q):
+    B = finglq.subgroup(n, q, SubgroupSpec.borel())
+    gens = B.generators()
+    assert len(gens) == (n if q > 2 else 0) + n - 1
+    reached, queue = {B.identity}, [B.identity]
+    for x in queue:
+        for s in gens:
+            y = B.mul(x, s)
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    assert reached == set(B.elements)
+
+
 def test_char_poly_examples():
     F2 = get_field(2)
     # identity, n=2: (x-1)^2 = x^2 + 1 over F_2 -> coeffs (1, 0, 1)

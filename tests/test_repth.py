@@ -382,6 +382,30 @@ def test_trace_via_coset_sum_gl32_class_reps():
         assert trace_via_coset_sum(rep, et, ind) == 1
 
 
+def test_trace_via_coset_sum_gl33_every_class_exact():
+    q = 3
+    G = gl_group(3, q)
+    F = get_field(q)
+    for chi in all_characters(q):  # both characters of F_3^x are rational
+        et = e_tau(3, q, chi)
+        ind = induce(3, q, chi)
+        for rep in G.class_reps():
+            val = trace_via_coset_sum(rep, et, ind)
+            assert type(val) is Fraction and val == chi(mat_det(F, rep))
+
+
+def test_trace_via_coset_sum_gl27_every_class_all_chi():
+    q = 7
+    G = gl_group(2, q)
+    F = get_field(q)
+    for chi in all_characters(q):
+        et = e_tau(2, q, chi)
+        ind = induce(2, q, chi)
+        for rep in G.class_reps():
+            val = trace_via_coset_sum(rep, et, ind)
+            assert abs(complex(val) - complex(chi(mat_det(F, rep)))) <= 1e-8
+
+
 def test_trace_via_coset_sum_builds_operator_once_per_pair(monkeypatch):
     q = 3
     chi = trivial(q)
