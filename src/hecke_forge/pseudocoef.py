@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .hecke import CentralHeckeElt, HeckeElt, central_reduction
@@ -68,17 +69,20 @@ def _require_trivial_omega(params: PseudoCoefParams):
             "epsilon_T^{n_T} = 1, so they live at omega(pi) = 1 only")
 
 
+@lru_cache(maxsize=None)
 def _type_data(T: ParahoricType, q):
+    """(u_T, n_T, epsilon_T, vol P_T, W_T) with W_T a tuple, built once per
+    (T, q)."""
     u, n = period_and_n(T)
-    W_T = parahoric_weyl_group(T)
+    W_T = tuple(parahoric_weyl_group(T))
     return u, n, epsilon(T), poincare_sum(W_T, Fraction(q)), W_T
 
 
 def validate_representative_system(theta, e: int) -> list[ParahoricType]:
     theta = list(theta)
-    canon = sorted(
+    canon = tuple(sorted(
         (canonical_rep(T) for T in theta),
-        key=lambda T: (len(T.nodes), T.sorted_nodes()))
+        key=lambda T: (len(T.nodes), T.sorted_nodes())))
     expected = orbit_reps(e)
     if canon != expected or any(T.e != e for T in theta):
         raise ValueError("theta is not a representative system of the "
@@ -153,13 +157,19 @@ def representative_systems(e: int):
 
 def average_pseudocoef(params: PseudoCoefParams) -> CentralHeckeElt:
     """Exact mean of the signed Euler-Poincare elements over all standard
-    representative systems; equals laumon_f0."""
+    representative systems; equals laumon_f0.
+
+    The brute-force oracle for laumon_f0: one kottwitz_ep per system, the
+    terms added up in one pass and scaled once by (-1)^(e-1)/|systems|.
+    """
     systems = list(representative_systems(params.e))
-    total = None
+    acc: dict = {}
     for theta in systems:
-        elt = kottwitz_pseudocoef(theta, params)
-        total = elt if total is None else total + elt
-    return total.scale(QPoly.const(Fraction(1, len(systems))))
+        for x, c in kottwitz_ep(theta, params).terms.items():
+            acc[x] = acc.get(x, 0) + c
+    factor = QPoly.const(Fraction((-1) ** (params.e - 1), len(systems)))
+    return CentralHeckeElt(params.e, params.omega_at_pi,
+                           {x: factor * c for x, c in acc.items()})
 
 
 def assemble_F0_terms(params: PseudoCoefParams) -> list:

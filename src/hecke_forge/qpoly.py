@@ -1,10 +1,12 @@
 """Exact univariate polynomials in the Hecke parameter q.
 
-Coefficients are kept as `fractions.Fraction` whenever the inputs are
-rational, so every identity checked downstream is a polynomial identity
-over Q.  Complex coefficients are tolerated (they appear only when a
-central character takes irrational values) but never silently mixed into
-rational computations.
+Rational coefficients are exact: a coefficient is an `int` while it is
+integral and a `fractions.Fraction` otherwise, so every identity checked
+downstream is a polynomial identity over Q, and the T-basis products,
+whose coefficients lie in Z[q], never build a `Fraction`.  Complex
+coefficients are tolerated (they appear only when a central character
+takes irrational values) but never silently mixed into rational
+computations.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from fractions import Fraction
 
 
 def _as_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
+    """An int stays an int, a whole Fraction becomes one, any other
+    Fraction is kept as it is; floats and complex numbers become complex."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, (float, complex)):
         return complex(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
@@ -67,13 +73,13 @@ class QPoly:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     def __add__(self, other):
         other = _coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
+        a = self.coeffs + (0,) * (n - len(self.coeffs))
+        b = other.coeffs + (0,) * (n - len(other.coeffs))
         return QPoly(x + y for x, y in zip(a, b))
 
     __radd__ = __add__
@@ -91,7 +97,7 @@ class QPoly:
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .qpoly import QPoly, geometric
@@ -259,9 +260,11 @@ def period_and_n(T: ParahoricType) -> tuple[int, int]:
     z_T = Pi^{u_T} generates the normalizer of P_T over P_T, and
     z_T^{n_T} is the central uniformizer translation.
     """
-    for j in range(1, T.e + 1):
-        if rotate(T, j) == T:
-            return j, T.e // j
+    e, nodes = T.e, T.nodes
+    for j in range(1, e + 1):
+        # the stabilizer of T in Z/e is a subgroup: u_T divides e
+        if e % j == 0 and {(t + j) % e for t in nodes} == nodes:
+            return j, e // j
     raise AssertionError("rotation by e always fixes T")
 
 
@@ -295,8 +298,10 @@ def canonical_rep(T: ParahoricType) -> ParahoricType:
     return ParahoricType(frozenset(best), T.e)
 
 
-def orbit_reps(e: int) -> list[ParahoricType]:
-    """One canonical representative per Pi-rotation orbit of proper subsets."""
+@lru_cache(maxsize=None)
+def orbit_reps(e: int) -> tuple[ParahoricType, ...]:
+    """One canonical representative per Pi-rotation orbit of proper subsets,
+    sorted by size, then nodes; a tuple, since every caller shares it."""
     if e < 1:
         raise ValueError("e must be positive")
     import itertools
@@ -304,7 +309,7 @@ def orbit_reps(e: int) -> list[ParahoricType]:
     for r in range(e):
         for nodes in itertools.combinations(range(e), r):
             reps.add(canonical_rep(parahoric_type(nodes, e)))
-    return sorted(reps, key=lambda T: (len(T.nodes), T.sorted_nodes()))
+    return tuple(sorted(reps, key=lambda T: (len(T.nodes), T.sorted_nodes())))
 
 
 def standard_orbit_members(T: ParahoricType) -> list[ParahoricType]:

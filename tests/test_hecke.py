@@ -179,3 +179,46 @@ def test_structure_constants_match_quadratic():
     s = (1, 0)
     assert consts[(s, s, (0, 1))] == QPoly.gen()
     assert consts[(s, s, s)] == QPoly((-1, 1))
+
+
+# --- integral coefficients stay int -------------------------------------------
+
+def test_t_mul_basis_products_have_int_coefficients():
+    rng = random.Random(31)
+    for e in (2, 3, 4):
+        for _ in range(20):
+            xs = [AffineElt(tuple(rng.randint(-1, 1) for _ in range(e)),
+                            tuple(rng.sample(range(e), e))) for _ in range(2)]
+            prod = t_mul(T(xs[0]), T(xs[1]))
+            assert prod.terms
+            for c in prod.terms.values():
+                assert all(type(a) is int for a in c.coeffs)
+    for c in structure_constants(3).values():
+        assert all(type(a) is int for a in c.coeffs)
+
+
+def test_qpoly_whole_fractions_become_int():
+    p = QPoly([Fraction(4, 2)])
+    assert p.coeffs == (2,) and type(p.coeffs[0]) is int
+    half = QPoly([Fraction(1, 2)])
+    assert type(half.coeffs[0]) is Fraction
+    doubled = half * 2
+    assert doubled.coeffs == (1,) and type(doubled.coeffs[0]) is int
+    assert QPoly([1]) == QPoly([Fraction(1)])
+    assert QPoly([True]).coeffs == (1,) and type(QPoly([True]).coeffs[0]) is int
+    assert type(QPoly([1, 2])(Fraction(1, 3))) is Fraction
+    assert QPoly([1, 2])(2) == Fraction(5)
+
+
+def test_qpoly_text_same_for_int_and_whole_fraction():
+    from hecke_forge.pseudocoef import _coeff_to_json
+    cases = [([2, -1, 3], [Fraction(2), Fraction(-1), Fraction(6, 2)]),
+             ([-4], [Fraction(-8, 2)]),
+             ([0, 1], [Fraction(0), Fraction(1)]),
+             ([], [Fraction(0)])]
+    for ints, fracs in cases:
+        a, b = QPoly(ints), QPoly(fracs)
+        assert str(a) == str(b)
+        assert _coeff_to_json(a) == _coeff_to_json(b)
+    assert _coeff_to_json(QPoly([Fraction(4, 2)])) == "2"
+    assert _coeff_to_json(QPoly()) == "0"

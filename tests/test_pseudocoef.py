@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_forge import pseudocoef
 from hecke_forge.pseudocoef import (
     PseudoCoefParams, assemble_F0, assemble_F0_terms, average_pseudocoef,
     hecke_elt_to_json, kottwitz_ep, kottwitz_pseudocoef, laumon_f0,
@@ -10,7 +11,8 @@ from hecke_forge.pseudocoef import (
 )
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
-    affine_identity, epsilon, orbit_reps, parahoric_type, pi_element,
+    affine_identity, epsilon, orbit_reps, parahoric_type,
+    parahoric_weyl_group, period_and_n, pi_element, proper_subsets_of_s,
     _volume_any,
 )
 
@@ -45,6 +47,21 @@ def test_kottwitz_ep_rejects_bad_theta():
     with pytest.raises(ValueError):
         kottwitz_ep([parahoric_type((), 2), parahoric_type({1}, 2),
                      parahoric_type({0}, 2)], p)  # orbit hit twice
+
+
+def test_validate_representative_system_list_or_tuple():
+    good = [parahoric_type((), 2), parahoric_type({1}, 2)]
+    bad = [[parahoric_type((), 2)],
+           [parahoric_type((), 2), parahoric_type({1}, 2),
+            parahoric_type({0}, 2)],
+           [parahoric_type((), 3), parahoric_type({1}, 3)]]
+    for make in (list, tuple):
+        assert validate_representative_system(make(good), 2) == good
+        for theta in bad:
+            with pytest.raises(ValueError):
+                validate_representative_system(make(theta), 2)
+    assert validate_representative_system(orbit_reps(4), 4) \
+        == list(orbit_reps(4))
 
 
 def test_kottwitz_ep_accepts_rotated_representatives():
@@ -93,6 +110,61 @@ def test_representative_system_counts():
 def test_laumon_average_identity_exact(e, q):
     p = params(e, q)
     assert average_pseudocoef(p) == laumon_f0(p)
+
+
+def ref_average_pseudocoef(p):
+    """The mean as a pairwise sum of the signed elements, then one scale."""
+    systems = list(representative_systems(p.e))
+    total = None
+    for theta in systems:
+        elt = kottwitz_pseudocoef(theta, p)
+        total = elt if total is None else total + elt
+    return total.scale(QPoly.const(Fraction(1, len(systems))))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_average_equals_pairwise_reference(e, q):
+    p = params(e, q)
+    got = average_pseudocoef(p)
+    ref = ref_average_pseudocoef(p)
+    assert got.terms.keys() == ref.terms.keys()
+    for x, c in ref.terms.items():
+        assert got.terms[x].coeffs == c.coeffs
+    assert got == ref == laumon_f0(p)
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_type_data_matches_the_per_type_oracles(e, q):
+    for T in proper_subsets_of_s(e):
+        u, n, eps, vol, W_T = pseudocoef._type_data(T, q)
+        assert isinstance(W_T, tuple)
+        assert list(W_T) == parahoric_weyl_group(T)
+        assert vol == _volume_any(T, q)
+        assert (u, n) == period_and_n(T)
+        assert eps == epsilon(T)
+
+
+def test_average_builds_each_weyl_group_once(monkeypatch):
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return parahoric_weyl_group(T)
+
+    p = params(5, 2)
+    monkeypatch.setattr(pseudocoef, "parahoric_weyl_group", counted)
+    pseudocoef._type_data.cache_clear()
+    try:
+        avg = average_pseudocoef(p)
+    finally:
+        # drop the entries built through the wrapper
+        pseudocoef._type_data.cache_clear()
+    # 16 subsets of S = {1..4}; every system member is one of them
+    assert len(calls) <= 16
+    assert len(set(calls)) == len(calls)
+    assert avg == laumon_f0(p)
 
 
 def test_average_needs_the_sign():

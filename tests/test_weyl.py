@@ -153,6 +153,32 @@ def test_period_divides_and_is_minimal(e):
                 assert rotate(T, j) != T
 
 
+def ref_period_and_n(T):
+    """The minimal rotation period found by building every rotation."""
+    for j in range(1, T.e + 1):
+        if rotate(T, j) == T:
+            return j, T.e // j
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+def test_period_and_n_equals_rotation_reference(e):
+    # support_filter reaches e = 12; the verify check covers e <= 6 only
+    import itertools
+    for r in range(e):
+        for nodes in itertools.combinations(range(e), r):
+            T = parahoric_type(nodes, e)
+            assert period_and_n(T) == ref_period_and_n(T)
+
+
+def test_orbit_reps_is_a_shared_tuple():
+    for e in range(1, 7):
+        reps = orbit_reps(e)
+        assert isinstance(reps, tuple)
+        assert orbit_reps(e) is reps
+    with pytest.raises(ValueError):
+        orbit_reps(0)
+
+
 def test_epsilon_examples():
     assert epsilon(parahoric_type((), 4)) == -1
     assert epsilon(parahoric_type({1, 3}, 4)) == -1
