@@ -164,14 +164,15 @@ def cmd_pseudocoef_filter(args) -> int:
     return 0
 
 
+CHAR_CHECKS = ("check_constant_collapse", "check_prefactor",
+               "check_power_identity", "check_unramified_consistency")
+
+
 def cmd_char_verify(args) -> int:
-    reports = []
-    reports += verify.check_constant_collapse(args.e, args.q)
-    reports += verify.check_prefactor(args.e, args.q)
-    reports += verify.check_power_identity(args.e, args.q)
-    reports += verify.check_unramified_consistency(args.e, args.q)
+    reports = verify.run_checks(verify.checks_named(*CHAR_CHECKS),
+                                args.e, args.q)
     failures = 0
-    for r in sorted(reports, key=lambda r: r.sort_key()):
+    for r in reports:
         print(f"{r.status.upper():7s} {r.name} {r.params}")
         failures += r.status == "fail"
     return 0 if failures == 0 else 1

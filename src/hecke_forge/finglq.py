@@ -426,13 +426,6 @@ def mat_to_ints(g: Mat) -> list[int]:
     return [x for row in g for x in row]
 
 
-def mat_from_ints(n: int, vals) -> Mat:
-    vals = list(vals)
-    if len(vals) != n * n:
-        raise ValueError("wrong entry count")
-    return tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # subgroup specifications
 
@@ -720,10 +713,6 @@ class MatrixGroup:
 
     def class_reps(self) -> list[Mat]:
         return [cls[0] for cls in self.conjugacy_classes()]
-
-    def centralizer_order(self, g: Mat) -> int:
-        cls = self.conjugacy_classes()[self.class_index(g)]
-        return self.order // len(cls)
 
 
 @lru_cache(maxsize=None)

@@ -80,9 +80,6 @@ class FinHeckeElt:
             out[g] = out.get(g, 0) + v
         return FinHeckeElt(self.group, self.sub, self.sigma, out)
 
-    def support_size(self) -> int:
-        return sum(1 for v in self.values.values() if v != 0)
-
     def convolve(self, other: "FinHeckeElt") -> "FinHeckeElt":
         """Full convolution; quadratic in the support, desk scale only."""
         mul = self.group.mul
@@ -96,22 +93,6 @@ class FinHeckeElt:
                 z = mul(x, y)
                 out[z] = out.get(z, 0) + vx * vy
         return FinHeckeElt(self.group, self.sub, self.sigma, out)
-
-    def equivariance_check(self, samples: int = 50, seed: int = 0,
-                           tol: float = 1e-9) -> bool:
-        """f(h1 g h2) = sigma(h1) f(g) sigma(h2) on random triples."""
-        rng = random.Random(seed)
-        G, H = self.group, self.sub
-        for _ in range(samples):
-            g = rng.choice(G.elements)
-            h1 = rng.choice(H.elements)
-            h2 = rng.choice(H.elements)
-            lhs = complex(self(G.mul(G.mul(h1, g), h2)))
-            rhs = complex(self.sigma(h1)) * complex(self(g)) \
-                * complex(self.sigma(h2))
-            if abs(lhs - rhs) > tol:
-                return False
-        return True
 
 
 @lru_cache(maxsize=None)
@@ -260,17 +241,6 @@ class FinRep:
     def char_value(self, g) -> complex:
         return complex(np.trace(self.mats[g]))
 
-    def check_homomorphism(self, samples: int = 40, seed: int = 1,
-                           tol: float = 1e-9) -> bool:
-        rng = random.Random(seed)
-        G = self.group
-        for _ in range(samples):
-            a, b = rng.choice(G.elements), rng.choice(G.elements)
-            if np.max(np.abs(self.mat(G.mul(a, b))
-                             - self.mat(a) @ self.mat(b))) > tol:
-                return False
-        return True
-
     def invariant_inner_product(self) -> np.ndarray:
         """Group-averaged Hermitian form M with rho(g)^H M rho(g) = M."""
         M = np.zeros((self.dim, self.dim), dtype=complex)
@@ -319,10 +289,6 @@ class InducedRep:
             if j == i:
                 acc += complex(self.sigma(h))
         return acc
-
-    def as_finrep(self) -> FinRep:
-        mats = {g: self.mat(g) for g in self.group.elements}
-        return FinRep(self.group, mats, self.dim)
 
     def coordinates(self, fn) -> np.ndarray:
         """Coordinate vector of a function given on the whole group."""
@@ -514,17 +480,6 @@ class ClassFunction:
     def at(self, g):
         return self.values[self.group.class_index(g)]
 
-    def to_csv(self, path: str):
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class_rep", "class_size", "value_re", "value_im"])
-            for cls, v in zip(self.group.conjugacy_classes(), self.values):
-                rep = " ".join(str(x) for x in finglq.mat_to_ints(cls[0]))
-                vc = complex(v)
-                writer.writerow([f"q={self.group.q};{rep}", len(cls),
-                                 repr(vc.real), repr(vc.imag)])
-
 
 def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
     """Character of Ind_{P_T}^G 1 by fixed-point counting on P_T\\G: at
@@ -680,10 +635,10 @@ def _direct_action(ind: InducedRep, phi_vec: np.ndarray,
 
 
 def frobenius_transport_check(G: MatrixGroup, H: MatrixGroup, sigma,
-                              trials: int = 20, seed: int = 0,
-                              tol: float = 1e-9) -> float:
+                              trials: int = 20, seed: int = 0) -> float:
     """Max deviation between the transported and displayed module actions
-    over random (phi, f) pairs; the unit acts as the identity exactly."""
+    over random (phi, f) pairs, and of both actions of the unit from the
+    identity; the caller compares it with its tolerance."""
     ind = InducedRep(G, H, sigma)
     G.precompute_inverses()
     homs = hom_space(ind)
@@ -710,8 +665,6 @@ def frobenius_transport_check(G: MatrixGroup, H: MatrixGroup, sigma,
         lhs = _transport_action(ind, phi, f)
         rhs = _direct_action(ind, phi, f)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    if worst > tol:
-        raise AssertionError(f"transport identity fails: deviation {worst}")
     return worst
 
 

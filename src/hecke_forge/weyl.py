@@ -104,11 +104,15 @@ def translation(lam: tuple[int, ...]) -> AffineElt:
 
 
 def mul(x: AffineElt, y: AffineElt) -> AffineElt:
-    if x.rank != y.rank:
-        raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    winv = perm_inv(x.perm)
-    lam = tuple(x.trans[i] + y.trans[winv[i]] for i in range(x.rank))
-    return AffineElt(lam, perm_mul(x.perm, y.perm))
+    w = x.perm
+    e = len(w)
+    if e != len(y.perm):
+        raise ValueError(f"rank mismatch: {e} vs {len(y.perm)}")
+    # (w·lam2)_{w(j)} = lam2_j
+    lam = list(x.trans)
+    for j, t in enumerate(y.trans):
+        lam[w[j]] += t
+    return AffineElt(tuple(lam), tuple([w[b] for b in y.perm]))
 
 
 def inv(x: AffineElt) -> AffineElt:

@@ -1,161 +1,129 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance gate: one test per criterion, each printing a pass line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; tolerances are pinned here and nowhere else.
+lines.  Criteria 01-11 name the checks of the `verify` registry they gate
+and run them through `verify.run_checks` at (max_e, max_q) = (4, 5).  The
+(e, q, chi) each identity is checked at, and its tolerance, are written
+in the registry and nowhere else; the pass line lists the tolerances the
+records carried.  Each of these criteria has a negative control: one
+library value is made wrong, and the criterion's records must turn
+`fail` under their own names and params.  Criterion 12 runs
+`verify all` as a subprocess.
 """
 
 import subprocess
 import sys
 import time
-from math import gcd
 
 import pytest
 
-from hecke_forge import charformula, finglq, hecke, pseudocoef, repth, weyl
-from hecke_forge.finglq import MultChar, all_characters, get_field, gl_group, mat_det
-from hecke_forge.verify import ORACLE_PAIRS
+from hecke_forge import charformula, hecke, pseudocoef, repth, verify, weyl
+
+MAX_E, MAX_Q = 4, 5
+
+# number -> (title, gated registry checks, time bound in seconds or None)
+CRITERIA = {
+    1: ("Iwahori-Matsumoto constants = brute-force convolution "
+        f"on {verify.ORACLE_PAIRS}", ("check_hecke_oracle",), 60),
+    2: ("e_tau idempotency and dim tau = Tr(e_tau(1))|G|, all chi, "
+        "exact where rational", ("check_e_tau",), None),
+    3: ("coset-sum trace formula = subrep character and chi(det) at every "
+        "gamma of GL(2,2), GL(2,3) and every class of GL(3,2), all chi",
+        ("check_trace_formula",), 300),
+    4: ("conjugation sum of Tr e_tau = isotypic-projector oracle on every "
+        "class; identically 1 for trivial chi",
+        ("check_generalized_trivial_char",), None),
+    5: ("Tr tau = (-1)^(e-1) Tr St on every elliptic regular class, "
+        "all chi, at least one class", ("check_alvis_curtis",), None),
+    6: ("f_0 = exact mean of the signed Euler-Poincare elements, "
+        "e in {2,3,4}, q in {2,3}", ("check_laumon_average",), None),
+    7: ("central_reduction(F_0) = f_0 exactly for e <= 4",
+        ("check_projection",), None),
+    8: ("unique surviving triple (empty, nu, 0) in every (N, e', nu) case, "
+        "N <= 12", ("check_support_filter",), None),
+    9: ("epsilon_empty = (-1)^(e-1) for e <= 8; closed-form length = "
+        "BFS oracle, e <= 4, l <= 6, exhaustive",
+        ("check_epsilon_sign_rule", "check_length_oracle"), None),
+    10: ("C_S * (-1)^(e-1) = 1 and vol(P_S) = p_{e-1}(q), "
+         "e <= 6, q in {2,3,4,5}, exact", ("check_constant_collapse",), None),
+    11: ("module-action transport identity on 20 random pairs, "
+         "three configurations", ("check_frobenius_transport",), None),
+}
+
+# registry checks that no acceptance criterion gates; `verify all` runs them
+UNGATED = (
+    "check_orbit_partition", "check_rotation_period", "check_volume_poincare",
+    "check_perm_sign_multiplicative", "check_hecke_associativity",
+    "check_central_morphism", "check_pi_power_identities",
+    "check_field_axioms", "check_gl_orders", "check_elliptic_equivalence",
+    "check_group_averaged_trace", "check_matrix_coefficient_sum",
+    "check_unramified_consistency", "check_prefactor", "check_power_identity",
+)
 
 
-def _line(n, title):
-    print(f"ACCEPTANCE {n}: {title} ... pass")
+def _records(n, max_e=MAX_E, max_q=MAX_Q):
+    return verify.run_checks(verify.checks_named(*CRITERIA[n][1]),
+                             max_e, max_q)
+
+
+def _gate(n):
+    title, _checks, bound = CRITERIA[n]
+    t0 = time.monotonic()
+    reports = _records(n)
+    elapsed = time.monotonic() - t0
+    assert reports
+    bad = [r for r in reports if r.status != "pass"]
+    assert not bad, bad
+    if bound is not None:
+        assert elapsed < bound, f"criterion {n} took {elapsed:.1f}s"
+    tolerances = ", ".join(f"{t:g}" for t in
+                           sorted({r.tolerance for r in reports}))
+    print(f"ACCEPTANCE {n}: {title} [{len(reports)} records, tolerances "
+          f"{tolerances}, {elapsed:.1f}s] ... pass")
 
 
 def test_criterion_01_hecke_oracle_equivalence():
-    t0 = time.monotonic()
-    for e, q in ORACLE_PAIRS:
-        assert hecke.oracle_matches_t_mul(e, q), (e, q)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60, f"oracle run took {elapsed:.1f}s"
-    _line(1, f"Iwahori-Matsumoto constants = brute-force convolution "
-             f"on {ORACLE_PAIRS} in {elapsed:.1f}s")
+    _gate(1)
 
 
 def test_criterion_02_e_tau_idempotent_and_dimension():
-    for e, q in ORACLE_PAIRS:
-        for chi in all_characters(q):
-            d = repth.dim_from_e_tau(e, q, chi)  # e_tau raises if not idempotent
-            if chi.is_rational:
-                assert d == 1, (e, q, chi.k, d)
-            else:
-                assert abs(complex(d) - 1) <= 1e-10, (e, q, chi.k, d)
-    _line(2, "e_tau idempotency and dim tau = Tr(e_tau(1))|G|, all chi, "
-             "exact where rational else 1e-10")
+    _gate(2)
 
 
 def test_criterion_03_trace_via_coset_sum():
-    t0 = time.monotonic()
-    checked = 0
-    for e, q, mode in ((2, 2, "all"), (2, 3, "all"), (3, 2, "reps")):
-        G = gl_group(e, q)
-        gammas = G.elements if mode == "all" else G.class_reps()
-        for chi in all_characters(q):
-            et = repth.e_tau(e, q, chi)
-            ind = repth.induce(e, q, chi)
-            sub = repth.subrep_from_idempotent(et, ind)
-            for gamma in gammas:
-                rhs = repth.trace_via_coset_sum(gamma, et, ind)
-                lhs = sub.char_value(gamma)
-                assert abs(complex(rhs) - lhs) <= 1e-8, (e, q, chi.k, gamma)
-                checked += 1
-    elapsed = time.monotonic() - t0
-    assert elapsed < 300, f"trace formula run took {elapsed:.1f}s"
-    _line(3, f"coset-sum trace formula = subrep character at {checked} "
-             f"(gamma, chi) pairs in {elapsed:.1f}s, tol 1e-8")
+    _gate(3)
 
 
 def test_criterion_04_generalized_trivial_character():
-    for e, q in ((2, 2), (2, 3), (3, 2)):
-        G = gl_group(e, q)
-        F = get_field(q)
-        for chi in all_characters(q):
-            ind = repth.induce(e, q, chi)
-            oracle = repth.isotypic_projector_character(
-                ind, lambda g, c=chi: c(mat_det(F, g)), 1)
-            for cls in G.conjugacy_classes():
-                gamma = cls[0]
-                val = repth.char_generalized_trivial(gamma, e, q, chi)
-                assert abs(complex(val) - oracle(gamma)) <= 1e-8
-                if chi.k == 0:
-                    assert val == 1
-    _line(4, "conjugation sum of Tr e_tau = isotypic-projector oracle on "
-             "every class; identically 1 for trivial chi")
+    _gate(4)
 
 
 def test_criterion_05_alvis_curtis_sign():
-    for e, q in ((2, 2), (2, 3), (3, 2), (2, 5)):
-        reps = repth.elliptic_regular_class_reps(e, q)
-        assert reps
-        for chi in all_characters(q):
-            for gamma in reps:
-                assert repth.alvis_curtis_sign_check(gamma, e, q, chi,
-                                                     tol=1e-7)
-    _line(5, "Tr tau = (-1)^(e-1) Tr St on every elliptic regular class, "
-             "all chi, tol 1e-7")
+    _gate(5)
 
 
 def test_criterion_06_laumon_averaging():
-    for e in (2, 3, 4):
-        for q in (2, 3):
-            p = pseudocoef.PseudoCoefParams(e=e, q=q)
-            assert pseudocoef.average_pseudocoef(p) == pseudocoef.laumon_f0(p)
-    _line(6, "f_0 = exact mean of the signed Euler-Poincare elements, "
-             "e in {2,3,4}, q in {2,3}")
+    _gate(6)
 
 
 def test_criterion_07_projection_consistency():
-    for e in (1, 2, 3, 4):
-        for q in (2, 3):
-            for ep in (1, 2):
-                p = pseudocoef.PseudoCoefParams(e=e, q=q, e_prime=ep)
-                assert pseudocoef.projection_check(p)
-    _line(7, "central_reduction(F_0) = f_0 exactly for e <= 4")
+    _gate(7)
 
 
 def test_criterion_08_support_filter():
-    cases = 0
-    for N in range(1, 13):
-        for ep in range(1, N + 1):
-            if N % ep:
-                continue
-            for nu in range(N):
-                if gcd(nu, N) != 1:
-                    continue
-                assert pseudocoef.support_filter_is_unique(N, ep, nu)
-                cases += 1
-    _line(8, f"unique surviving triple (empty, nu, 0) in {cases} "
-             f"(N, e', nu) cases, N <= 12")
+    _gate(8)
 
 
 def test_criterion_09_signs_and_lengths():
-    for e in range(1, 9):
-        assert weyl.epsilon(weyl.parahoric_type((), e)) == (-1) ** (e - 1)
-    for e in (2, 3, 4):
-        ball = weyl.bfs_ball(e, 6)
-        for x, d in ball.items():
-            assert weyl.length(x) == d
-    _line(9, "epsilon_empty = (-1)^(e-1) for e <= 8; closed-form length = "
-             "BFS oracle, e <= 4, l <= 6, exhaustive")
+    _gate(9)
 
 
 def test_criterion_10_constant_collapse():
-    for e in range(1, 7):
-        for q in (2, 3, 4, 5):
-            assert charformula.normalized_constant_check(e, q)
-            assert charformula.volume_is_poincare(e, q)
-    _line(10, "C_S * (-1)^(e-1) = 1 and vol(P_S) = p_{e-1}(q), "
-              "e <= 6, q in {2,3,4,5}, exact")
+    _gate(10)
 
 
 def test_criterion_11_module_action_transport():
-    dev1 = repth.frobenius_transport_check(
-        gl_group(2, 2), repth.borel(2, 2),
-        repth.sigma_tilde(2, 2, MultChar(2, 0)), trials=20)
-    dev2 = repth.frobenius_transport_check(
-        gl_group(2, 3), repth.borel(2, 3),
-        repth.torus_character(3, (1, 1)), trials=20)
-    assert dev1 <= 1e-9 and dev2 <= 1e-9
-    _line(11, f"module-action transport identity on 20 random pairs, "
-              f"two configurations, deviations {dev1:.2e}, {dev2:.2e}")
+    _gate(11)
 
 
 def test_criterion_12_cli_verify_all():
@@ -169,4 +137,120 @@ def test_criterion_12_cli_verify_all():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert elapsed < 600, f"verify all took {elapsed:.1f}s"
     assert "fail=0" in proc.stderr
-    _line(12, f"`verify all --max-e 3 --max-q 3` exit 0 in {elapsed:.1f}s")
+    print(f"ACCEPTANCE 12: `verify all --max-e 3 --max-q 3` exit 0 in "
+          f"{elapsed:.1f}s ... pass")
+
+
+def test_every_registry_check_is_gated_or_listed_ungated():
+    # and every gated criterion has a negative control
+    names = [fn.__name__ for fn in verify.ALL_CHECKS]
+    gated = [c for _t, checks, _b in CRITERIA.values() for c in checks]
+    assert len(set(names)) == len(names) == 27
+    assert len(set(gated)) == len(gated)
+    assert not set(gated) & set(UNGATED)
+    assert sorted(gated + list(UNGATED)) == sorted(names)
+    assert sorted(FAULTS) == sorted(CRITERIA)
+
+
+# --- negative controls: one wrong library value per criterion ----------------
+# Each fault shows at the smallest range every criterion has records at,
+# (max_e, max_q) = (2, 2), so the controls stay cheap.
+
+def _wrong_structure_constant(mp):
+    real = hecke.structure_constants
+
+    def wrong(e):
+        consts = dict(real(e))
+        key = min(consts)
+        consts[key] = consts[key] + 1
+        return consts
+
+    mp.setattr(hecke, "structure_constants", wrong)
+
+
+def _wrong_poincare_in_e_tau(mp):
+    real = repth.poincare_poly
+    mp.setattr(repth, "poincare_poly", lambda e: real(e) * 2)
+    # bypass the cache so the wrong normalisation is used and not kept
+    mp.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+
+
+def _wrong_cut_dimension(mp):
+    real = repth._cut_dimension
+    mp.setattr(repth, "_cut_dimension", lambda et, ind: real(et, ind) + 1)
+
+
+def _wrong_e_tau_scale(mp):
+    real = repth.e_tau
+    mp.setattr(repth, "e_tau", lambda e, q, chi: real(e, q, chi).scale(2))
+
+
+def _flipped_steinberg(mp):
+    real = repth.steinberg_char
+
+    def flipped(e, q, chi):
+        st = real(e, q, chi)
+        return repth.ClassFunction(st.group, [-v for v in st.values])
+
+    mp.setattr(repth, "steinberg_char", flipped)
+
+
+def _flipped_averaged_weight(mp):
+    real = pseudocoef._averaged_weight
+    mp.setattr(pseudocoef, "_averaged_weight",
+               lambda e, ep: (lambda T, n: -real(e, ep)(T, n)))
+
+
+def _wrong_lift_coefficient(mp):
+    real = pseudocoef.assemble_F0_terms
+
+    def wrong(params):
+        (T, l, w, x, c), *rest = real(params)
+        return [(T, l, w, x, 2 * c)] + rest
+
+    mp.setattr(pseudocoef, "assemble_F0_terms", wrong)
+
+
+def _swapped_period_and_n(mp):
+    real = pseudocoef.period_and_n
+    mp.setattr(pseudocoef, "period_and_n", lambda T: real(T)[::-1])
+
+
+def _flipped_perm_sign(mp):
+    real = weyl.perm_sign
+    mp.setattr(weyl, "perm_sign", lambda a: -real(a))
+
+
+def _wrong_poincare_in_collapse(mp):
+    real = charformula.poincare_poly
+    mp.setattr(charformula, "poincare_poly", lambda e: real(e) * 2)
+
+
+def _flipped_direct_action(mp):
+    real = repth._direct_action
+    mp.setattr(repth, "_direct_action",
+               lambda ind, phi, f: -real(ind, phi, f))
+
+
+FAULTS = {
+    1: _wrong_structure_constant,
+    2: _wrong_poincare_in_e_tau,
+    3: _wrong_cut_dimension,
+    4: _wrong_e_tau_scale,
+    5: _flipped_steinberg,
+    6: _flipped_averaged_weight,
+    7: _wrong_lift_coefficient,
+    8: _swapped_period_and_n,
+    9: _flipped_perm_sign,
+    10: _wrong_poincare_in_collapse,
+    11: _flipped_direct_action,
+}
+
+
+@pytest.mark.parametrize("n", sorted(FAULTS), ids=lambda n: f"{n:02d}")
+def test_negative_control(n, monkeypatch):
+    FAULTS[n](monkeypatch)
+    failed = [r for r in _records(n, 2, 2) if r.status == "fail"]
+    assert failed
+    # the records themselves failed: the runner caught no exception
+    assert all(r.params for r in failed), failed

@@ -96,6 +96,39 @@ def test_char_verify(capsys):
     assert "FAIL" not in out
 
 
+def test_char_verify_raising_check_is_one_fail_line(capsys, monkeypatch):
+    from hecke_forge import charformula
+
+    def raises(nu, N):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(charformula, "epsilon_cross_check", raises)
+    code, out, err = run(capsys, "char", "verify", "--e", "2", "--q", "2")
+    assert code == 1
+    assert "FAIL    check_prefactor {}" in out.splitlines()
+    assert out.count("FAIL") == 1
+    assert "RuntimeError: boom" in err
+
+
+def test_char_verify_reports_a_broken_chain_under_its_name(capsys,
+                                                           monkeypatch):
+    # a negated Steinberg character breaks the unramified chain inside
+    # the library call; the record must still carry its name and params
+    from hecke_forge import repth
+    real = repth.steinberg_char
+
+    def negated(e, q, chi):
+        st = real(e, q, chi)
+        return repth.ClassFunction(st.group, [-v for v in st.values])
+
+    monkeypatch.setattr(repth, "steinberg_char", negated)
+    code, out, _ = run(capsys, "char", "verify", "--e", "2", "--q", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] \
+        == ["FAIL    charformula.unramified_consistency "
+            "{'e': 2, 'q': 2, 'classes': 1}"]
+
+
 def test_verify_all_small_and_exit_code(capsys):
     code, out, err = run(capsys, "verify", "all", "--max-e", "2",
                          "--max-q", "2", "--format", "csv",

@@ -32,6 +32,25 @@ def test_mul_rank_mismatch():
         mul(affine_identity(2), affine_identity(3))
 
 
+def ref_mul(x, y):
+    """The product rule as documented: (lam1 + w1·lam2, w1∘w2), with
+    (w·lam)_i = lam_{w^-1(i)}."""
+    winv = perm_inv(x.perm)
+    lam = tuple(x.trans[i] + y.trans[winv[i]] for i in range(len(x.perm)))
+    return AffineElt(lam, perm_mul(x.perm, y.perm))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+def test_mul_matches_perm_inv_formula(e):
+    rng = random.Random(600 + e)
+    for _ in range(200):
+        x, y = (AffineElt(tuple(rng.randint(-3, 3) for _ in range(e)),
+                          tuple(rng.sample(range(e), e))) for _ in range(2))
+        got = mul(x, y)
+        assert got == ref_mul(x, y)
+        assert type(got.trans) is tuple and type(got.perm) is tuple
+
+
 def test_pi_invariants():
     for e in range(2, 7):
         pi = pi_element(e)
