@@ -1,4 +1,4 @@
-"""The Iwahori-Hecke algebra in the T-basis, against its brute-force twin.
+"""The Iwahori-Hecke algebra in the T-basis, against its double-coset twin.
 
 The quadratic relation T_s^2 = q + (q-1) T_s and the free multiplication
 by the rotation T_Pi are not axioms here: the same structure constants

@@ -30,7 +30,6 @@ for spec in (finglq.SubgroupSpec.borel(),
 
 print("\n=== elliptic regularity, two ways (GL(2,3)) ===")
 G = finglq.gl_group(2, 3)
-G.precompute_inverses()
 agree = 0
 elliptic = 0
 for g in G.elements:

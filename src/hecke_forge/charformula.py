@@ -41,19 +41,11 @@ class CharFormulaParams:
     e: int
     q: int
     chi: MultChar
-    e_prime: int = 1
-    f: int = 1
     kappa_trace: object = field(default=lambda gamma: 1)
 
     def __post_init__(self):
-        if self.f != 1:
-            raise ValueError("only f = 1 is in scope")
         if self.chi.q != self.q:
             raise ValueError("chi must be a character of F_q^x")
-
-    @property
-    def N(self) -> int:
-        return self.e * self.e_prime * self.f
 
 
 def constant_CS(e: int, e_prime: int, q) -> Fraction:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import finglq, hecke, pseudocoef, repth, verify, weyl
 from .report import SCHEMA, reports_to_csv, reports_to_json
@@ -92,13 +91,7 @@ def cmd_hecke_oracle(args) -> int:
     except finglq.GroupSizeError as exc:
         print(f"skipped: {exc}")
         return 0
-    symbolic = hecke.structure_constants(args.e)
-    bad = 0
-    for key, val in sorted(consts.items()):
-        sym = symbolic.get(key)
-        sym_val = sym(args.q) if sym is not None else Fraction(0)
-        if val != sym_val:
-            bad += 1
+    bad = hecke.oracle_mismatches(consts, args.e, args.q)
     if args.out:
         hecke.constants_to_csv(consts, args.out)
         print(f"wrote {len(consts)} constants to {args.out}")
@@ -228,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word like 's1*s2', 'pi^2*s1', 't[1,0]'")
     p.add_argument("--rhs", type=str, required=True)
     p.set_defaults(fn=cmd_hecke_mul)
-    p = hs.add_parser("oracle", help="brute-force structure constants")
+    p = hs.add_parser("oracle", help="structure constants by convolution "
+                      "over B\\G in GL(e, q)")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out", type=str, default=None, help="CSV output path")

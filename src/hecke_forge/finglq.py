@@ -597,7 +597,6 @@ class MatrixGroup:
     elements: list = field(repr=False)
     _index: dict = field(default=None, repr=False)
     _inverses: dict = field(default=None, repr=False)
-    _all_inverses: bool = field(default=False, repr=False)
     _classes: list = field(default=None, repr=False)
     _class_of: dict = field(default=None, repr=False)
     # subgroup spec -> right-coset data of that subgroup, filled by
@@ -637,14 +636,6 @@ class MatrixGroup:
             got = mat_inv(self.field_, a)
             self._inverses[a] = got
         return got
-
-    def precompute_inverses(self):
-        """Cache the inverse of every element; free once all are known."""
-        if self._all_inverses:
-            return
-        for g in self.elements:
-            self.inv(g)
-        self._all_inverses = True
 
     def det(self, a: Mat) -> int:
         return mat_det(self.field_, a)

@@ -55,10 +55,6 @@ class QPoly:
         """The polynomial q."""
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "QPoly":
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""

@@ -94,6 +94,26 @@ class FinHeckeElt:
                 out[z] = out.get(z, 0) + vx * vy
         return FinHeckeElt(self.group, self.sub, self.sigma, out)
 
+    def convolve_at(self, other: "FinHeckeElt", g):
+        """(self * other)(g) = |H| * sum over r in H\\G of
+        self(g r^-1) * other(r).
+
+        Hypothesis: self is right-(H, sigma)-equivariant and other is
+        left-(H, sigma)-equivariant.  Then y = h r turns the full sum over
+        y in G into |H| times the sum over the right transversal, since
+        sigma(h^-1) sigma(h) = 1.  For fbar_w and e_tau the label check in
+        `bruhat_decomposition` guarantees it.  Terms with other(r) = 0 are
+        skipped, so a cell-supported `other` costs one product per coset
+        in its support.
+        """
+        G, H = self.group, self.sub
+        acc = Fraction(0)
+        for r in _coset_data(G, H).transversal:
+            vr = other(r)
+            if vr != 0:
+                acc += self(G.mul(g, G.inv(r))) * vr
+        return H.order * acc
+
 
 @lru_cache(maxsize=None)
 def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
@@ -171,18 +191,14 @@ def _idempotency_holds(elt: FinHeckeElt, e: int, q: int) -> bool:
 
     elt is a function of the Bruhat label (w, v), whose bi-equivariance
     `bruhat_decomposition` checks, so elt and elt * elt are
-    (B, sigma)-bi-equivariant and one point per cell is enough.  At each
-    permutation matrix g, y = b r (r in the right transversal of B\\G)
-    turns (elt * elt)(g) = sum_y elt(g y^-1) elt(y) into |B| times the
-    sum over r, since sigma(b^-1) sigma(b) = 1.
+    (B, sigma)-bi-equivariant and one point per cell is enough: the
+    permutation matrix of w, where `FinHeckeElt.convolve_at` sums over the
+    transversal of B\\G.
     """
-    G, B = elt.group, elt.sub
-    transversal = _coset_data(G, B).transversal
     exact = all(isinstance(v, Fraction) for v in elt.values.values())
     for w in all_perms(e):
         pt = perm_matrix(e, w)
-        lhs = B.order * sum(elt(G.mul(pt, G.inv(r))) * elt(r)
-                            for r in transversal)
+        lhs = elt.convolve_at(elt, pt)
         if (lhs != elt(pt) if exact
                 else abs(complex(lhs) - complex(elt(pt))) > 1e-10):
             return False
@@ -289,10 +305,6 @@ class InducedRep:
             if j == i:
                 acc += complex(self.sigma(h))
         return acc
-
-    def coordinates(self, fn) -> np.ndarray:
-        """Coordinate vector of a function given on the whole group."""
-        return np.array([complex(fn(r)) for r in self.transversal])
 
     def value_at(self, vec: np.ndarray, g) -> complex:
         i, h = self.coset_of[g]
@@ -444,7 +456,6 @@ def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
     if got is not None and got[0] is e_idem:
         return got[1]
     G = e_idem.group
-    G.precompute_inverses()
     for x in G.elements:  # adjointness: scalar sigma, so adjoint = conjugate
         if abs(complex(e_idem(G.inv(x))) - complex(e_idem(x)).conjugate()) > 1e-9:
             raise ValueError("e(x^-1) is not the adjoint of e(x)")
@@ -558,7 +569,6 @@ def elliptic_regular_class_reps(e: int, q: int) -> list:
 def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[FinHeckeElt]:
     """Basis of the functions f with f(h1 g h2) = sigma(h1) f(g) sigma(h2):
     one per double coset on which the extension is consistent."""
-    G.precompute_inverses()
     seen: set = set()
     basis = []
     for d in G.elements:
@@ -640,7 +650,6 @@ def frobenius_transport_check(G: MatrixGroup, H: MatrixGroup, sigma,
     over random (phi, f) pairs, and of both actions of the unit from the
     identity; the caller compares it with its tolerance."""
     ind = InducedRep(G, H, sigma)
-    G.precompute_inverses()
     homs = hom_space(ind)
     basis = double_coset_basis(G, H, sigma)
     rng = random.Random(seed)

@@ -68,9 +68,8 @@ def check_orbit_partition(max_e, max_q):
         count = 0
         for r in range(e):
             for nodes in itertools.combinations(range(e), r):
-                T = weyl.parahoric_type(nodes, e)
-                ok &= sum(1 for R in reps
-                          if weyl.canonical_rep(T) == R) == 1
+                canon = weyl.canonical_rep(weyl.parahoric_type(nodes, e))
+                ok &= sum(1 for R in reps if canon == R) == 1
                 count += 1
         out.append(VerificationReport.exact(
             "weyl.orbit_reps_partition", {"e": e, "proper_subsets": count},
@@ -234,7 +233,6 @@ def check_elliptic_equivalence(max_e, max_q):
         if n > max_e or q > max_q:
             continue
         G = gl_group(n, q)
-        G.precompute_inverses()
         ok = all(finglq.elliptic_regular(q, g)
                  == finglq.proper_parabolic_avoidance(n, q, g)
                  for g in G.elements)

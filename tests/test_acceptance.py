@@ -23,7 +23,7 @@ MAX_E, MAX_Q = 4, 5
 
 # number -> (title, gated registry checks, time bound in seconds or None)
 CRITERIA = {
-    1: ("Iwahori-Matsumoto constants = brute-force convolution "
+    1: ("Iwahori-Matsumoto constants = double-coset convolution "
         f"on {verify.ORACLE_PAIRS}", ("check_hecke_oracle",), 60),
     2: ("e_tau idempotency and dim tau = Tr(e_tau(1))|G|, all chi, "
         "exact where rational", ("check_e_tau",), None),

@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hecke_forge import finglq, repth
+from hecke_forge import finglq, hecke, repth, verify
 from hecke_forge.finglq import (
     MultChar, SubgroupSpec, all_characters, get_field, gl_group, gl_order,
     max_group_order, mat_mul, perm_matrix, subgroup,
 )
+from hecke_forge.weyl import all_perms
 
 SMALL = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -58,6 +59,30 @@ def ref_intertwining_dimension(e, q, chi):
     out = round(val)
     assert abs(val - out) <= 1e-6
     return out
+
+
+def ref_convolution_oracle(e, q):
+    """Structure constants of the normalized cell indicators from counts:
+    for x in each cell C_{w1}, the cell of x^-1 w3 decides which
+    constants at w3 it adds 1/|B| to.  |G| * e! products."""
+    G = gl_group(e, q)
+    B = subgroup(e, q, SubgroupSpec.borel())
+    label = {g: wv[0] for g, wv in finglq.bruhat_decomposition(e, q).items()}
+    perms = all_perms(e)
+    cells = {w: [] for w in perms}
+    for g, w in label.items():
+        cells[w].append(g)
+    consts = {}
+    for w1 in perms:
+        inv_c1 = [G.inv(x) for x in cells[w1]]
+        for w3 in perms:
+            wm3 = perm_matrix(e, w3)
+            counts = {w: 0 for w in perms}
+            for xi in inv_c1:
+                counts[label[G.mul(xi, wm3)]] += 1
+            for w2 in perms:
+                consts[(w1, w2, w3)] = Fraction(counts[w2], B.order)
+    return consts
 
 
 def ref_parabolic_induction_values(e, q, nodes):
@@ -162,6 +187,62 @@ def test_subgroup_classes_match_reference():
         H = subgroup(3, 2, spec)
         assert H.conjugation_generators() == H.elements
         assert H.conjugacy_classes() == ref_conjugacy_classes(H)
+
+
+def compare_convolution_oracle(e, q):
+    got = hecke.convolution_oracle(e, q)
+    want = ref_convolution_oracle(e, q)
+    assert got == want
+    assert ({k: type(v) for k, v in got.items()}
+            == {k: type(v) for k, v in want.items()})
+
+
+@pytest.mark.parametrize("e,q", SMALL)
+def test_convolution_oracle_matches_reference(e, q):
+    compare_convolution_oracle(e, q)
+
+
+@pytest.mark.slow
+def test_convolution_oracle_matches_reference_33():
+    compare_convolution_oracle(3, 3)
+
+
+@pytest.mark.parametrize("e,q", [(2, 3), (2, 5), (3, 2)])
+def test_convolve_at_matches_full_convolution(e, q):
+    perms = all_perms(e)
+    pts = [perm_matrix(e, w) for w in perms]
+    for chi in all_characters(q):
+        basis = repth.finite_hecke_basis(e, q, chi)
+        for a in basis:
+            for b in basis:
+                full = a.convolve(b)
+                for pt in pts:
+                    got, want = a.convolve_at(b, pt), full(pt)
+                    if chi.is_rational:
+                        assert got == want
+                    else:
+                        assert abs(complex(got) - complex(want)) <= 1e-12
+
+
+def test_convolve_at_fault_fails_oracle_and_idempotency(monkeypatch):
+    # convolve_at off by 1/|B| at the identity: both of its callers must
+    # report `fail` records under their own names and params
+    real = repth.FinHeckeElt.convolve_at
+
+    def wrong(self, other, g):
+        got = real(self, other, g)
+        if g == self.group.identity:
+            got += Fraction(1, self.sub.order)
+        return got
+
+    monkeypatch.setattr(repth.FinHeckeElt, "convolve_at", wrong)
+    # bypass the cache so e_tau runs its idempotency check again
+    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+    records = verify.run_checks(
+        verify.checks_named("check_hecke_oracle", "check_e_tau"), 2, 2)
+    names = {r.name for r in records}
+    assert names == {"hecke.oracle_equivalence", "repth.e_tau_idempotent_dim"}
+    assert all(r.status == "fail" and r.params for r in records), records
 
 
 # --- closed forms ----------------------------------------------------------------

@@ -225,7 +225,6 @@ def test_elliptic_regular_examples():
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_elliptic_equals_parabolic_avoidance_exhaustive(n, q):
     G = gl_group(n, q)
-    G.precompute_inverses()
     for g in G.elements:
         assert elliptic_regular(q, g) == proper_parabolic_avoidance(n, q, g)
 
@@ -279,10 +278,13 @@ def test_precompute_inverses_only_computes_missing_ones(monkeypatch):
         return mat_inv(F, a)
 
     monkeypatch.setattr(finglq, "mat_inv", counting)
+    # `G.inv` caches lazily: touching every element twice inverts each once
     G.inv(G.elements[5])
-    G.precompute_inverses()
+    for g in G.elements:
+        G.inv(g)
     assert len(calls) == G.order
-    G.precompute_inverses()
+    for g in G.elements:
+        G.inv(g)
     assert len(calls) == G.order
     assert all(mat_mul(G.field_, g, G.inv(g)) == G.identity
                for g in G.elements)

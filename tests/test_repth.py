@@ -178,7 +178,6 @@ def test_renormalized_basis_matches_iwahori_structure_constants(e, q, k):
     normed = {w: b.scale(basis_sign(chi, w)) for w, b in zip(perms, basis)}
     consts = structure_constants(e)
     pts = {w: perm_matrix(e, w) for w in perms}
-    gl_group(e, q).precompute_inverses()
     for w1 in perms:
         for w2 in perms:
             prod = normed[w1].convolve(normed[w2])
