@@ -19,9 +19,8 @@ for E, Q in ((2, 2), (2, 3), (3, 2), (2, 5)):
     print(f"{len(G.conjugacy_classes())} classes, "
           f"{len(elliptic)} elliptic regular")
     for chi in all_characters(Q):
-        checked = sum(
-            repth.alvis_curtis_sign_check(gamma, E, Q, chi, tol=1e-7)
-            for gamma in elliptic)
+        checked = sum(repth.alvis_curtis_sign_check(gamma, E, Q, chi)
+                      for gamma in elliptic)
         print(f"  chi k={chi.k}: sign identity on {checked}/{len(elliptic)} "
               f"elliptic classes")
     gamma = elliptic[0]

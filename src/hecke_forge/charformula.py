@@ -9,11 +9,11 @@ an elliptic regular element, to the single full-type term: the constant
 collapses to (-1)^(e-1)/e' because d_S = 0 and vol P_S = p_{e-1}(q), and
 the verifiable finite identity is
 
-    sum over x in G of [Tr e_tau](x gamma x^-1)
-        = (-1)^(e-1) * Tr St(gamma) * kappa(gamma)
+    sum over x in G of [Tr e_tau](x gamma x^-1) = (-1)^(e-1) * Tr St(gamma),
 
-with kappa a pluggable trace callback (the compact-extension factor is not
-constructible at this level and defaults to 1).
+that is Tr tau(gamma) = (-1)^(e-1) Tr St(gamma) at elliptic regular gamma.
+It lives on the finite group, so it is computed in one place,
+`repth.sign_identity_deviation`; this module needs no finite group.
 
 The ramified-case chain collapses the k-average of a coset sum to the
 prefactor epsilon^nu * c^nu, with c an unpinned nonzero constant, and
@@ -22,30 +22,15 @@ rests on the convolution-power identity (a T_Pi)^k = a^k T_{Pi^k}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .finglq import MultChar, elliptic_regular
 from .hecke import HeckeElt, t_power
 from .qpoly import QPoly
 from .weyl import (
     epsilon, parahoric_type, pi_element, pi_power, poincare_poly,
     parahoric_volume,
 )
-from . import repth
-
-
-@dataclass
-class CharFormulaParams:
-    e: int
-    q: int
-    chi: MultChar
-    kappa_trace: object = field(default=lambda gamma: 1)
-
-    def __post_init__(self):
-        if self.chi.q != self.q:
-            raise ValueError("chi must be a character of F_q^x")
 
 
 def constant_CS(e: int, e_prime: int, q) -> Fraction:
@@ -69,24 +54,6 @@ def volume_is_poincare(e: int, q) -> bool:
     return parahoric_volume(S, q) == poincare_poly(e)(q)
 
 
-def unramified_character_rhs(gamma, params: CharFormulaParams, tol: float = 1e-7):
-    """The conjugation sum of Tr e_tau at an elliptic regular gamma.
-
-    Asserts the collapse: the sum equals
-    (-1)^(e-1) * Tr St(gamma) * kappa(gamma) under the default callback.
-    """
-    e, q, chi = params.e, params.q, params.chi
-    if e > 1 and not elliptic_regular(q, gamma):
-        raise ValueError("gamma must be elliptic regular")
-    val = repth.char_generalized_trivial(gamma, e, q, chi)
-    st = repth.steinberg_char(e, q, chi).at(gamma)
-    expected = (-1) ** (e - 1) * complex(st) * complex(params.kappa_trace(gamma))
-    if abs(complex(val) - expected) > tol:
-        raise AssertionError(
-            f"character chain broken at gamma: {val} vs {expected}")
-    return val
-
-
 def ramified_prefactor(nu: int, n: int, N: int, c_param=1):
     """epsilon^nu * c^nu, computed through the full k-average.
 
@@ -106,17 +73,13 @@ def ramified_prefactor(nu: int, n: int, N: int, c_param=1):
         else eps * acc / N
 
 
-def power_identity_check(e: int, k_max: int | None = None,
-                         coeffs=(1, Fraction(2, 3))) -> bool:
-    """(a T_Pi)^k = a^k T_{Pi^k} for k up to 2e, including a symbolic
-    coefficient a = q (the coefficient ring is Q[q], so a non-constant
-    polynomial exercises the symbolic case)."""
-    if k_max is None:
-        k_max = 2 * e
+def power_identity_check(e: int) -> bool:
+    """(a T_Pi)^k = a^k T_{Pi^k} for k up to 2e and a in {1, 2/3, q}; the
+    coefficient ring is Q[q], so a = q exercises the symbolic case."""
     pi = pi_element(e)
-    for a in tuple(coeffs) + (QPoly.gen(),):
+    for a in (1, Fraction(2, 3), QPoly.gen()):
         elt = HeckeElt.basis(pi, a)
-        for k in range(k_max + 1):
+        for k in range(2 * e + 1):
             lhs = t_power(elt, k)
             a_poly = a if isinstance(a, QPoly) else QPoly.const(a)
             rhs = HeckeElt.basis(pi_power(e, k), a_poly ** k)

@@ -127,9 +127,9 @@ def _mul_basis_by_gen(e: int, terms: dict, s: AffineElt) -> dict:
     return out
 
 
-def t_mul(a: HeckeElt, b: HeckeElt, e: int | None = None) -> HeckeElt:
+def t_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     """Product in the T-basis."""
-    if a.e != b.e or (e is not None and e != a.e):
+    if a.e != b.e:
         raise ValueError("rank mismatch")
     e = a.e
     out: dict[AffineElt, QPoly] = {}
@@ -207,14 +207,11 @@ def oracle_matches_t_mul(e: int, q: int) -> bool:
 
 
 def constants_to_csv(consts: dict, path: str):
-    """CSV rows (w1, w2, w3, coefficient); permutations in one-line notation,
-    translations as comma-separated integers (zero for spherical tables)."""
+    """CSV rows (w1, w2, w3, coefficient), keyed by finite permutations in
+    one-line notation."""
     import csv
 
     def render(w):
-        if isinstance(w, AffineElt):
-            return ";".join((",".join(map(str, w.trans)),
-                             ",".join(str(i + 1) for i in w.perm)))
         return ",".join(str(i + 1) for i in w)
 
     with open(path, "w", newline="") as fh:
@@ -304,15 +301,12 @@ def central_reduction(f: HeckeElt, omega_at_pi=1) -> CentralHeckeElt:
 
     The class coefficient is sum_n omega^n * f(pi^n * rep), which is the
     value at the canonical representative of the reduced function.
+    omega(pi) is rational (Fraction raises TypeError otherwise).
     """
-    rational = isinstance(omega_at_pi, (int, Fraction))
     out: dict = {}
     for x, c in f.terms.items():
         rep, n = canonical_central_rep(x)
-        if rational:
-            contrib = c * Fraction(omega_at_pi) ** n
-        else:
-            contrib = complex(omega_at_pi) ** n * c.constant_value()
+        contrib = c * Fraction(omega_at_pi) ** n
         prev = out.get(rep)
         out[rep] = contrib if prev is None else prev + contrib
     return CentralHeckeElt(f.e, omega_at_pi, out)

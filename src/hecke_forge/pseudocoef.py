@@ -30,6 +30,9 @@ of GL_e:
   central-character reduction at omega = 1 recovers laumon_f0: the same
   types, the weight divided by e', and e' periods.
 
+The central character is trivial, omega(pi) = 1, because sgn_T(pi) =
+epsilon_T^{n_T} = 1 for every type.
+
 Everything is exact rational arithmetic at a concrete q.
 """
 
@@ -55,18 +58,10 @@ class PseudoCoefParams:
     e: int
     q: Fraction
     e_prime: int = 1
-    omega_at_pi: object = 1
 
     def __post_init__(self):
         if self.e < 1 or self.e_prime < 1:
             raise ValueError("e and e' must be positive")
-
-
-def _require_trivial_omega(params: PseudoCoefParams):
-    if params.omega_at_pi != 1:
-        raise ValueError(
-            "Euler-Poincare elements carry sgn_T with sgn_T(uniformizer) = "
-            "epsilon_T^{n_T} = 1, so they live at omega(pi) = 1 only")
 
 
 @lru_cache(maxsize=None)
@@ -120,17 +115,10 @@ def _summed(terms) -> dict:
 def kottwitz_ep(theta, params: PseudoCoefParams) -> CentralHeckeElt:
     """The Euler-Poincare element attached to a representative system:
     weight (-1)^{d_T} / n_T."""
-    _require_trivial_omega(params)
     theta = validate_representative_system(theta, params.e)
     terms = weighted_type_terms(
         theta, params, lambda T, n: Fraction((-1) ** T.d, n))
-    return CentralHeckeElt(params.e, params.omega_at_pi, _summed(terms))
-
-
-def kottwitz_pseudocoef(theta, params: PseudoCoefParams) -> CentralHeckeElt:
-    """(-1)^(e-1) times the Euler-Poincare element: the Steinberg
-    pseudo-coefficient attached to theta."""
-    return kottwitz_ep(theta, params).scale(QPoly.const((-1) ** (params.e - 1)))
+    return CentralHeckeElt(params.e, terms=_summed(terms))
 
 
 def _averaged_weight(e: int, e_prime: int):
@@ -142,10 +130,9 @@ def _averaged_weight(e: int, e_prime: int):
 
 def laumon_f0(params: PseudoCoefParams) -> CentralHeckeElt:
     """The averaged pseudo-coefficient, summed over all T ⊆ S directly."""
-    _require_trivial_omega(params)
     terms = weighted_type_terms(proper_subsets_of_s(params.e), params,
                                 _averaged_weight(params.e, 1))
-    return CentralHeckeElt(params.e, params.omega_at_pi, _summed(terms))
+    return CentralHeckeElt(params.e, terms=_summed(terms))
 
 
 def representative_systems(e: int):
@@ -168,8 +155,8 @@ def average_pseudocoef(params: PseudoCoefParams) -> CentralHeckeElt:
         for x, c in kottwitz_ep(theta, params).terms.items():
             acc[x] = acc.get(x, 0) + c
     factor = QPoly.const(Fraction((-1) ** (params.e - 1), len(systems)))
-    return CentralHeckeElt(params.e, params.omega_at_pi,
-                           {x: factor * c for x, c in acc.items()})
+    return CentralHeckeElt(params.e,
+                           terms={x: factor * c for x, c in acc.items()})
 
 
 def assemble_F0_terms(params: PseudoCoefParams) -> list:
@@ -189,9 +176,8 @@ def assemble_F0(params: PseudoCoefParams) -> HeckeElt:
 
 
 def projection_check(params: PseudoCoefParams) -> bool:
-    """central_reduction(F_0, omega) = f_0, exactly."""
-    lhs = central_reduction(assemble_F0(params), params.omega_at_pi)
-    return lhs == laumon_f0(params)
+    """central_reduction(F_0) = f_0 at omega = 1, exactly."""
+    return central_reduction(assemble_F0(params)) == laumon_f0(params)
 
 
 def support_filter(N: int, e_prime: int, nu: int) -> list:

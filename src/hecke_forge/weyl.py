@@ -342,10 +342,6 @@ def parahoric_weyl_group(T: ParahoricType) -> list[AffineElt]:
     return sorted(out)
 
 
-def _volume_any(T: ParahoricType, q) -> Fraction:
-    return poincare_sum(parahoric_weyl_group(T), q)
-
-
 def poincare_sum(elements, q) -> Fraction:
     """Sum of q^l(w) over the given elements, e.g. a W_T already built."""
     return sum((Fraction(q) ** length(w) for w in elements), Fraction(0))
@@ -362,7 +358,7 @@ def parahoric_volume(T: ParahoricType, q) -> Fraction:
                          "spherical volume; rotate first")
     if q <= 0:
         raise ValueError("q must be positive")
-    return _volume_any(T, q)
+    return poincare_sum(parahoric_weyl_group(T), q)
 
 
 def poincare_poly(e: int) -> QPoly:

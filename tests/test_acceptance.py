@@ -4,7 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Criteria 01-11 name the checks of the `verify` registry they gate
 and run them through `verify.run_checks` at (max_e, max_q) = (4, 5).  The
 (e, q, chi) each identity is checked at, and its tolerance, are written
-in the registry and nowhere else; the pass line lists the tolerances the
+in the registry and nowhere else (the sign identity's 1e-8 is fixed in
+`repth.alvis_curtis_sign_check`); the pass line lists the tolerances the
 records carried.  Each of these criteria has a negative control: one
 library value is made wrong, and the criterion's records must turn
 `fail` under their own names and params.  Criterion 12 runs
@@ -150,6 +151,7 @@ def test_every_registry_check_is_gated_or_listed_ungated():
     assert not set(gated) & set(UNGATED)
     assert sorted(gated + list(UNGATED)) == sorted(names)
     assert sorted(FAULTS) == sorted(CRITERIA)
+    assert set(UNGATED_FAULTS) <= set(UNGATED)
 
 
 # --- negative controls: one wrong library value per criterion ----------------
@@ -254,3 +256,36 @@ def test_negative_control(n, monkeypatch):
     assert failed
     # the records themselves failed: the runner caught no exception
     assert all(r.params for r in failed), failed
+
+
+# --- negative controls for ungated checks: each check alone, at (2, 2) ---------
+
+def _doubled_generalized_trivial(mp):
+    real = repth.char_generalized_trivial
+    mp.setattr(repth, "char_generalized_trivial",
+               lambda gamma, e, q, chi: 2 * real(gamma, e, q, chi))
+
+
+def _negated_epsilon(mp):
+    real = charformula.epsilon
+    mp.setattr(charformula, "epsilon", lambda T: -real(T))
+
+
+def _shifted_pi_power(mp):
+    real = charformula.pi_power
+    mp.setattr(charformula, "pi_power", lambda e, k: real(e, k + 1))
+
+
+UNGATED_FAULTS = {
+    "check_unramified_consistency": _doubled_generalized_trivial,
+    "check_prefactor": _negated_epsilon,
+    "check_power_identity": _shifted_pi_power,
+}
+
+
+@pytest.mark.parametrize("check", sorted(UNGATED_FAULTS))
+def test_ungated_negative_control(check, monkeypatch):
+    UNGATED_FAULTS[check](monkeypatch)
+    records = verify.run_checks(verify.checks_named(check), 2, 2)
+    assert records
+    assert all(r.status == "fail" and r.params for r in records), records

@@ -1,15 +1,14 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from hecke_forge.charformula import (
-    CharFormulaParams, constant_CS, epsilon_cross_check,
-    normalized_constant_check, power_identity_check, unramified_character_rhs,
-    ramified_prefactor, volume_is_poincare,
+    constant_CS, epsilon_cross_check, normalized_constant_check,
+    power_identity_check, ramified_prefactor, volume_is_poincare,
 )
-from hecke_forge.finglq import MultChar, all_characters, gl_group
-from hecke_forge.repth import elliptic_regular_class_reps, steinberg_char
 
 
 def test_constant_CS_examples():
@@ -24,46 +23,6 @@ def test_constant_CS_examples():
 def test_normalized_constant_collapse(e, q):
     assert normalized_constant_check(e, q)
     assert volume_is_poincare(e, q)
-
-
-def test_unramified_character_rhs_gl22():
-    p = CharFormulaParams(e=2, q=2, chi=MultChar(2, 0))
-    gamma = ((0, 1), (1, 1))
-    assert unramified_character_rhs(gamma, p) == 1  # (-1) * (-1) * 1
-
-
-def test_unramified_character_rhs_e1():
-    chi = MultChar(5, 1)
-    p = CharFormulaParams(e=1, q=5, chi=chi)
-    G = gl_group(1, 5)
-    for g in G.elements:
-        val = unramified_character_rhs(g, p)
-        assert abs(complex(val) - complex(chi(g[0][0]))) < 1e-10
-
-
-def test_unramified_character_rhs_rejects_split():
-    p = CharFormulaParams(e=2, q=3, chi=MultChar(3, 0))
-    with pytest.raises(ValueError):
-        unramified_character_rhs(gl_group(2, 3).identity, p)
-
-
-def test_unramified_character_rhs_respects_kappa_callback():
-    p = CharFormulaParams(e=2, q=2, chi=MultChar(2, 0),
-                          kappa_trace=lambda g: 2)
-    gamma = ((0, 1), (1, 1))
-    with pytest.raises(AssertionError):
-        unramified_character_rhs(gamma, p)
-
-
-@pytest.mark.parametrize("e,q", [(2, 2), (2, 3), (3, 2), (2, 5)])
-def test_unramified_consistency_all_elliptic_all_chi(e, q):
-    for chi in all_characters(q):
-        p = CharFormulaParams(e=e, q=q, chi=chi)
-        st = steinberg_char(e, q, chi)
-        for gamma in elliptic_regular_class_reps(e, q):
-            val = unramified_character_rhs(gamma, p, tol=1e-7)
-            expect = (-1) ** (e - 1) * complex(st.at(gamma))
-            assert abs(complex(val) - expect) < 1e-7
 
 
 def test_ramified_prefactor_examples():
@@ -94,3 +53,16 @@ def test_prefactor_matches_rotation_sign():
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 def test_power_identity(e):
     assert power_identity_check(e)
+
+
+def test_affine_layer_loads_neither_numpy_nor_repth():
+    # the sign identity lives in repth; the affine modules stay free of the
+    # finite-group layer and of numpy
+    code = ("import sys\n"
+            "import hecke_forge.qpoly, hecke_forge.weyl, hecke_forge.hecke\n"
+            "import hecke_forge.pseudocoef, hecke_forge.charformula\n"
+            "print(sorted({'numpy', 'hecke_forge.repth'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

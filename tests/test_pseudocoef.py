@@ -5,20 +5,26 @@ import pytest
 from hecke_forge import pseudocoef
 from hecke_forge.pseudocoef import (
     PseudoCoefParams, assemble_F0, assemble_F0_terms, average_pseudocoef,
-    hecke_elt_to_json, kottwitz_ep, kottwitz_pseudocoef, laumon_f0,
+    hecke_elt_to_json, kottwitz_ep, laumon_f0,
     projection_check, representative_systems, support_filter,
     support_filter_is_unique, validate_representative_system,
 )
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
     affine_identity, epsilon, orbit_reps, parahoric_type,
-    parahoric_weyl_group, period_and_n, pi_element, proper_subsets_of_s,
-    _volume_any,
+    parahoric_weyl_group, period_and_n, pi_element, poincare_sum,
+    proper_subsets_of_s,
 )
 
 
-def params(e, q, e_prime=1, omega=1):
-    return PseudoCoefParams(e=e, q=q, e_prime=e_prime, omega_at_pi=omega)
+def params(e, q, e_prime=1):
+    return PseudoCoefParams(e=e, q=q, e_prime=e_prime)
+
+
+def kottwitz_pseudocoef(theta, p):
+    """(-1)^(e-1) times the Euler-Poincare element: the Steinberg
+    pseudo-coefficient attached to theta."""
+    return kottwitz_ep(theta, p).scale(QPoly.const((-1) ** (p.e - 1)))
 
 
 def test_kottwitz_ep_e1():
@@ -71,13 +77,6 @@ def test_kottwitz_ep_accepts_rotated_representatives():
     # different systems give different functions, but both are valid
     assert a != b
     assert a.coeff(affine_identity(2)) == b.coeff(affine_identity(2))
-
-
-def test_omega_must_be_trivial():
-    with pytest.raises(ValueError):
-        laumon_f0(params(2, 2, omega=-1))
-    with pytest.raises(ValueError):
-        kottwitz_ep(orbit_reps(2), params(2, 2, omega=1j))
 
 
 def test_laumon_f0_e1():
@@ -141,7 +140,7 @@ def test_type_data_matches_the_per_type_oracles(e, q):
         u, n, eps, vol, W_T = pseudocoef._type_data(T, q)
         assert isinstance(W_T, tuple)
         assert list(W_T) == parahoric_weyl_group(T)
-        assert vol == _volume_any(T, q)
+        assert vol == poincare_sum(parahoric_weyl_group(T), q)
         assert (u, n) == period_and_n(T)
         assert eps == epsilon(T)
 
@@ -195,7 +194,7 @@ def test_assemble_F0_e2_support_and_terms():
     assert len(f.terms) == 3  # 1, Pi, s_1: the two w=1 terms overlap at T_1
     for T, l, w, x, c in terms:
         d = T.d
-        vol = _volume_any(T, Fraction(2))
+        vol = poincare_sum(parahoric_weyl_group(T), Fraction(2))
         expect = Fraction(1, (d + 1)) / vol
         assert abs(c) == expect
         assert c == Fraction((-1) ** (2 - 1) * (-1) ** d, (d + 1)) / vol \
@@ -213,7 +212,7 @@ def test_term_coefficients_carry_only_displayed_factors():
     for e, q, ep in [(2, 2, 1), (3, 2, 2), (3, 3, 1), (4, 2, 1)]:
         p = params(e, q, e_prime=ep)
         for T, l, w, x, c in assemble_F0_terms(p):
-            vol = _volume_any(T, Fraction(q))
+            vol = poincare_sum(parahoric_weyl_group(T), Fraction(q))
             assert abs(c) == Fraction(1, ep * (T.d + 1)) / vol
 
 
