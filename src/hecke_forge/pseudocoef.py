@@ -24,7 +24,9 @@ of GL_e:
   representative systems drawn from subsets of S = {1..e-1}; its weights
   collapse termwise because each orbit meets the subsets of S in
   u_T (d_T + 1) / e members, leaving (-1)^{e-1} (-1)^{d_T} / (d_T + 1)
-  over every T ⊆ S, one period.
+  over every T ⊆ S, one period.  `average_pseudocoef` checks that: it
+  validates every system and regroups their sum by type, weighting T by
+  (-1)^{e-1} (-1)^{d_T} count(T) / (n_T |systems|).
 
 * `assemble_F0`: the finite lift in the plain Iwahori-Hecke algebra whose
   central-character reduction at omega = 1 recovers laumon_f0: the same
@@ -39,6 +41,7 @@ Everything is exact rational arithmetic at a concrete q.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,11 +78,10 @@ def _type_data(T: ParahoricType, q):
 
 def validate_representative_system(theta, e: int) -> list[ParahoricType]:
     theta = list(theta)
-    canon = tuple(sorted(
-        (canonical_rep(T) for T in theta),
-        key=lambda T: (len(T.nodes), T.sorted_nodes())))
-    expected = orbit_reps(e)
-    if canon != expected or any(T.e != e for T in theta):
+    # the canonical reps carry T.e, so equality also checks the rank
+    canon = sorted(map(canonical_rep, theta),
+                   key=lambda T: (len(T.nodes), T.sorted_nodes()))
+    if tuple(canon) != orbit_reps(e):
         raise ValueError("theta is not a representative system of the "
                          "rotation orbits of proper subsets of Z/e")
     return theta
@@ -144,19 +146,17 @@ def representative_systems(e: int):
 
 def average_pseudocoef(params: PseudoCoefParams) -> CentralHeckeElt:
     """Exact mean of the signed Euler-Poincare elements over all standard
-    representative systems; equals laumon_f0.
-
-    The brute-force oracle for laumon_f0: one kottwitz_ep per system, the
-    terms added up in one pass and scaled once by (-1)^(e-1)/|systems|.
-    """
-    systems = list(representative_systems(params.e))
-    acc: dict = {}
-    for theta in systems:
-        for x, c in kottwitz_ep(theta, params).terms.items():
-            acc[x] = acc.get(x, 0) + c
-    factor = QPoly.const(Fraction((-1) ** (params.e - 1), len(systems)))
-    return CentralHeckeElt(params.e,
-                           terms={x: factor * c for x, c in acc.items()})
+    representative systems, the brute-force oracle for laumon_f0: every
+    system is validated, then their sum is regrouped by type, T counted
+    once per system that holds it."""
+    e = params.e
+    systems = [validate_representative_system(theta, e)
+               for theta in representative_systems(e)]
+    counts = Counter(T for theta in systems for T in theta)
+    scale = Fraction((-1) ** (e - 1), len(systems))
+    terms = weighted_type_terms(
+        counts, params, lambda T, n: scale * counts[T] * (-1) ** T.d / n)
+    return CentralHeckeElt(e, terms=_summed(terms))
 
 
 def assemble_F0_terms(params: PseudoCoefParams) -> list:

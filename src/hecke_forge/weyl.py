@@ -17,6 +17,7 @@ affine generators, length zero) rather than by trusting the coordinates.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +73,6 @@ def transposition(e: int, i: int, j: int) -> tuple[int, ...]:
 
 
 def all_perms(e: int) -> list[tuple[int, ...]]:
-    import itertools
     return sorted(itertools.permutations(range(e)))
 
 
@@ -285,6 +285,7 @@ def epsilon(T: ParahoricType) -> int:
     return perm_sign(perm)
 
 
+@lru_cache(maxsize=None)
 def canonical_rep(T: ParahoricType) -> ParahoricType:
     """Canonical orbit representative: lex-minimal rotation avoiding node 0.
 
@@ -308,7 +309,6 @@ def orbit_reps(e: int) -> tuple[ParahoricType, ...]:
     sorted by size, then nodes; a tuple, since every caller shares it."""
     if e < 1:
         raise ValueError("e must be positive")
-    import itertools
     reps = set()
     for r in range(e):
         for nodes in itertools.combinations(range(e), r):
@@ -373,7 +373,6 @@ def poincare_poly(e: int) -> QPoly:
 
 def proper_subsets_of_s(e: int) -> Iterator[ParahoricType]:
     """All subsets of the finite node set S = {1..e-1} (all are proper)."""
-    import itertools
     s = range(1, e)
     for r in range(e):
         for nodes in itertools.combinations(s, r):

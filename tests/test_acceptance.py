@@ -276,10 +276,33 @@ def _shifted_pi_power(mp):
     mp.setattr(charformula, "pi_power", lambda e, k: real(e, k + 1))
 
 
+def _doubled_orbit_reps(mp):
+    real = weyl.orbit_reps
+    mp.setattr(weyl, "orbit_reps", lambda e: real(e) * 2)
+
+
+def _period_n_off_by_one(mp):
+    real = weyl.period_and_n
+
+    def wrong(T):
+        u, n = real(T)
+        return u, n + 1
+
+    mp.setattr(weyl, "period_and_n", wrong)
+
+
+def _doubled_poincare_poly(mp):
+    real = weyl.poincare_poly
+    mp.setattr(weyl, "poincare_poly", lambda e: real(e) * 2)
+
+
 UNGATED_FAULTS = {
     "check_unramified_consistency": _doubled_generalized_trivial,
     "check_prefactor": _negated_epsilon,
     "check_power_identity": _shifted_pi_power,
+    "check_orbit_partition": _doubled_orbit_reps,
+    "check_rotation_period": _period_n_off_by_one,
+    "check_volume_poincare": _doubled_poincare_poly,
 }
 
 
@@ -289,3 +312,27 @@ def test_ungated_negative_control(check, monkeypatch):
     records = verify.run_checks(verify.checks_named(check), 2, 2)
     assert records
     assert all(r.status == "fail" and r.params for r in records), records
+
+
+# --- the systems average counts every system -----------------------------------
+
+def _repeated_system(mp):
+    real = pseudocoef.representative_systems
+
+    def repeated(e):
+        systems = list(real(e))
+        return [systems[0]] + systems
+
+    mp.setattr(pseudocoef, "representative_systems", repeated)
+
+
+@pytest.mark.parametrize("max_e, max_q", [(3, 2), (4, 3)])
+def test_laumon_average_counts_every_system(max_e, max_q, monkeypatch):
+    # a system met twice is counted twice, which moves the mean wherever
+    # there are two systems or more: from e = 3 on
+    _repeated_system(monkeypatch)
+    records = verify.run_checks(verify.checks_named("check_laumon_average"),
+                                max_e, max_q)
+    wide = [r for r in records if r.params["e"] >= 3]
+    assert {r.params["e"] for r in wide} == set(range(3, max_e + 1))
+    assert all(r.status == "fail" for r in wide), wide

@@ -145,6 +145,24 @@ def test_type_data_matches_the_per_type_oracles(e, q):
         assert eps == epsilon(T)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_average_equals_laumon_f0_e6(q):
+    # 17,280 systems, every one validated
+    assert sum(1 for _ in representative_systems(6)) == 17280
+    p = params(6, q)
+    assert average_pseudocoef(p) == laumon_f0(p)
+
+
+def test_average_rejects_a_non_system(monkeypatch):
+    real = pseudocoef.representative_systems
+    # the empty type alone misses the vertex orbit of e = 3
+    bad = (parahoric_type((), 3),)
+    monkeypatch.setattr(pseudocoef, "representative_systems",
+                        lambda e: list(real(e)) + [bad])
+    with pytest.raises(ValueError):
+        average_pseudocoef(params(3, 2))
+
+
 def test_average_builds_each_weyl_group_once(monkeypatch):
     calls = []
 
