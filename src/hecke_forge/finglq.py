@@ -7,9 +7,12 @@ reproducibility:
 
     q = 4:  x^2 + x + 1        q = 8:  x^3 + x + 1        q = 9:  x^2 + 1
 
-Matrices are tuples of row tuples of element codes.  Enumeration is
-capped (default 25000 elements, override via HECKE_FORGE_MAX_GROUP_ORDER)
-and every enumerated order is checked against the closed-form count.
+Matrices are tuples of row tuples of element codes.  GL(n, q) is built
+row by row, each row outside the span of the rows above it, in the
+row-major lexicographic order of the product of all matrices; no
+determinant is computed.  Enumeration is capped (default 25000 elements,
+override via HECKE_FORGE_MAX_GROUP_ORDER) and every enumerated order is
+checked against the closed-form count.
 
 Conjugacy classes of GL(n, q) are orbits under conjugation by a small
 generating set S: |G| * |S| conjugations in all, not one scan of G per
@@ -530,15 +533,22 @@ def is_block_upper(g: Mat, blocks) -> bool:
 
 def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     """Complete duplicate-free element list; order checked against the
-    closed-form count, capped at max_group_order()."""
+    closed-form count, capped at max_group_order().
+
+    Full GL(n, q), and each diagonal block of the other kinds, is built
+    row by row (`_invertible_matrices`): row k runs, in `itertools.product`
+    order, over the vectors outside the span of rows 0..k-1.  A matrix is
+    invertible exactly when no row lies in the span of the rows above it,
+    so this only prunes the product of all q^(n^2) matrices at the first
+    dependent row: the list keeps that product's row-major lexicographic
+    order, and no determinant is computed."""
     order = group_order(n, q, spec)
     cap = max_group_order()
     if order > cap:
         raise GroupSizeError(
             f"{spec.kind} subgroup of GL({n},{q}) has order {order} > cap {cap}")
-    F = get_field(q)
     if spec.kind == "full":
-        out = [m for m in _all_matrices(n, q) if mat_det(F, m) != 0]
+        out = _invertible_matrices(n, q)
     elif spec.kind in ("borel", "standard_parabolic", "unipotent_radical",
                        "levi"):
         blocks = (1,) * n if spec.kind == "borel" else spec.blocks
@@ -546,8 +556,7 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
         if spec.kind == "unipotent_radical":
             diag = [[identity_mat(b)] for b in blocks]
         else:
-            diag = [[m for m in _all_matrices(b, q) if mat_det(F, m) != 0]
-                    for b in blocks]
+            diag = [_invertible_matrices(b, q) for b in blocks]
         out = list(_enumerate_block_upper(
             n, q, blocks, diag, free_above=spec.kind != "levi"))
     else:
@@ -558,9 +567,28 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     return out
 
 
-def _all_matrices(n: int, q: int):
-    for flat in itertools.product(range(q), repeat=n * n):
-        yield tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+def _invertible_matrices(n: int, q: int) -> list[Mat]:
+    """GL(n, q) row by row, in the order `enumerate_group` describes.
+    Matrices share their row tuples."""
+    F = get_field(q)
+    add, mul_ = F._add, F._mul
+    vectors = list(itertools.product(range(q), repeat=n))
+    out: list[Mat] = []
+
+    def extend(rows: tuple, span: set) -> None:
+        last = len(rows) == n - 1
+        for v in vectors:
+            if v in span:
+                continue
+            if last:
+                out.append(rows + (v,))
+                continue
+            extend(rows + (v,),
+                   {tuple([add[a][mul_[c][b]] for a, b in zip(s, v)])
+                    for s in span for c in range(q)})
+
+    extend((), {vectors[0]})
+    return out
 
 
 def _enumerate_block_upper(n: int, q: int, blocks, diag, free_above: bool):

@@ -7,7 +7,10 @@ module has the e!-element basis
     fbar_w(b1 w b2) = (1/|B|) * sigma(b1) * sigma(b2),   w in W_0,
 
 supported on the Bruhat cell of w, and the normalized sum of the basis is
-the idempotent cutting out the one-dimensional constituent chi∘det.  The
+the idempotent cutting out the one-dimensional constituent chi∘det.  Both
+are functions of the Bruhat label (w, v), v = diag(b1) diag(b2): their
+values are formed once per label and read at every g with that label,
+not once per element.  The
 trace formulas, the Steinberg alternating sum, the sign identity on
 elliptic regular classes, and the module-action transport identity are
 all implemented against explicit sums.  Sums of class functions run over
@@ -113,9 +116,10 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
     sig = sigma_tilde(e, q, chi)
     dec = bruhat_decomposition(e, q)
     norm = Fraction(1, B.order)
+    value = {v: norm * chi(v) for v in range(1, q)}
     per_cell: dict = {w: {} for w in all_perms(e)}
     for g, (w, v) in dec.items():
-        per_cell[w][g] = norm * chi(v)
+        per_cell[w][g] = value[v]
     basis = [FinHeckeElt(G, B, sig, per_cell[w]) for w in all_perms(e)]
     dim = intertwining_dimension(e, q, chi)
     if dim != len(basis):
@@ -159,13 +163,26 @@ def basis_sign(chi: MultChar, w) -> object:
 def e_tau(e: int, q: int, chi: MultChar) -> FinHeckeElt:
     """Idempotent of the one-dimensional constituent chi∘det: the
     normalized sum of the renormalized basis (plain sum when chi(-1) = 1).
-    Raises if idempotency fails."""
+    Raises if idempotency fails.
+
+    The basis values depend only on the Bruhat label (w, v), so the sum
+    forms one product per label, in the order `FinHeckeElt.scale` would,
+    and reads it at every g with that label.  Keys run cell by cell in
+    `all_perms` order, as in the sum of the scaled basis."""
     basis = finite_hecke_basis(e, q, chi)
+    dec = bruhat_decomposition(e, q)
     p_inv = Fraction(1, int(poincare_poly(e)(q)))
-    out = None
+    per_label: dict = {}
+    values: dict = {}
     for w, b in zip(all_perms(e), basis):
-        term = b.scale(p_inv * basis_sign(chi, w))
-        out = term if out is None else out + term
+        c = p_inv * basis_sign(chi, w)
+        for g, bg in b.values.items():
+            label = dec[g]
+            got = per_label.get(label)
+            if got is None:
+                per_label[label] = got = c * bg
+            values[g] = got
+    out = FinHeckeElt(basis[0].group, basis[0].sub, basis[0].sigma, values)
     if not _idempotency_holds(out, e, q):
         raise ValueError("e_tau failed idempotency: normalization bug")
     return out
@@ -328,8 +345,10 @@ class InducedRep:
         return m
 
 
+@lru_cache(maxsize=None)
 def induce(e: int, q: int, chi: MultChar) -> InducedRep:
-    """Ind_B^G of the inflated chi."""
+    """Ind_B^G of the inflated chi, built once per (e, q, chi), as
+    `e_tau` is, so its matrices rho(g) are shared by every caller."""
     return InducedRep(gl_group(e, q), borel(e, q), sigma_tilde(e, q, chi))
 
 

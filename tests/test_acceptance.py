@@ -18,7 +18,9 @@ import time
 
 import pytest
 
-from hecke_forge import charformula, hecke, pseudocoef, repth, verify, weyl
+from hecke_forge import (
+    charformula, finglq, hecke, pseudocoef, repth, verify, weyl,
+)
 
 MAX_E, MAX_Q = 4, 5
 
@@ -296,7 +298,14 @@ def _doubled_poincare_poly(mp):
     mp.setattr(weyl, "poincare_poly", lambda e: real(e) * 2)
 
 
+def _dropped_last_element(mp):
+    real = finglq.enumerate_group
+    mp.setattr(finglq, "enumerate_group",
+               lambda n, q, spec: real(n, q, spec)[:-1])
+
+
 UNGATED_FAULTS = {
+    "check_gl_orders": _dropped_last_element,
     "check_unramified_consistency": _doubled_generalized_trivial,
     "check_prefactor": _negated_epsilon,
     "check_power_identity": _shifted_pi_power,

@@ -10,10 +10,11 @@ import pytest
 
 from hecke_forge import finglq, hecke, repth, verify
 from hecke_forge.finglq import (
-    MultChar, SubgroupSpec, all_characters, get_field, gl_group, gl_order,
-    max_group_order, mat_mul, perm_matrix, subgroup,
+    MultChar, SubgroupSpec, all_characters, enumerate_group, get_field,
+    gl_group, gl_order, max_group_order, mat_mul, perm_matrix, subgroup,
 )
-from hecke_forge.weyl import all_perms
+from hecke_forge.weyl import all_perms, poincare_poly
+from test_finglq import ENUMERABLE
 from test_repth import convolve
 
 SMALL = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
@@ -21,6 +22,40 @@ SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
 
 # --- reference implementations: sums and scans over the whole group ------------
+
+def ref_gl_elements(n, q):
+    """Every n x n matrix over F_q in `itertools.product` order, kept when
+    its determinant is nonzero: q^(n^2) determinants."""
+    F = get_field(q)
+    out = []
+    for flat in itertools.product(range(q), repeat=n * n):
+        g = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        if finglq.mat_det(F, g) != 0:
+            out.append(g)
+    return out
+
+
+def ref_finite_hecke_basis(e, q, chi):
+    """The fbar_w with one Fraction or complex product per element."""
+    G = gl_group(e, q)
+    B = subgroup(e, q, SubgroupSpec.borel())
+    sig = repth.sigma_tilde(e, q, chi)
+    norm = Fraction(1, B.order)
+    per_cell = {w: {} for w in all_perms(e)}
+    for g, (w, v) in finglq.bruhat_decomposition(e, q).items():
+        per_cell[w][g] = norm * chi(v)
+    return [repth.FinHeckeElt(G, B, sig, per_cell[w]) for w in all_perms(e)]
+
+
+def ref_e_tau(e, q, chi):
+    """The sum of the scaled basis, built with `scale` and `__add__`."""
+    p_inv = Fraction(1, int(poincare_poly(e)(q)))
+    out = None
+    for w, b in zip(all_perms(e), ref_finite_hecke_basis(e, q, chi)):
+        term = b.scale(p_inv * repth.basis_sign(chi, w))
+        out = term if out is None else out + term
+    return out
+
 
 def ref_conjugacy_classes(G):
     """Every class as {x g x^-1 : x in G}, one full scan per class."""
@@ -244,6 +279,50 @@ def test_convolve_at_fault_fails_oracle_and_idempotency(monkeypatch):
     names = {r.name for r in records}
     assert names == {"hecke.oracle_equivalence", "repth.e_tau_idempotent_dim"}
     assert all(r.status == "fail" and r.params for r in records), records
+
+
+@pytest.mark.parametrize("n,q", ENUMERABLE)
+def test_enumeration_matches_reference(n, q):
+    # the same list, order included: G.elements fixes every later order
+    assert enumerate_group(n, q, SubgroupSpec.full()) == ref_gl_elements(n, q)
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3)])
+def test_block_subgroups_match_reference(n, q):
+    # the diagonal blocks come from the same enumerator as GL(b, q)
+    for blocks in finglq._compositions(n):
+        diag = [ref_gl_elements(b, q) for b in blocks]
+        for spec, free_above in ((SubgroupSpec.standard_parabolic(blocks),
+                                  True),
+                                 (SubgroupSpec.levi(blocks), False)):
+            want = list(finglq._enumerate_block_upper(
+                n, q, blocks, diag, free_above))
+            assert enumerate_group(n, q, spec) == want
+    want = list(finglq._enumerate_block_upper(
+        n, q, (1,) * n, [ref_gl_elements(1, q)] * n, True))
+    assert enumerate_group(n, q, SubgroupSpec.borel()) == want
+
+
+def assert_same_values(got, want):
+    """Equal keys in the same order, and equal values of the same type
+    and repr (so a zero keeps its sign)."""
+    assert list(got.values) == list(want.values)
+    pairs = list(zip(got.values.values(), want.values.values()))
+    assert all(type(a) is type(b) and a == b and repr(a) == repr(b)
+               for a, b in pairs)
+
+
+@pytest.mark.parametrize("e,q", SMALL + [(3, 3)])
+def test_label_tables_match_reference(e, q):
+    for chi in all_characters(q):
+        basis = repth.finite_hecke_basis(e, q, chi)
+        want = ref_finite_hecke_basis(e, q, chi)
+        assert len(basis) == len(want)
+        for got_w, want_w in zip(basis, want):
+            assert_same_values(got_w, want_w)
+        et = repth.e_tau(e, q, chi)
+        assert_same_values(et, ref_e_tau(e, q, chi))
+        assert et.sigma is basis[0].sigma
 
 
 # --- closed forms ----------------------------------------------------------------

@@ -472,7 +472,13 @@ def test_trace_via_coset_sum_builds_operator_once_per_pair(monkeypatch):
     q = 3
     chi = trivial(q)
     et = e_tau(2, q, chi)
-    ind = induce(2, q, chi)
+
+    def new_module():
+        # `induce` keeps one module per (e, q, chi), which other tests
+        # may have checked already
+        return InducedRep(gl_group(2, q), borel(2, q), sigma_tilde(2, q, chi))
+
+    ind = new_module()
     built = []
     original = InducedRep.hecke_operator
 
@@ -485,7 +491,7 @@ def test_trace_via_coset_sum_builds_operator_once_per_pair(monkeypatch):
         assert trace_via_coset_sum(gamma, et, ind) == 1
     assert built == [et]
     # a new module, or a new idempotent, is checked again
-    trace_via_coset_sum(gl_group(2, q).identity, et, induce(2, q, chi))
+    trace_via_coset_sum(gl_group(2, q).identity, et, new_module())
     assert len(built) == 2
 
 
@@ -607,6 +613,14 @@ def test_intertwining_dimension_values():
     assert intertwining_dimension(2, 2, trivial(2)) == 2
     assert intertwining_dimension(2, 3, MultChar(3, 1)) == 2
     assert intertwining_dimension(3, 2, trivial(2)) == 6
+
+
+def test_induce_is_kept_per_character():
+    chi = MultChar(3, 1)
+    ind = induce(2, 3, chi)
+    assert induce(2, 3, chi) is ind
+    assert induce(2, 3, MultChar(3, 1)) is ind
+    assert induce(2, 3, trivial(3)) is not ind
 
 
 def test_coset_data_is_kept_on_the_group():
