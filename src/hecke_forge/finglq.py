@@ -770,12 +770,19 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     Each g is reduced to a monomial matrix u1 g u2 = w * diag(pivots) by
     elimination with upper unitriangular u1, u2, so w is read off the
     pivot positions and v is the product of the pivots.  Every cell is
-    checked to have its closed-form size |B| * q^l(w), and the labels to be
+    checked to have its closed-form size |B| * q^l(w), the labels to be
     B-bi-equivariant in field codes: (w, v)(s g) = (w, v)(g s) = (w, d(s) v),
-    d the diagonal product, for every g and s in a generating set of B.  So
-    a function of the label alone, like `repth.e_tau`, is fixed by its
-    values at the permutation matrices, and the convolution of two such
-    functions is |B| times a sum over the cosets of B.
+    d the diagonal product, for every g and s in `_borel_generators`, and
+    the permutation matrix of w to have the label (w, 1): e! lookups.  So
+    the label set of w holds w and is stable under B on both sides, so it
+    holds B w B; both have |B| * q^l(w) elements, so it is B w B, and
+    g = b1 w b2 has the label (w, d(b1) d(b2)).  In particular g^-1 has
+    the label (w^-1, v^-1), and every label in W x F_q^x occurs.  A
+    function of the label alone, like
+    `repth.e_tau`, is then fixed by its values at the permutation
+    matrices, its hypotheses can be checked once per label, and the
+    convolution of two such functions is |B| times a sum over the cosets
+    of B.
     """
     F = get_field(q)
     out = {g: _bruhat_cell(F, g) for g in gl_group(e, q).elements}
@@ -793,6 +800,10 @@ def bruhat_decomposition(e: int, q: int) -> dict:
             if out[left(g)] != label or out[right(g)] != label:
                 raise AssertionError(
                     f"Bruhat label of {g} is not B-bi-equivariant")
+    for w in itertools.permutations(range(e)):
+        if out[perm_matrix(e, w)] != (w, 1):
+            raise AssertionError(
+                f"permutation matrix of {w} is not labelled ({w}, 1)")
     return out
 
 

@@ -8,12 +8,15 @@ module has the e!-element basis
 
 supported on the Bruhat cell of w, and the normalized sum of the basis is
 the idempotent cutting out the one-dimensional constituent chi∘det.  Both
-are functions of the Bruhat label (w, v), v = diag(b1) diag(b2): their
-values are formed once per label and read at every g with that label,
-not once per element.  The
-trace formulas, the Steinberg alternating sum, the sign identity on
-elliptic regular classes, and the module-action transport identity are
-all implemented against explicit sums.  Sums of class functions run over
+are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and are
+held as one coefficient per label (e!(q-1) of them), read at g through
+the cached `bruhat_decomposition`.  The hypotheses the operator and the
+trace formula rest on, right sigma-equivariance and adjointness, are
+checked once per label; the label checks of `bruhat_decomposition` make
+that as strong as checking them at every element.  The trace formulas,
+the Steinberg alternating sum, the sign identity on elliptic regular
+classes, and the module-action transport identity are all implemented
+against explicit sums.  Sums of class functions run over
 conjugacy classes weighted by class size, and fixed-point counts run over
 coset representatives rather than over the whole group.
 
@@ -58,26 +61,63 @@ def sigma_tilde(e: int, q: int, chi: MultChar):
 # ---------------------------------------------------------------------------
 # bi-equivariant End(X)-valued functions (X is 1-dimensional for f = 1)
 
-@dataclass
 class FinHeckeElt:
-    """P-bi-equivariant function on GL(e, F_q) with scalar values.
+    """(H, sigma)-bi-equivariant function on GL(e, F_q) with scalar values
+    (Fraction or complex); `sigma` is the restriction datum on H.
 
-    `values` maps group elements to scalars (Fraction or complex); missing
-    keys are zero.  `sigma` is the restriction datum on the subgroup.
+    It is held in one of two ways.  Element-held (`values` given): a dict
+    from group elements to scalars, missing keys zero, for any (H, sigma).
+    Label-held (`labels` given): a dict from Bruhat labels (w, v) to
+    scalars, missing labels zero, for H = `borel(e, q)` on
+    G = `gl_group(e, q)`; g is read through `bruhat_decomposition(e, q)`.
+    f̄_w and e_tau are label-held: e!(q-1) coefficients, not |G| values.
     """
-    group: MatrixGroup
-    sub: MatrixGroup
-    sigma: object
-    values: dict = field(repr=False)
+
+    def __init__(self, group: MatrixGroup, sub: MatrixGroup, sigma,
+                 values: dict | None = None, labels: dict | None = None):
+        if (values is None) == (labels is None):
+            raise ValueError("give exactly one of values and labels")
+        self.group, self.sub, self.sigma = group, sub, sigma
+        self._values, self.labels = values, labels
+        if labels is not None:
+            e, q = group.n, group.q
+            if group is not gl_group(e, q) or sub is not borel(e, q):
+                raise ValueError("label-held elements live on GL(e, q) "
+                                 "and its Borel")
+            self._dec = bruhat_decomposition(e, q)
 
     def __call__(self, g):
-        return self.values.get(g, 0)
+        if self.labels is not None:
+            return self.labels.get(self._dec[g], 0)
+        return self._values.get(g, 0)
+
+    @property
+    def values(self) -> dict:
+        """g -> value.  For a label-held element this is a |G|-sized view,
+        built on every access (a desk-scale oracle): cells in the order
+        their labels first appear, each cell in the order of
+        `bruhat_decomposition`, labels without a coefficient left out."""
+        if self.labels is None:
+            return self._values
+        cells: dict = {w: {} for w, _ in self.labels}
+        for g, label in self._dec.items():
+            if label in self.labels:
+                cells[label[0]][g] = self.labels[label]
+        return {g: x for cell in cells.values() for g, x in cell.items()}
 
     def scale(self, c) -> "FinHeckeElt":
+        if self.labels is not None:
+            return FinHeckeElt(self.group, self.sub, self.sigma, labels={
+                k: c * v for k, v in self.labels.items()})
         return FinHeckeElt(self.group, self.sub, self.sigma,
-                           {g: c * v for g, v in self.values.items()})
+                           {g: c * v for g, v in self._values.items()})
 
     def __add__(self, other: "FinHeckeElt") -> "FinHeckeElt":
+        if self.labels is not None and other.labels is not None:
+            out = dict(self.labels)
+            for k, v in other.labels.items():
+                out[k] = out.get(k, 0) + v
+            return FinHeckeElt(self.group, self.sub, self.sigma, labels=out)
         out = dict(self.values)
         for g, v in other.values.items():
             out[g] = out.get(g, 0) + v
@@ -104,9 +144,71 @@ class FinHeckeElt:
         return H.order * acc
 
 
+def _labels_of(phi: FinHeckeElt, G: MatrixGroup, H: MatrixGroup) -> dict:
+    """phi's label coefficients; raises ValueError unless phi is label-held
+    on G and its Borel H."""
+    if phi.labels is None or phi.group is not G or phi.sub is not H:
+        raise ValueError("expected a function of the Bruhat label on "
+                         f"GL({G.n},{G.q}) and its Borel")
+    return phi.labels
+
+
+def _right_equivariant(phi: FinHeckeElt, ind: "InducedRep") -> bool:
+    """phi(g s) = phi(g) sigma(s) for every g in G and every s in
+    `H.generators()`, sigma = ind.sigma: exactly when phi and sigma take
+    Fraction values, else within 1e-10.
+
+    Checked on labels, with the same strength: phi(g) = Phi(L(g)), and
+    `bruhat_decomposition` checks L(g s) = (w, d(s) v) for every g and
+    every s in `_borel_generators`, which is `H.generators()`, and that
+    every label (w, v) in W x F_q^x occurs.  So the element-wise identity
+    holds exactly when Phi(w, d(s) v) = Phi(w, v) sigma(s) for every label
+    and every s: e!(q-1)|S| comparisons instead of |G||S|.
+    """
+    G, H = ind.group, ind.sub
+    labels = _labels_of(phi, G, H)
+    F = G.field_
+    gens = [(diag_product(F, s), ind.sigma(s)) for s in H.generators()]
+    exact = (all(isinstance(x, Fraction) for x in labels.values())
+             and all(isinstance(sig, Fraction) for _, sig in gens))
+    for w in all_perms(G.n):
+        for v in range(1, G.q):
+            x = labels.get((w, v), 0)
+            for d, sig in gens:
+                lhs, rhs = labels.get((w, F.mul(d, v)), 0), x * sig
+                if (lhs != rhs if exact
+                        else abs(complex(lhs) - complex(rhs)) > 1e-10):
+                    return False
+    return True
+
+
+def _adjoint(phi: FinHeckeElt, ind: "InducedRep") -> bool:
+    """phi(x^-1) = conj phi(x) for every x in G, within 1e-9: with scalar
+    sigma, the adjoint of phi(x) is its conjugate.
+
+    Checked on labels, with the same strength: `bruhat_decomposition`
+    checks that the label set of w is B w B with L(b1 w b2) =
+    (w, d(b1) d(b2)), so L(x^-1) = (w^-1, v^-1) when L(x) = (w, v), and
+    every label occurs.  So the identity holds for every x exactly when
+    Phi(w^-1, v^-1) = conj Phi(w, v) for every label: e!(q-1) comparisons
+    instead of |G| inverses.
+    """
+    G = ind.group
+    labels = _labels_of(phi, G, ind.sub)
+    F = G.field_
+    for w in all_perms(G.n):
+        w_inv = tuple(sorted(range(G.n), key=w.__getitem__))
+        for v in range(1, G.q):
+            there = complex(labels.get((w_inv, F.inv(v)), 0))
+            if abs(there - complex(labels.get((w, v), 0)).conjugate()) > 1e-9:
+                return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
-    """The e! basis functions fbar_w, ordered by one-line permutation.
+    """The e! basis functions fbar_w, ordered by one-line permutation, held
+    by label: fbar_w(w, v) = chi(v)/|B|, one value per v shared by every w.
 
     Verifies that the commutant of the induced module has dimension e!,
     so the (visibly independent) basis spans it.
@@ -114,13 +216,11 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
     G = gl_group(e, q)
     B = borel(e, q)
     sig = sigma_tilde(e, q, chi)
-    dec = bruhat_decomposition(e, q)
     norm = Fraction(1, B.order)
     value = {v: norm * chi(v) for v in range(1, q)}
-    per_cell: dict = {w: {} for w in all_perms(e)}
-    for g, (w, v) in dec.items():
-        per_cell[w][g] = value[v]
-    basis = [FinHeckeElt(G, B, sig, per_cell[w]) for w in all_perms(e)]
+    basis = [FinHeckeElt(G, B, sig, labels={(w, v): x
+                                            for v, x in value.items()})
+             for w in all_perms(e)]
     dim = intertwining_dimension(e, q, chi)
     if dim != len(basis):
         raise ValueError(
@@ -165,32 +265,26 @@ def e_tau(e: int, q: int, chi: MultChar) -> FinHeckeElt:
     normalized sum of the renormalized basis (plain sum when chi(-1) = 1).
     Raises if idempotency fails.
 
-    The basis values depend only on the Bruhat label (w, v), so the sum
-    forms one product per label, in the order `FinHeckeElt.scale` would,
-    and reads it at every g with that label.  Keys run cell by cell in
-    `all_perms` order, as in the sum of the scaled basis."""
+    Held by label, as the basis is: one product per label (w, v), in the
+    order `FinHeckeElt.scale` would form it, cell by cell in `all_perms`
+    order, as in the sum of the scaled basis."""
     basis = finite_hecke_basis(e, q, chi)
-    dec = bruhat_decomposition(e, q)
     p_inv = Fraction(1, int(poincare_poly(e)(q)))
-    per_label: dict = {}
-    values: dict = {}
+    labels: dict = {}
     for w, b in zip(all_perms(e), basis):
         c = p_inv * basis_sign(chi, w)
-        for g, bg in b.values.items():
-            label = dec[g]
-            got = per_label.get(label)
-            if got is None:
-                per_label[label] = got = c * bg
-            values[g] = got
-    out = FinHeckeElt(basis[0].group, basis[0].sub, basis[0].sigma, values)
+        for label, x in b.labels.items():
+            labels[label] = c * x
+    out = FinHeckeElt(basis[0].group, basis[0].sub, basis[0].sigma,
+                      labels=labels)
     if not _idempotency_holds(out, e, q):
         raise ValueError("e_tau failed idempotency: normalization bug")
     return out
 
 
 def _idempotency_holds(elt: FinHeckeElt, e: int, q: int) -> bool:
-    """Check elt * elt = elt: exactly when every value is a Fraction, else
-    within 1e-10.
+    """Check elt * elt = elt for a label-held elt: exactly when every
+    coefficient is a Fraction, else within 1e-10.
 
     elt is a function of the Bruhat label (w, v), whose bi-equivariance
     `bruhat_decomposition` checks, so elt and elt * elt are
@@ -198,7 +292,8 @@ def _idempotency_holds(elt: FinHeckeElt, e: int, q: int) -> bool:
     permutation matrix of w, where `FinHeckeElt.convolve_at` sums over the
     transversal of B\\G.
     """
-    exact = all(isinstance(v, Fraction) for v in elt.values.values())
+    labels = _labels_of(elt, gl_group(e, q), borel(e, q))
+    exact = all(isinstance(v, Fraction) for v in labels.values())
     for w in all_perms(e):
         pt = perm_matrix(e, w)
         lhs = elt.convolve_at(elt, pt)
@@ -320,28 +415,18 @@ class InducedRep:
         The entry is sum over h in H of phi(r_i r_j^-1 h^-1) sigma(h), and
         right sigma-equivariance, phi(g h) = phi(g) sigma(h), makes every
         term phi(r_i r_j^-1) (Iwahori 1964).  That hypothesis is checked,
-        not assumed: phi(g s) = phi(g) sigma(s) for every g in G and every
-        s in `H.generators()`, exactly when phi and sigma take Fraction
-        values, else within 1e-10.  Raises ValueError when it fails.
+        not assumed, once per Bruhat label (`_right_equivariant`), so phi
+        must be label-held on this module's group and Borel.  Raises
+        ValueError when it is not, or when the check fails.
         """
-        G, H, sigma = self.group, self.sub, self.sigma
-        values = phi.values
-        gens = [(finglq.multiplier(G.field_, s, left=False), sigma(s))
-                for s in H.generators()]
-        exact = (all(isinstance(v, Fraction) for v in values.values())
-                 and all(isinstance(sig, Fraction) for _, sig in gens))
-        for right, sig in gens:
-            for g in G.elements:
-                lhs, rhs = values.get(right(g), 0), values.get(g, 0) * sig
-                if (lhs != rhs if exact
-                        else abs(complex(lhs) - complex(rhs)) > 1e-10):
-                    raise ValueError("phi is not right sigma-equivariant")
-        n = self.dim
+        if not _right_equivariant(phi, self):
+            raise ValueError("phi is not right sigma-equivariant")
+        G, n = self.group, self.dim
         inverses = [G.inv(r) for r in self.transversal]
         m = np.zeros((n, n), dtype=complex)
         for i, ri in enumerate(self.transversal):
             for j, rj_inv in enumerate(inverses):
-                m[i, j] = complex(H.order * values.get(G.mul(ri, rj_inv), 0))
+                m[i, j] = complex(self.sub.order * phi(G.mul(ri, rj_inv)))
         return m
 
 
@@ -454,16 +539,15 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
 
 
 def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
-    """dim pi_e after checking adjointness and irreducibility; cached on
-    `ind` per e_idem."""
+    """dim pi_e after checking adjointness, once per Bruhat label
+    (`_adjoint`), and irreducibility; cached on `ind` per e_idem.  e_idem
+    must be label-held on ind's group and Borel."""
     key = id(e_idem)
     got = ind._cut_dims.get(key)
     if got is not None and got[0] is e_idem:
         return got[1]
-    G = e_idem.group
-    for x in G.elements:  # adjointness: scalar sigma, so adjoint = conjugate
-        if abs(complex(e_idem(G.inv(x))) - complex(e_idem(x)).conjugate()) > 1e-9:
-            raise ValueError("e(x^-1) is not the adjoint of e(x)")
+    if not _adjoint(e_idem, ind):
+        raise ValueError("e(x^-1) is not the adjoint of e(x)")
     E = ind.hecke_operator(e_idem)
     dim_pi = int(round(np.trace(E).real))
     norm = class_norm(ind.group, lambda g: np.trace(ind.mat(g) @ E))
@@ -538,9 +622,12 @@ def _steinberg_base(e: int, q: int) -> tuple:
     return tuple(total)
 
 
+@lru_cache(maxsize=None)
 def steinberg_char(e: int, q: int, chi: MultChar) -> ClassFunction:
     """Generalized Steinberg character: the alternating sum of parabolic
-    inductions, twisted by chi∘det."""
+    inductions, twisted by chi∘det.  Built once per (e, q, chi), as
+    `e_tau` and `induce` are, so the sign identity reads it instead of
+    building it again at every class."""
     G = gl_group(e, q)
     base = _steinberg_base(e, q)
     F = get_field(q)

@@ -304,8 +304,20 @@ def _dropped_last_element(mp):
                lambda n, q, spec: real(n, q, spec)[:-1])
 
 
+def _conj_avg_off_by_one(mp):
+    real = repth.conj_avg
+    mp.setattr(repth, "conj_avg", lambda T, rep, v: real(T, rep, v) + 1)
+
+
+def _char_value_off_by_one(mp):
+    real = repth.FinRep.char_value
+    mp.setattr(repth.FinRep, "char_value", lambda self, g: real(self, g) + 1)
+
+
 UNGATED_FAULTS = {
     "check_gl_orders": _dropped_last_element,
+    "check_group_averaged_trace": _conj_avg_off_by_one,
+    "check_matrix_coefficient_sum": _char_value_off_by_one,
     "check_unramified_consistency": _doubled_generalized_trivial,
     "check_prefactor": _negated_epsilon,
     "check_power_identity": _shifted_pi_power,

@@ -149,10 +149,38 @@ def ref_hecke_operator(ind, phis):
             for h_inv, sig in h_data:
                 g = G.mul(base, h_inv)
                 for m, phi in zip(mats, phis):
-                    v = phi.values.get(g, 0)
+                    v = phi(g)
                     if v != 0:
                         m[i, j] += complex(v) * sig
     return mats
+
+
+def ref_right_equivariant(ind, phi):
+    """phi(g s) = phi(g) sigma(s) at every g in G and every s in
+    `H.generators()`, sigma = ind.sigma: exactly when phi and sigma take
+    Fraction values, else within 1e-10.  |G| * |S| evaluations."""
+    G, H = ind.group, ind.sub
+    values = phi.values
+    gens = [(finglq.multiplier(G.field_, s, left=False), ind.sigma(s))
+            for s in H.generators()]
+    exact = (all(isinstance(v, Fraction) for v in values.values())
+             and all(isinstance(sig, Fraction) for _, sig in gens))
+    for right, sig in gens:
+        for g in G.elements:
+            lhs, rhs = values.get(right(g), 0), values.get(g, 0) * sig
+            if (lhs != rhs if exact
+                    else abs(complex(lhs) - complex(rhs)) > 1e-10):
+                return False
+    return True
+
+
+def ref_adjoint(phi):
+    """phi(x^-1) = conj phi(x) at every x in G, within 1e-9: |G| inverses."""
+    G = phi.group
+    values = phi.values
+    return all(abs(complex(values.get(G.inv(x), 0))
+                   - complex(values.get(x, 0)).conjugate()) <= 1e-9
+               for x in G.elements)
 
 
 def all_types(e):
@@ -204,17 +232,117 @@ def test_hecke_operator_matches_reference_33():
 
 @pytest.mark.parametrize("e,q,k", [(2, 3, 0), (2, 3, 1), (2, 5, 1)])
 def test_hecke_operator_rejects_non_equivariant(e, q, k):
-    # e_tau changed at one element off the permutation matrices: the
-    # |H| phi(r_i r_j^-1) form would give a wrong operator, so it raises
+    # e_tau changed at one label (w, v) with v != 1, off the permutation
+    # matrices: the |H| phi(r_i r_j^-1) form would give a wrong operator,
+    # so it raises
     chi = MultChar(q, k)
     et = repth.e_tau(e, q, chi)
-    perms = {perm_matrix(e, w) for w in itertools.permutations(range(e))}
-    x = next(g for g in gl_group(e, q).elements if g not in perms)
-    values = dict(et.values)
-    values[x] = 2 * values[x]
-    bad = repth.FinHeckeElt(et.group, et.sub, et.sigma, values)
+    label = ((1, 0), get_field(q).generator)
+    bad = with_label(et, label, 2 * et.labels[label])
     with pytest.raises(ValueError, match="equivariant"):
         repth.induce(e, q, chi).hecke_operator(bad)
+
+
+def with_label(phi, label, value):
+    """phi with the coefficient of one Bruhat label replaced."""
+    return repth.FinHeckeElt(phi.group, phi.sub, phi.sigma,
+                             labels={**phi.labels, label: value})
+
+
+def inverse_label(w, v, F):
+    return tuple(sorted(range(len(w)), key=w.__getitem__)), F.inv(v)
+
+
+def equivariance_faults(e, q, et):
+    """e_tau with the coefficient of one label (w, v), v != 1, doubled, for
+    w the identity and the longest element.  None at q = 2: there F_q^x
+    is trivial, B has no diagonal generator, and every function of w is
+    equivariant."""
+    ends = (all_perms(e)[0], all_perms(e)[-1])
+    return [with_label(et, (w, v), 2 * et.labels[(w, v)])
+            for w in ends for v in range(2, q)]
+
+
+def adjointness_faults(e, q, et):
+    """e_tau with one label changed, off the identity's label (id, 1), so
+    e(1) stays a positive scalar: i added at (w0, 1), whose label is its
+    own inverse's, and 1 added at the first label (w, v) that is not,
+    where there is one."""
+    F = get_field(q)
+    perms = all_perms(e)
+    w0 = perms[-1]
+    out = [with_label(et, (w0, 1), et.labels[(w0, 1)] + 1j)]
+    unpaired = [(w, v) for w in perms for v in range(1, q)
+                if inverse_label(w, v, F) != (w, v)]
+    if unpaired:
+        out.append(with_label(et, unpaired[0], et.labels[unpaired[0]] + 1))
+    return out
+
+
+@pytest.mark.parametrize("e,q", SMALL)
+def test_label_checks_match_element_wise_references(e, q):
+    G = gl_group(e, q)
+    for chi in all_characters(q):
+        et = repth.e_tau(e, q, chi)
+        ind = repth.induce(e, q, chi)
+        assert ref_right_equivariant(ind, et)
+        assert repth._right_equivariant(et, ind)
+        assert ref_adjoint(et)
+        assert repth._adjoint(et, ind)
+        for bad in equivariance_faults(e, q, et):
+            assert not ref_right_equivariant(ind, bad)
+            assert not repth._right_equivariant(bad, ind)
+            with pytest.raises(ValueError, match="equivariant"):
+                ind.hecke_operator(bad)
+        for bad in adjointness_faults(e, q, et):
+            assert not ref_adjoint(bad)
+            assert not repth._adjoint(bad, ind)
+            with pytest.raises(ValueError, match="adjoint"):
+                repth.trace_via_coset_sum(G.identity, bad, ind)
+    assert (len(equivariance_faults(e, q, et)) > 0) == (q > 2)
+    assert (len(adjointness_faults(e, q, et)) == 2) == (q > 3 or e > 2)
+
+
+@pytest.mark.parametrize("e,q", [(2, 3), (2, 4), (2, 5)])
+def test_equivariance_checks_every_diagonal_position(e, q):
+    # sigma = chi_k1 x chi_k2 on the torus: e_tau for chi is equivariant
+    # exactly when k1 = k2 = k, and only the diagonal generator at the
+    # position of a k_i != k shows it when the other equals k
+    G, B = gl_group(e, q), repth.borel(e, q)
+    for chi in all_characters(q):
+        et = repth.e_tau(e, q, chi)
+        for ks in itertools.product(range(q - 1), repeat=2):
+            ind = repth.InducedRep(G, B, repth.torus_character(q, ks))
+            want = ks == (chi.k, chi.k)
+            assert ref_right_equivariant(ind, et) == want, (chi.k, ks)
+            assert repth._right_equivariant(et, ind) == want, (chi.k, ks)
+
+
+def test_hypothesis_checks_take_only_label_held_elements():
+    e, q = 2, 3
+    chi = MultChar(q, 1)
+    et = repth.e_tau(e, q, chi)
+    ind = repth.induce(e, q, chi)
+    held = repth.FinHeckeElt(et.group, et.sub, et.sigma, et.values)
+    assert held(gl_group(e, q).identity) == et(gl_group(e, q).identity)
+    for call in (lambda: ind.hecke_operator(held),
+                 lambda: repth._adjoint(held, ind),
+                 lambda: repth._idempotency_holds(held, e, q),
+                 lambda: repth.induce(e, q, MultChar(q, 0)).hecke_operator(
+                     repth.e_tau(2, 2, MultChar(2, 0)))):
+        with pytest.raises(ValueError, match="Bruhat label"):
+            call()
+    with pytest.raises(ValueError, match="Borel"):
+        repth.FinHeckeElt(et.group, et.group, et.sigma, labels={})
+
+
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 2)])
+def test_label_held_scale_and_sum_stay_label_held(e, q):
+    for chi in all_characters(q):
+        et = repth.e_tau(e, q, chi)
+        total = et + et.scale(Fraction(-1, 2))
+        assert total.labels == et.scale(Fraction(1, 2)).labels
+        assert total.values == {g: x / 2 for g, x in et.values.items()}
 
 
 def test_subgroup_classes_match_reference():

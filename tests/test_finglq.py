@@ -329,3 +329,40 @@ def test_bruhat_rejects_two_swapped_labels(monkeypatch, e, q):
     _mislabel(monkeypatch, e, q, lambda g, wv: swap.get(g, wv))
     with pytest.raises(AssertionError, match="bi-equivariant"):
         finglq.bruhat_decomposition.__wrapped__(e, q)
+
+
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 3)])
+def test_bruhat_rejects_a_unit_at_a_permutation_matrix(monkeypatch, e, q):
+    # the permutation matrix of w0 labelled (w0, zeta)
+    F = get_field(q)
+    w0 = tuple(reversed(range(e)))
+    target = finglq.perm_matrix(e, w0)
+    _mislabel(monkeypatch, e, q, lambda g, wv: (
+        (w0, F.generator) if g == target else wv))
+    with pytest.raises(AssertionError):
+        finglq.bruhat_decomposition.__wrapped__(e, q)
+
+
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 3)])
+def test_bruhat_rejects_a_unit_on_a_whole_cell(monkeypatch, e, q):
+    # every v in the cell of w0 times zeta: the labels stay bi-equivariant
+    # and the cells keep their sizes, but w0 itself is labelled
+    # (w0, zeta), so g^-1 would not have the label (w^-1, v^-1)
+    F = get_field(q)
+    w0 = tuple(reversed(range(e)))
+    _mislabel(monkeypatch, e, q, lambda g, wv: (
+        (w0, F.mul(F.generator, wv[1])) if wv[0] == w0 else wv))
+    with pytest.raises(AssertionError, match="permutation matrix"):
+        finglq.bruhat_decomposition.__wrapped__(e, q)
+
+
+def test_bruhat_rejects_two_cells_trading_labels(monkeypatch):
+    # the cells of s1 and s2 (both of length 1, so of equal size) trade
+    # their w: bi-equivariant and of the right sizes, but the permutation
+    # matrix of s1 is labelled s2
+    s1, s2 = (1, 0, 2), (0, 2, 1)
+    trade = {s1: s2, s2: s1}
+    _mislabel(monkeypatch, 3, 2, lambda g, wv: (trade.get(wv[0], wv[0]),
+                                                wv[1]))
+    with pytest.raises(AssertionError, match="permutation matrix"):
+        finglq.bruhat_decomposition.__wrapped__(3, 2)

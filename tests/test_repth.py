@@ -36,10 +36,11 @@ def convolve(f, g):
     scale only.  The oracle for `FinHeckeElt.convolve_at`."""
     mul = f.group.mul
     out: dict = {}
+    g_values = list(g.values.items())  # a label-held view is built per read
     for x, vx in f.values.items():
         if vx == 0:
             continue
-        for y, vy in g.values.items():
+        for y, vy in g_values:
             if vy == 0:
                 continue
             z = mul(x, y)
@@ -294,7 +295,8 @@ def test_subrep_rejects_zero_idempotent():
     ind = induce(2, q, trivial(q))
     G = gl_group(2, q)
     from hecke_forge.repth import FinHeckeElt, borel as _borel
-    zero = FinHeckeElt(G, _borel(2, q), sigma_tilde(2, q, trivial(q)), {})
+    zero = FinHeckeElt(G, _borel(2, q), sigma_tilde(2, q, trivial(q)),
+                       labels={})
     with pytest.raises(ValueError):
         subrep_from_idempotent(zero, ind)
 
@@ -502,10 +504,12 @@ def test_trace_via_coset_sum_rejects_non_adjoint_idempotent():
     ind = induce(2, q, chi)
     G = gl_group(2, q)
     trace_via_coset_sum(G.identity, et, ind)  # the valid pair is now cached
-    x = next(g for g in G.elements if G.mul(g, g) != G.identity)
-    values = dict(et.values)
-    values[x] = values.get(x, 0) + 1
-    bad = repth.FinHeckeElt(et.group, et.sub, et.sigma, values)
+    # every label of GL(2,3) is its own inverse's, (s, v) = (s^-1, v^-1),
+    # so an imaginary part at one label breaks e(x^-1) = conj e(x) there;
+    # the label (s, 1) is off the identity, so e(1) stays as it was
+    label = ((1, 0), 1)
+    bad = repth.FinHeckeElt(et.group, et.sub, et.sigma, labels={
+        **et.labels, label: et.labels[label] + 1j})
     for _ in range(2):  # a failed check is not cached as a pass
         with pytest.raises(ValueError, match="adjoint"):
             trace_via_coset_sum(G.identity, bad, ind)
@@ -549,6 +553,14 @@ def test_steinberg_dimension_and_values():
     G1 = gl_group(1, 5)
     for g in G1.elements:
         assert abs(complex(st1.at(g)) - complex(chi(g[0][0]))) < 1e-12
+
+
+def test_steinberg_char_is_built_once_per_character():
+    # the sign identity reads the cached class function at every class
+    for chi in all_characters(3):
+        assert steinberg_char(2, 3, chi) is steinberg_char(2, 3, chi)
+    assert steinberg_char(2, 3, MultChar(3, 0)) is not steinberg_char(
+        2, 3, MultChar(3, 1))
 
 
 def test_steinberg_is_irreducible_character():
