@@ -648,6 +648,11 @@ class MatrixGroup:
             self._index = {g: i for i, g in enumerate(self.elements)}
         return self._index[g]
 
+    def element(self, g: Mat) -> Mat:
+        """The enumerated object equal to g, so that what is kept per
+        element refers to the tuples of `elements`, not to fresh copies."""
+        return self.elements[self.index(g)]
+
     def __contains__(self, g: Mat) -> bool:
         if self._index is None:
             self.index(self.identity)
@@ -700,6 +705,7 @@ class MatrixGroup:
         `conjugation_generators()`, found by breadth-first search, so every
         element is reached once: |G| * |S| conjugations in all, each one
         row and one column operation for full GL(n, q) (`multiplier`).
+        Classes hold the objects of `elements`, not the conjugates.
         """
         if self._classes is None:
             F = self.field_
@@ -717,6 +723,7 @@ class MatrixGroup:
                     for left, right in pairs:
                         z = right(left(y))
                         if z not in class_of:
+                            z = self.element(z)
                             class_of[z] = idx
                             orbit.append(z)
                 classes.append(sorted(orbit))
@@ -785,7 +792,10 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     of B.
     """
     F = get_field(q)
-    out = {g: _bruhat_cell(F, g) for g in gl_group(e, q).elements}
+    out, labels = {}, {}
+    for g in gl_group(e, q).elements:
+        label = _bruhat_cell(F, g)
+        out[g] = labels.setdefault(label, label)  # one tuple per label
     sizes = Counter(w for w, _ in out.values())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):

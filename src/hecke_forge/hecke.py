@@ -7,10 +7,19 @@ to polynomials in q.  Products use the Iwahori-Matsumoto relations
     T_s * T_w = q*T_{sw} + (q-1)*T_w    otherwise
 
 together with free multiplication by the length-zero rotation:
-T_x * T_{Pi^k} = T_{x Pi^k}.  The ground truth for the relations is the
-double-coset convolution algebra of GL(e, F_q) over the Borel
-(`convolution_oracle`): the normalized cell indicators fbar_w of
-`repth.finite_hecke_basis`, convolved over the cosets B\\G.
+T_x * T_{Pi^k} = T_{x Pi^k}.  `t_mul` applies them on the right,
+T_x * T_s = T_{xs} or q*T_{xs} + (q-1)*T_x, along a reduced word of the
+affine part of each basis element of the right factor.  The ascent
+l(x s_i) > l(x) is read off x = (lam, w) in O(1), not from two lengths
+(`_ascends`): it holds iff
+
+    i >= 1:  lam_{w(i-1)} - lam_{w(i)} + [w(i-1) > w(i)] <= 0
+    i = 0:   lam_{w(e-1)} - lam_{w(0)} + [w(e-1) > w(0)] <= 1
+
+The ground truth for the relations is the double-coset convolution
+algebra of GL(e, F_q) over the Borel (`convolution_oracle`): the
+normalized cell indicators fbar_w of `repth.finite_hecke_basis`,
+convolved over the cosets B\\G.
 
 Central-character reduction collapses the basis along central
 translations (lam, w) ~ (lam + n*(1..1), w), weighting by omega^n.
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .qpoly import QPoly
 from .weyl import (
@@ -64,7 +74,7 @@ class HeckeElt:
             raise ValueError("rank mismatch")
         out = dict(self.terms)
         for x, c in other.terms.items():
-            out[x] = out.get(x, QPoly()) + c
+            _add_to(out, x, c)
         return HeckeElt(self.e, out)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
@@ -86,44 +96,74 @@ class HeckeElt:
         return " + ".join(bits)
 
 
-def _right_descent_word(y: AffineElt) -> list[AffineElt]:
-    """Reduced word s_{i1}..s_{ik} with y = s_{i1} * ... * s_{ik}.
+def _ascends(x: AffineElt, i: int) -> bool:
+    """l(x s_i) > l(x), by the rule in the module docstring.
 
-    Greedy stripping of right descents; valid because the closed-form
-    length is exact on the whole extended group.
+    Right multiplication by s_i swaps positions i-1, i of w (e-1, 0 for
+    the affine node, which also moves lam by +1 at w(0) and -1 at
+    w(e-1)).  Of the terms of the closed-form `length`, only the one of
+    that pair of positions changes.  With t the left side of the rule,
+    it goes from |t| to |t - 1| for i >= 1, which grows iff t <= 0, and
+    from |t - 1| to |t - 2| for i = 0, which grows iff t <= 1.
+    """
+    lam, w = x
+    if i:
+        a, b = w[i - 1], w[i]
+        return lam[a] - lam[b] + (a > b) <= 0
+    a, b = w[-1], w[0]
+    return lam[a] - lam[b] + (a > b) <= 1
+
+
+@lru_cache(maxsize=None)
+def _generators(e: int) -> tuple[AffineElt, ...]:
+    return tuple(simple_reflection(e, i) for i in range(e))
+
+
+def _right_descent_word(y: AffineElt) -> list[int]:
+    """Indices i1..ik of a reduced word y = s_{i1} * ... * s_{ik}.
+
+    Greedy stripping of right descents (`_ascends`), finite nodes before
+    the affine one; valid because the closed-form length is exact on the
+    whole extended group.
     """
     e = y.rank
+    order = list(range(1, e)) + [0]
     word_rev = []
-    gens = [simple_reflection(e, i) for i in range(e)] if e > 1 else []
     cur = y
-    cur_len = length(cur)
-    while cur_len > 0:
-        for s in gens:
-            nxt = mul(cur, s)
-            if length(nxt) < cur_len:
-                word_rev.append(s)
-                cur, cur_len = nxt, cur_len - 1
+    for _ in range(length(y)):
+        for i in order:
+            if not _ascends(cur, i):
                 break
         else:
             raise AssertionError("nonzero length without a descent")
+        word_rev.append(i)
+        cur = mul(cur, _generators(e)[i])
     if cur != affine_identity(e):
         raise ValueError("element has length zero but is not the identity; "
                          "pi-part must be stripped first")
-    return list(reversed(word_rev))
+    return word_rev[::-1]
 
 
-def _mul_basis_by_gen(e: int, terms: dict, s: AffineElt) -> dict:
-    """Right-multiply sum(c_x T_x) by T_s for a simple reflection s."""
-    q = QPoly.gen()
-    qm1 = QPoly((-1, 1))
+_Q = QPoly.gen()
+_Q_MINUS_1 = QPoly((-1, 1))
+
+
+def _add_to(out: dict, x: AffineElt, c: QPoly):
+    prev = out.get(x)
+    out[x] = c if prev is None else prev + c
+
+
+def _mul_basis_by_gen(e: int, terms: dict, i: int) -> dict:
+    """Right-multiply sum(c_x T_x) by T_{s_i} for an affine node i."""
+    s = _generators(e)[i]
     out: dict[AffineElt, QPoly] = {}
     for x, c in terms.items():
         xs = mul(x, s)
-        if length(xs) > length(x):
-            out[xs] = out.get(xs, QPoly()) + c
+        if _ascends(x, i):
+            _add_to(out, xs, c)
         else:
-            out[xs] = out.get(xs, QPoly()) + c * q
-            out[x] = out.get(x, QPoly()) + c * qm1
+            _add_to(out, xs, c * _Q)
+            _add_to(out, x, c * _Q_MINUS_1)
     return out
 
 
@@ -138,11 +178,15 @@ def t_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
         y_aff = mul(pi_power(e, -k), y)
         word = _right_descent_word(y_aff)
         # T_x T_y = T_{x Pi^k} T_{y_aff}: Pi^k multiplies freely
-        cur = {mul(x, pi_power(e, k)): ca * cb for x, ca in a.terms.items()}
-        for s in word:
-            cur = _mul_basis_by_gen(e, cur, s)
+        pik = pi_power(e, k)
+        if cb == 1:
+            cur = {mul(x, pik): ca for x, ca in a.terms.items()}
+        else:
+            cur = {mul(x, pik): ca * cb for x, ca in a.terms.items()}
+        for i in word:
+            cur = _mul_basis_by_gen(e, cur, i)
         for x, c in cur.items():
-            out[x] = out.get(x, QPoly()) + c
+            _add_to(out, x, c)
     return HeckeElt(e, out)
 
 
@@ -226,10 +270,10 @@ def constants_to_csv(consts: dict, path: str):
 
 def canonical_central_rep(x: AffineElt) -> tuple[AffineElt, int]:
     """(rep, n): rep = x shifted by -n central units, sum(trans) in [0, e)."""
-    e = x.rank
-    n = central_index(x) // e  # floor division, also for negative sums
-    rep = AffineElt(tuple(t - n for t in x.trans), x.perm)
-    return rep, n
+    n = central_index(x) // x.rank  # floor division, also for negative sums
+    if not n:
+        return x, 0
+    return AffineElt(tuple(t - n for t in x.trans), x.perm), n
 
 
 @dataclass
@@ -301,14 +345,19 @@ def central_reduction(f: HeckeElt, omega_at_pi=1) -> CentralHeckeElt:
 
     The class coefficient is sum_n omega^n * f(pi^n * rep), which is the
     value at the canonical representative of the reduced function.
-    omega(pi) is rational (Fraction raises TypeError otherwise).
+    omega(pi) is rational (Fraction raises TypeError otherwise, also on
+    the zero element); a coefficient is multiplied only by a factor
+    omega^n other than 1.
     """
+    omega = Fraction(omega_at_pi)
     out: dict = {}
     for x, c in f.terms.items():
         rep, n = canonical_central_rep(x)
-        contrib = c * Fraction(omega_at_pi) ** n
-        prev = out.get(rep)
-        out[rep] = contrib if prev is None else prev + contrib
+        if n:
+            factor = omega ** n
+            if factor != 1:
+                c = c * factor
+        _add_to(out, rep, c)
     return CentralHeckeElt(f.e, omega_at_pi, out)
 
 

@@ -35,7 +35,10 @@ of GL_e:
 The central character is trivial, omega(pi) = 1, because sgn_T(pi) =
 epsilon_T^{n_T} = 1 for every type.
 
-Everything is exact rational arithmetic at a concrete q.
+Everything is exact rational arithmetic at a concrete q.  Each term's
+coefficient is one of two Fractions per type, +-weight / vol P_T; the
+terms are added per element as integer numerators over one common
+denominator, and one Fraction is formed per element (`_summed`).
 """
 
 from __future__ import annotations
@@ -93,25 +96,41 @@ def weighted_type_terms(types, params: PseudoCoefParams, weight,
 
     Yields (T, l, w, x, c) for T in types, w in W_T and
     0 <= l < periods * n_T, with x = z_T^l w (z_T = Pi^{u_T}) and
-    c = weight(T, n_T) * epsilon_T^l / vol P_T.  Each z_T^l is formed
-    once per l, not once per w.
+    c = weight(T, n_T) * epsilon_T^l / vol P_T.  As epsilon_T = +-1, c
+    is one of two Fractions formed once per type; each z_T^l is formed
+    once per l, not once per w, and z_T^0 w is w itself.
     """
     e = params.e
     for T in types:
         u, n, eps, vol, W_T = _type_data(T, params.q)
         base = weight(T, n) / vol
-        zs = [pi_power(e, u * l) for l in range(periods * n)]
+        signed = (base, -base) if eps == -1 else (base, base)
+        zs = [(l, pi_power(e, u * l), signed[l % 2])
+              for l in range(1, periods * n)]
         for w in W_T:
-            for l, z in enumerate(zs):
-                yield T, l, w, mul(z, w), base * eps ** l
+            yield T, 0, w, w, base
+            for l, z, c in zs:
+                yield T, l, w, mul(z, w), c
 
 
 def _summed(terms) -> dict:
-    """Coefficients of the terms added up per element, as constants."""
-    acc: dict = {}
+    """Coefficients of the terms added up per element, as constants.
+
+    The rational coefficients are added as integer numerators over one
+    common denominator, which grows to the lcm of the denominators met;
+    one Fraction is formed per element, at the end.
+    """
+    nums: dict = {}
+    den = 1
     for _T, _l, _w, x, c in terms:
-        acc[x] = acc.get(x, 0) + c
-    return {x: QPoly.const(c) for x, c in acc.items()}
+        d = c.denominator
+        if den % d:
+            grow = d // gcd(den, d)
+            den *= grow
+            for y in nums:
+                nums[y] *= grow
+        nums[x] = nums.get(x, 0) + c.numerator * (den // d)
+    return {x: QPoly.const(Fraction(num, den)) for x, num in nums.items()}
 
 
 def kottwitz_ep(theta, params: PseudoCoefParams) -> CentralHeckeElt:
@@ -195,10 +214,11 @@ def support_filter(N: int, e_prime: int, nu: int) -> list:
     for T in proper_subsets_of_s(e):
         u, n = period_and_n(T)
         for l in range(e_prime * n):
-            for k in range(-(e_prime * n + 1), e_prime * n + 2):
-                # l * N/(n_T e') = l * u_T
-                if l * u == nu - k * N:
-                    out.append((T, l, k))
+            # l * N/(n_T e') = l * u_T = nu - k*N has at most one k,
+            # kept if it lies in the window -(e' n_T + 1) <= k <= e' n_T + 1
+            k, r = divmod(nu - l * u, N)
+            if not r and -(e_prime * n + 1) <= k <= e_prime * n + 1:
+                out.append((T, l, k))
     return sorted(out, key=lambda t: (len(t[0].nodes), t[0].sorted_nodes(),
                                       t[1], t[2]))
 

@@ -319,19 +319,20 @@ class _CosetData:
 
 
 def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
-    """Right cosets H g of G, kept on G in `G._cosets` by H.spec."""
+    """Right cosets H g of G, kept on G in `G._cosets` by H.spec, keyed
+    by the objects of `G.elements`."""
     got = G._cosets.get(H.spec)
     if got is not None:
         return got
     coset_of: dict = {}
     transversal: list = []
-    for g in [G.identity] + G.elements:
+    for g in [G.element(G.identity)] + G.elements:
         if g in coset_of:
             continue
         i = len(transversal)
         transversal.append(g)
         for h in H.elements:
-            coset_of[G.mul(h, g)] = (i, h)
+            coset_of[G.element(G.mul(h, g))] = (i, h)
     data = _CosetData(transversal, coset_of)
     G._cosets[H.spec] = data
     return data

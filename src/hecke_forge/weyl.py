@@ -129,7 +129,9 @@ def pi_element(e: int) -> AffineElt:
     return AffineElt(lam, perm)
 
 
+@lru_cache(maxsize=None)
 def pi_power(e: int, k: int) -> AffineElt:
+    """Pi^k, built once per (e, k)."""
     pi = pi_element(e)
     out = affine_identity(e)
     step = pi if k >= 0 else inv(pi)
@@ -264,10 +266,13 @@ def period_and_n(T: ParahoricType) -> tuple[int, int]:
     z_T = Pi^{u_T} generates the normalizer of P_T over P_T, and
     z_T^{n_T} is the central uniformizer translation.
     """
-    e, nodes = T.e, T.nodes
+    e = T.e
+    mask = sum(1 << t for t in T.nodes)
+    full = (1 << e) - 1
     for j in range(1, e + 1):
-        # the stabilizer of T in Z/e is a subgroup: u_T divides e
-        if e % j == 0 and {(t + j) % e for t in nodes} == nodes:
+        # the stabilizer of T in Z/e is a subgroup: u_T divides e.
+        # Rotating by j is a cyclic shift of the node bitmask.
+        if e % j == 0 and ((mask << j) & full | mask >> (e - j)) == mask:
             return j, e // j
     raise AssertionError("rotation by e always fixes T")
 

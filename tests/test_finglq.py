@@ -1,3 +1,4 @@
+import math
 import os
 from fractions import Fraction
 
@@ -249,6 +250,23 @@ def test_conjugacy_classes_gl22():
     for cls in classes:
         rep = cls[0]
         assert centralizer_order(G, rep) * len(cls) == G.order
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3)])
+def test_classes_and_labels_keep_the_enumerated_objects(n, q):
+    G = gl_group(n, q)
+
+    def enumerated(g):
+        return g is G.elements[G.index(g)]
+
+    classes = G.conjugacy_classes()
+    assert all(enumerated(g) for cls in classes for g in cls)
+    assert all(enumerated(g) for g in G._class_of)
+    dec = finglq.bruhat_decomposition(n, q)
+    assert all(enumerated(g) for g in dec)
+    # one tuple per label (w, v): e! (q - 1) of them
+    assert len({id(label) for label in dec.values()}) \
+        == len(set(dec.values())) == math.factorial(n) * (q - 1)
 
 
 def test_class_index_readable_once_classes_are_published():

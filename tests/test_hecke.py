@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_forge import hecke
 from hecke_forge.hecke import (
     CentralHeckeElt, HeckeElt, canonical_central_rep, central_mul,
     central_reduction, convolution_oracle, oracle_matches_t_mul,
@@ -10,8 +11,8 @@ from hecke_forge.hecke import (
 )
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
-    AffineElt, affine_identity, from_perm, inv, mul, pi_element, pi_power,
-    simple_reflection, translation,
+    AffineElt, affine_identity, bfs_ball, from_perm, inv, length, mul,
+    pi_element, pi_power, simple_reflection, translation,
 )
 
 
@@ -171,6 +172,83 @@ def test_central_reduction_complex_omega():
     f = HeckeElt.unit(2) + T(translation((1, 1)), 3)
     with pytest.raises(TypeError):
         central_reduction(f, 1j)
+
+
+def test_central_reduction_complex_omega_on_zero():
+    # omega is checked before the loop, so also when there is no term
+    with pytest.raises(TypeError):
+        central_reduction(HeckeElt(2, {}), 1j)
+
+
+def ref_central_reduction(f, omega_at_pi=1):
+    """Every coefficient times omega^n, summed per class from zero."""
+    out: dict = {}
+    for x, c in f.terms.items():
+        rep, n = canonical_central_rep(x)
+        out[rep] = out.get(rep, QPoly()) + c * Fraction(omega_at_pi) ** n
+    return CentralHeckeElt(f.e, omega_at_pi, out)
+
+
+@pytest.mark.parametrize("omega", [1, -1, 2, Fraction(1, 3)])
+def test_central_reduction_matches_reference(omega):
+    rng = random.Random(11)
+    for e in (2, 3):
+        for _ in range(30):
+            f = _random_elt(rng, e, nterms=4)
+            f = f + t_mul(f, _random_elt(rng, e))
+            got, ref = central_reduction(f, omega), ref_central_reduction(
+                f, omega)
+            assert got == ref
+            for x, c in ref.terms.items():
+                assert [type(a) for a in got.terms[x].coeffs] \
+                    == [type(a) for a in c.coeffs]
+
+
+def test_canonical_rep_keeps_a_canonical_element():
+    x = AffineElt((1, 0, 0), (1, 2, 0))
+    assert canonical_central_rep(x)[0] is x
+    rep, n = canonical_central_rep(AffineElt((2, 1, 1), (1, 2, 0)))
+    assert (rep, n) == (x, 1)
+
+
+# --- the O(1) ascent test -----------------------------------------------------
+
+def _assert_ascents_match_length(x):
+    for i in range(x.rank):
+        xs = mul(x, simple_reflection(x.rank, i))
+        assert hecke._ascends(x, i) == (length(xs) > length(x)), (x, i)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_ascends_matches_length_on_ball(e):
+    for y in bfs_ball(e, 6):
+        for k in range(-e, e + 1):
+            _assert_ascents_match_length(mul(pi_power(e, k), y))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_ascends_matches_length_on_random_elements(e):
+    rng = random.Random(100 + e)
+    for _ in range(300):
+        lam = tuple(rng.randint(-3, 3) for _ in range(e))
+        _assert_ascents_match_length(AffineElt(lam, tuple(rng.sample(
+            range(e), e))))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_right_descent_word_is_reduced(e):
+    for y, d in bfs_ball(e, 6).items():
+        word = hecke._right_descent_word(y)
+        assert len(word) == d == length(y)
+        x = affine_identity(e)
+        for i in word:
+            x = mul(x, simple_reflection(e, i))
+        assert x == y
+
+
+def test_pi_power_is_built_once():
+    assert pi_power(3, 4) is pi_power(3, 4)
+    assert pi_power(3, 4) == mul(pi_power(3, 3), pi_element(3))
 
 
 def test_structure_constants_match_quadratic():

@@ -11,8 +11,8 @@ from hecke_forge.pseudocoef import (
 )
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
-    affine_identity, epsilon, orbit_reps, parahoric_type,
-    parahoric_weyl_group, period_and_n, pi_element, poincare_sum,
+    AffineElt, affine_identity, epsilon, mul, orbit_reps, parahoric_type,
+    parahoric_weyl_group, period_and_n, pi_element, pi_power, poincare_sum,
     proper_subsets_of_s,
 )
 
@@ -278,3 +278,122 @@ def test_json_export_roundtrip_shape():
     for rec in data:
         assert set(rec) == {"element", "coefficient"}
         assert set(rec["element"]) == {"translation", "permutation"}
+
+
+# --- integer-numerator sums against the per-term Fraction references -----------
+
+def ref_summed(terms) -> dict:
+    """One Fraction addition per term."""
+    acc: dict = {}
+    for _T, _l, _w, x, c in terms:
+        acc[x] = acc.get(x, 0) + c
+    return {x: QPoly.const(c) for x, c in acc.items()}
+
+
+def ref_weighted_type_terms(types, p, weight, periods=1):
+    """Every term with its own z_T^l w and weight * epsilon_T^l / vol."""
+    for T in types:
+        u, n, eps, vol, W_T = pseudocoef._type_data(T, p.q)
+        base = weight(T, n) / vol
+        for w in W_T:
+            for l in range(periods * n):
+                yield T, l, w, mul(pi_power(p.e, u * l), w), base * eps ** l
+
+
+def _typed(terms: dict) -> dict:
+    return {x: [(type(a), a) for a in c.coeffs] for x, c in terms.items()}
+
+
+def _assert_same_terms(got, ref):
+    assert list(got.terms) == list(ref.terms)
+    assert _typed(got.terms) == _typed(ref.terms)
+
+
+def _with_reference_sum(monkeypatch, build, p):
+    got = build(p)
+    with monkeypatch.context() as mp:
+        mp.setattr(pseudocoef, "_summed", ref_summed)
+        mp.setattr(pseudocoef, "weighted_type_terms",
+                   ref_weighted_type_terms)
+        ref = build(p)
+    _assert_same_terms(got, ref)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_kottwitz_ep_matches_reference_sum(e, q, monkeypatch):
+    for theta in representative_systems(e):
+        _with_reference_sum(monkeypatch,
+                            lambda p: kottwitz_ep(theta, p), params(e, q))
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_builders_match_reference_sum(e, q, monkeypatch):
+    for ep in (1, 2):
+        _with_reference_sum(monkeypatch, assemble_F0, params(e, q, ep))
+    _with_reference_sum(monkeypatch, laumon_f0, params(e, q))
+    # at e = 6 the average validates 17,280 systems per side
+    _with_reference_sum(monkeypatch, average_pseudocoef, params(e, q))
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+@pytest.mark.parametrize("e_prime", [1, 2])
+def test_weighted_type_terms_match_reference(e, e_prime):
+    p = params(e, Fraction(5, 2), e_prime)
+    weight = pseudocoef._averaged_weight(e, e_prime)
+    types = list(proper_subsets_of_s(e))
+    assert list(pseudocoef.weighted_type_terms(types, p, weight, e_prime)) \
+        == list(ref_weighted_type_terms(types, p, weight, e_prime))
+
+
+def test_summed_with_coprime_denominators():
+    x, y, z = (AffineElt((k, 0), (0, 1)) for k in range(3))
+    terms = [(None, 0, None, x, Fraction(1, 2)),
+             (None, 0, None, y, Fraction(1, 3)),
+             (None, 0, None, x, Fraction(-3, 4)),
+             (None, 0, None, z, Fraction(5, 6)),
+             (None, 0, None, y, Fraction(-7, 10)),
+             (None, 0, None, z, Fraction(1, 6)),
+             (None, 0, None, x, 3)]
+    got = pseudocoef._summed(terms)
+    assert _typed(got) == _typed(ref_summed(terms))
+    assert got[z].coeffs == (1,) and type(got[z].coeffs[0]) is int
+    assert got[x].coeffs == (Fraction(11, 4),)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, Fraction(5, 2)])
+def test_summed_with_a_doubled_first_coefficient(e, q):
+    # negative control 07: the doubled coefficient's denominator need not
+    # divide the others
+    (T, l, w, x, c), *rest = assemble_F0_terms(params(e, q, 2))
+    terms = [(T, l, w, x, 2 * c)] + rest
+    assert _typed(pseudocoef._summed(terms)) == _typed(ref_summed(terms))
+
+
+# --- the support filter against the window scan ---------------------------------
+
+def ref_support_filter(N, e_prime, nu):
+    """Every k of the window tried for every (T, l)."""
+    e = N // e_prime
+    out = []
+    for T in proper_subsets_of_s(e):
+        u, n = period_and_n(T)
+        for l in range(e_prime * n):
+            for k in range(-(e_prime * n + 1), e_prime * n + 2):
+                if l * u == nu - k * N:
+                    out.append((T, l, k))
+    return sorted(out, key=lambda t: (len(t[0].nodes), t[0].sorted_nodes(),
+                                      t[1], t[2]))
+
+
+def test_support_filter_matches_window_scan():
+    # every nu, not only those coprime to N, up to the check's N = 12
+    for N in range(1, 13):
+        for e_prime in range(1, N + 1):
+            if N % e_prime:
+                continue
+            for nu in range(N):
+                assert support_filter(N, e_prime, nu) \
+                    == ref_support_filter(N, e_prime, nu)

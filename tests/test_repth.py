@@ -645,6 +645,20 @@ def test_coset_data_is_kept_on_the_group():
     assert repth._coset_data(G, B) is data
 
 
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3)])
+def test_coset_data_keeps_the_enumerated_objects(n, q):
+    G, B = gl_group(n, q), borel(n, q)
+    data = repth._coset_data(G, B)
+
+    def enumerated(g):
+        return g is G.elements[G.index(g)]
+
+    assert all(enumerated(g) for g in data.coset_of)
+    assert all(enumerated(r) for r in data.transversal)
+    assert all(h is B.elements[B.index(h)]
+               for _i, h in data.coset_of.values())
+
+
 def test_double_coset_basis_asymmetric_character():
     # chi1 != chi2 kills every non-identity cell
     G = gl_group(2, 3)
