@@ -80,7 +80,7 @@ def cmd_hecke_mul(args) -> int:
     b = hecke.HeckeElt.basis(_parse_word(args.e, args.rhs))
     prod = hecke.t_mul(a, b)
     for x, c in sorted(prod.terms.items()):
-        coeff = c(args.q) if args.q else c
+        coeff = c(args.q) if args.q is not None else c
         print(f"({coeff}) * T[{_fmt_elt(x)}]")
     return 0
 

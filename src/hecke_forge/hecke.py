@@ -226,7 +226,7 @@ def convolution_oracle(e: int, q: int) -> dict:
     """
     from . import finglq, repth  # importing hecke does not load numpy
     basis = repth.finite_hecke_basis(e, q, finglq.MultChar(q, 0))
-    b_order = basis[0].sub.order
+    b_order = repth.borel(e, q).order
     perms = all_perms(e)
     fbar = dict(zip(perms, basis))
     consts: dict = {}

@@ -71,12 +71,16 @@ class PseudoCoefParams:
 
 
 @lru_cache(maxsize=None)
+def _type_shape(T: ParahoricType):
+    """(u_T, n_T, epsilon_T, W_T), W_T a tuple: built once per T."""
+    return (*period_and_n(T), epsilon(T), tuple(parahoric_weyl_group(T)))
+
+
+@lru_cache(maxsize=None)
 def _type_data(T: ParahoricType, q):
-    """(u_T, n_T, epsilon_T, vol P_T, W_T) with W_T a tuple, built once per
-    (T, q)."""
-    u, n = period_and_n(T)
-    W_T = tuple(parahoric_weyl_group(T))
-    return u, n, epsilon(T), poincare_sum(W_T, Fraction(q)), W_T
+    """(u_T, n_T, epsilon_T, vol P_T, W_T): vol P_T built once per (T, q)."""
+    u, n, eps, W_T = _type_shape(T)
+    return u, n, eps, poincare_sum(W_T, Fraction(q)), W_T
 
 
 def validate_representative_system(theta, e: int) -> list[ParahoricType]:

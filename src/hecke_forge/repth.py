@@ -8,17 +8,18 @@ module has the e!-element basis
 
 supported on the Bruhat cell of w, and the normalized sum of the basis is
 the idempotent cutting out the one-dimensional constituent chi∘det.  Both
-are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and are
-held as one coefficient per label (e!(q-1) of them), read at g through
-the cached `bruhat_decomposition`.  The hypotheses the operator and the
-trace formula rest on, right sigma-equivariance and adjointness, are
-checked once per label; the label checks of `bruhat_decomposition` make
-that as strong as checking them at every element.  The trace formulas,
-the Steinberg alternating sum, the sign identity on elliptic regular
-classes, and the module-action transport identity are all implemented
-against explicit sums.  Sums of class functions run over
-conjugacy classes weighted by class size, and fixed-point counts run over
-coset representatives rather than over the whole group.
+are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and
+`FinHeckeElt` holds only that form: one coefficient per label (e!(q-1)
+of them), read at g through the cached `bruhat_decomposition`.  The
+hypotheses the operator and the trace formula rest on, right
+sigma-equivariance and adjointness, are checked once per label; the
+label checks of `bruhat_decomposition` make that as strong as checking
+them at every element.  The trace formulas, the Steinberg alternating
+sum, the sign identity on elliptic regular classes, and the module-action
+transport identity (for any torus character sigma, on g -> value dicts)
+are all implemented against explicit sums.  Sums of class functions run
+over conjugacy classes weighted by class size, and fixed-point counts run
+over coset representatives rather than over the whole group.
 
 Convolution uses the counting measure giving every singleton volume 1,
 so the unit is the function (1/|H|) sigma on H.  Values stay exact
@@ -62,66 +63,20 @@ def sigma_tilde(e: int, q: int, chi: MultChar):
 # bi-equivariant End(X)-valued functions (X is 1-dimensional for f = 1)
 
 class FinHeckeElt:
-    """(H, sigma)-bi-equivariant function on GL(e, F_q) with scalar values
-    (Fraction or complex); `sigma` is the restriction datum on H.
-
-    It is held in one of two ways.  Element-held (`values` given): a dict
-    from group elements to scalars, missing keys zero, for any (H, sigma).
-    Label-held (`labels` given): a dict from Bruhat labels (w, v) to
-    scalars, missing labels zero, for H = `borel(e, q)` on
-    G = `gl_group(e, q)`; g is read through `bruhat_decomposition(e, q)`.
-    f̄_w and e_tau are label-held: e!(q-1) coefficients, not |G| values.
+    """Function on G = `gl_group(e, q)` with scalar values (Fraction or
+    complex) of the Bruhat label alone, with B = `borel(e, q)`: a dict
+    from labels (w, v) to scalars, missing labels zero, read at g through
+    `bruhat_decomposition(e, q)`; e!(q-1) coefficients, not |G| values.
+    The module it acts on holds sigma and checks equivariance.
     """
 
-    def __init__(self, group: MatrixGroup, sub: MatrixGroup, sigma,
-                 values: dict | None = None, labels: dict | None = None):
-        if (values is None) == (labels is None):
-            raise ValueError("give exactly one of values and labels")
-        self.group, self.sub, self.sigma = group, sub, sigma
-        self._values, self.labels = values, labels
-        if labels is not None:
-            e, q = group.n, group.q
-            if group is not gl_group(e, q) or sub is not borel(e, q):
-                raise ValueError("label-held elements live on GL(e, q) "
-                                 "and its Borel")
-            self._dec = bruhat_decomposition(e, q)
+    def __init__(self, e: int, q: int, labels: dict):
+        self.group, self.sub = gl_group(e, q), borel(e, q)
+        self.labels = labels
+        self._dec = bruhat_decomposition(e, q)
 
     def __call__(self, g):
-        if self.labels is not None:
-            return self.labels.get(self._dec[g], 0)
-        return self._values.get(g, 0)
-
-    @property
-    def values(self) -> dict:
-        """g -> value.  For a label-held element this is a |G|-sized view,
-        built on every access (a desk-scale oracle): cells in the order
-        their labels first appear, each cell in the order of
-        `bruhat_decomposition`, labels without a coefficient left out."""
-        if self.labels is None:
-            return self._values
-        cells: dict = {w: {} for w, _ in self.labels}
-        for g, label in self._dec.items():
-            if label in self.labels:
-                cells[label[0]][g] = self.labels[label]
-        return {g: x for cell in cells.values() for g, x in cell.items()}
-
-    def scale(self, c) -> "FinHeckeElt":
-        if self.labels is not None:
-            return FinHeckeElt(self.group, self.sub, self.sigma, labels={
-                k: c * v for k, v in self.labels.items()})
-        return FinHeckeElt(self.group, self.sub, self.sigma,
-                           {g: c * v for g, v in self._values.items()})
-
-    def __add__(self, other: "FinHeckeElt") -> "FinHeckeElt":
-        if self.labels is not None and other.labels is not None:
-            out = dict(self.labels)
-            for k, v in other.labels.items():
-                out[k] = out.get(k, 0) + v
-            return FinHeckeElt(self.group, self.sub, self.sigma, labels=out)
-        out = dict(self.values)
-        for g, v in other.values.items():
-            out[g] = out.get(g, 0) + v
-        return FinHeckeElt(self.group, self.sub, self.sigma, out)
+        return self.labels.get(self._dec[g], 0)
 
     def convolve_at(self, other: "FinHeckeElt", g):
         """(self * other)(g) = |H| * sum over r in H\\G of
@@ -145,9 +100,9 @@ class FinHeckeElt:
 
 
 def _labels_of(phi: FinHeckeElt, G: MatrixGroup, H: MatrixGroup) -> dict:
-    """phi's label coefficients; raises ValueError unless phi is label-held
-    on G and its Borel H."""
-    if phi.labels is None or phi.group is not G or phi.sub is not H:
+    """phi's label coefficients; raises ValueError unless phi lives on G
+    and its Borel H."""
+    if phi.group is not G or phi.sub is not H:
         raise ValueError("expected a function of the Bruhat label on "
                          f"GL({G.n},{G.q}) and its Borel")
     return phi.labels
@@ -213,13 +168,9 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
     Verifies that the commutant of the induced module has dimension e!,
     so the (visibly independent) basis spans it.
     """
-    G = gl_group(e, q)
-    B = borel(e, q)
-    sig = sigma_tilde(e, q, chi)
-    norm = Fraction(1, B.order)
+    norm = Fraction(1, borel(e, q).order)
     value = {v: norm * chi(v) for v in range(1, q)}
-    basis = [FinHeckeElt(G, B, sig, labels={(w, v): x
-                                            for v, x in value.items()})
+    basis = [FinHeckeElt(e, q, {(w, v): x for v, x in value.items()})
              for w in all_perms(e)]
     dim = intertwining_dimension(e, q, chi)
     if dim != len(basis):
@@ -265,25 +216,20 @@ def e_tau(e: int, q: int, chi: MultChar) -> FinHeckeElt:
     normalized sum of the renormalized basis (plain sum when chi(-1) = 1).
     Raises if idempotency fails.
 
-    Held by label, as the basis is: one product per label (w, v), in the
-    order `FinHeckeElt.scale` would form it, cell by cell in `all_perms`
-    order, as in the sum of the scaled basis."""
-    basis = finite_hecke_basis(e, q, chi)
+    Held by label, as the basis is: one product per label (w, v), cell by
+    cell in `all_perms` order."""
     p_inv = Fraction(1, int(poincare_poly(e)(q)))
-    labels: dict = {}
-    for w, b in zip(all_perms(e), basis):
-        c = p_inv * basis_sign(chi, w)
-        for label, x in b.labels.items():
-            labels[label] = c * x
-    out = FinHeckeElt(basis[0].group, basis[0].sub, basis[0].sigma,
-                      labels=labels)
+    out = FinHeckeElt(e, q, {
+        label: p_inv * basis_sign(chi, w) * x
+        for w, b in zip(all_perms(e), finite_hecke_basis(e, q, chi))
+        for label, x in b.labels.items()})
     if not _idempotency_holds(out, e, q):
         raise ValueError("e_tau failed idempotency: normalization bug")
     return out
 
 
 def _idempotency_holds(elt: FinHeckeElt, e: int, q: int) -> bool:
-    """Check elt * elt = elt for a label-held elt: exactly when every
+    """Check elt * elt = elt for an elt of GL(e, q): exactly when every
     coefficient is a Fraction, else within 1e-10.
 
     elt is a function of the Bruhat label (w, v), whose bi-equivariance
@@ -417,7 +363,7 @@ class InducedRep:
         right sigma-equivariance, phi(g h) = phi(g) sigma(h), makes every
         term phi(r_i r_j^-1) (Iwahori 1964).  That hypothesis is checked,
         not assumed, once per Bruhat label (`_right_equivariant`), so phi
-        must be label-held on this module's group and Borel.  Raises
+        must live on this module's group and Borel.  Raises
         ValueError when it is not, or when the check fails.
         """
         if not _right_equivariant(phi, self):
@@ -542,7 +488,7 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
 def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
     """dim pi_e after checking adjointness, once per Bruhat label
     (`_adjoint`), and irreducibility; cached on `ind` per e_idem.  e_idem
-    must be label-held on ind's group and Borel."""
+    must live on ind's group and Borel."""
     key = id(e_idem)
     got = ind._cut_dims.get(key)
     if got is not None and got[0] is e_idem:
@@ -665,9 +611,9 @@ def elliptic_regular_class_reps(e: int, q: int) -> list:
 # intertwining algebra of a general scalar sigma, and the module-action
 # transport identity
 
-def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[FinHeckeElt]:
+def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[dict]:
     """Basis of the functions f with f(h1 g h2) = sigma(h1) f(g) sigma(h2):
-    one per double coset on which the extension is consistent."""
+    one dict g -> value per double coset where the extension is consistent."""
     seen: set = set()
     basis = []
     for d in G.elements:
@@ -688,7 +634,7 @@ def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[FinHeckeEl
                     consistent = False
         seen.update(values.keys())
         if consistent:
-            basis.append(FinHeckeElt(G, H, sigma, values))
+            basis.append(values)
     return basis
 
 
@@ -708,7 +654,7 @@ def hom_space(ind: InducedRep) -> np.ndarray:
 
 
 def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
-                      f: FinHeckeElt) -> np.ndarray:
+                      f: dict) -> np.ndarray:
     """phi . f computed through the Frobenius maps: Psi(Phi(phi) ∘ f_*)."""
     G, H = ind.group, ind.sub
     # T_1 in coordinates: supported on the identity coset
@@ -719,7 +665,7 @@ def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
     for i, r in enumerate(ind.transversal):
         acc = 0j
         for h in H.elements:
-            v = f.values.get(G.mul(r, G.inv(h)), 0)
+            v = f.get(G.mul(r, G.inv(h)), 0)
             if v != 0:
                 acc += complex(v) * complex(ind.sigma(h))
         ft[i] = acc
@@ -733,11 +679,11 @@ def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
 
 
 def _direct_action(ind: InducedRep, phi_vec: np.ndarray,
-                   f: FinHeckeElt) -> np.ndarray:
+                   f: dict) -> np.ndarray:
     """The displayed sum: phi . f = sum_x f(x^-1) pi(x) phi_vec."""
     G = ind.group
     out = np.zeros(ind.dim, dtype=complex)
-    for x, v in f.values.items():
+    for x, v in f.items():
         if v != 0:
             out += complex(v) * (ind.mat(G.inv(x)) @ phi_vec)
     return out
@@ -755,9 +701,7 @@ def frobenius_transport_check(G: MatrixGroup, H: MatrixGroup, sigma) -> float:
     basis = double_coset_basis(G, H, sigma)
     rng = random.Random(0)
     # unit = (1/|H|) sigma on H must act as the identity
-    unit = FinHeckeElt(G, H, sigma,
-                       {h: Fraction(1, H.order) * sigma(h)
-                        for h in H.elements})
+    unit = {h: Fraction(1, H.order) * sigma(h) for h in H.elements}
     worst = 0.0
     phi0 = homs[:, 0]
     ua = _direct_action(ind, phi0, unit)
@@ -769,9 +713,11 @@ def frobenius_transport_check(G: MatrixGroup, H: MatrixGroup, sigma) -> float:
         phi = sum(c * homs[:, i] for i, c in enumerate(coeffs))
         if np.max(np.abs(phi)) < 1e-12:
             phi = homs[:, 0]
-        f = basis[0].scale(rng.randint(-3, 3))
-        for b in basis[1:]:
-            f = f + b.scale(rng.randint(-3, 3))
+        f: dict = {}  # keys in basis order: it fixes the float sums
+        for b in basis:
+            c = rng.randint(-3, 3)
+            for g, v in b.items():
+                f[g] = f.get(g, 0) + c * v
         lhs = _transport_action(ind, phi, f)
         rhs = _direct_action(ind, phi, f)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))

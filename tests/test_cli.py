@@ -1,9 +1,13 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from hecke_forge import verify
 from hecke_forge.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -39,6 +43,14 @@ def test_hecke_mul_symbolic_and_evaluated(capsys):
                        "--lhs", "s1", "--rhs", "s1")
     assert code == 0
     assert "(3)" in out and "(2)" in out
+
+
+def test_hecke_mul_evaluated_at_q_zero(capsys):
+    code, out, _ = run(capsys, "hecke", "mul", "--e", "2", "--q", "0",
+                       "--lhs", "s1", "--rhs", "s1")
+    assert code == 0
+    assert "(-1) * T[t[0, 0] * (2, 1)]" in out.splitlines()
+    assert "q" not in out
 
 
 def test_hecke_mul_pi_word(capsys):
@@ -157,6 +169,33 @@ def test_verify_all_deterministic_bytes(tmp_path, capsys):
                          "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _serialized_records(text):
+    """Each record of a `verify all` JSON text in its serialized form.
+    The text must be exactly what re-serializing its parse gives, so equal
+    serialized records are equal bytes in the file."""
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2, sort_keys=True) == text
+    return Counter(json.dumps(r, indent=2, sort_keys=True)
+                   for r in payload["reports"])
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("verify_all_max_e3_max_q3.json", ("--max-e", "3", "--max-q", "3")),
+    ("verify_all_defaults.json", ()),
+])
+def test_verify_all_keeps_golden_records(golden, argv, tmp_path, capsys):
+    # every checked-in record appears in a fresh run with the same bytes;
+    # a fresh run may add records
+    out_path = tmp_path / "run.json"
+    code, _, _ = run(capsys, "verify", "all", *argv, "--no-timestamps",
+                     "--out", str(out_path))
+    assert code == 0
+    want = _serialized_records((DATA / golden).read_text())
+    got = _serialized_records(out_path.read_text())
+    missing = want - got
+    assert not missing, "\n".join(missing)
 
 
 def test_verify_all_raising_check_is_one_fail_record(tmp_path, capsys,
