@@ -14,13 +14,15 @@ determinant is computed.  Enumeration is capped (default 25000 elements,
 override via HECKE_FORGE_MAX_GROUP_ORDER) and every enumerated order is
 checked against the closed-form count.
 
-Conjugacy classes of GL(n, q) are orbits under conjugation by a small
-generating set S: |G| * |S| conjugations in all, not one scan of G per
-class.  The Bruhat decomposition reduces each element to a monomial
-matrix by elimination instead of forming all |B|^2 * n! products b1 w b2,
-and checks its labels against the generators of B on both sides.  Those
-generators are elementary or diagonal, so a product with one is a single
-row or column operation (`multiplier`), not a matrix product.
+Conjugacy classes of GL(n, q) are orbits under conjugation by at most
+three generators: |G| * 3 conjugations in all, not one scan of G per
+class, and the parabolic-avoidance oracle reads the class of g instead
+of conjugating g by every x in G.  The Bruhat decomposition reduces each
+element to a monomial matrix by elimination instead of forming all
+|B|^2 * n! products b1 w b2, and checks its labels against the
+generators of B on both sides.  Every generator is elementary, diagonal
+or a permutation matrix, so a product with one is a single row or column
+operation or a reordering (`multiplier`), not a matrix product.
 """
 
 from __future__ import annotations
@@ -284,15 +286,26 @@ def multiplier(F: Fq, s: Mat, left: bool):
     """The map g -> s g (left) or g -> g s (right).
 
     When s is elementary_mat(n, r, c, x), as every generator of GL(n, q)
-    and of its Borel in `MatrixGroup.generators()` is, the map is one row
-    operation on row r (left) or one column operation on column c (right):
-    scaling by x when r = c, else adding x times row c (column r).  Any
-    other s falls back on `mat_mul`.
+    and of its Borel in `MatrixGroup.generators()` but one is, the map is
+    one row operation on row r (left) or one column operation on column c
+    (right): scaling by x when r = c, else adding x times row c (column
+    r).  When s is a permutation matrix, as that one is, the map reorders
+    the rows (left) or the columns (right).  Any other s falls back on
+    `mat_mul`.
     """
     n = len(s)
     off = [(i, j) for i in range(n) for j in range(n)
            if s[i][j] != int(i == j)]
     if len(off) != 1:
+        # column j of a permutation matrix has its 1 in row w[j]
+        unit = [0] * (n - 1) + [1]
+        w = [col.index(1) for col in zip(*s) if sorted(col) == unit]
+        if sorted(w) == list(range(n)):
+            if left:  # row w[j] of s g is row j of g
+                src = [w.index(i) for i in range(n)]
+                return lambda g: tuple([g[j] for j in src])
+            # column j of g s is column w[j] of g
+            return lambda g: tuple([tuple([row[k] for k in w]) for row in g])
         if left:
             return lambda g: mat_mul(F, s, g)
         return lambda g: mat_mul(F, g, s)
@@ -676,18 +689,21 @@ class MatrixGroup:
     def conjugation_generators(self) -> list[Mat]:
         """A generating set S for conjugacy-class orbits.
 
-        For full GL(n, q): the elementary matrices E_{i,i+1}(1) and
-        E_{i+1,i}(1) with diag(zeta, 1, ..., 1), zeta = Fq.generator
-        (dropped when it is the identity, q = 2).  They generate GL(n, q):
-        conjugating E_{ij}(1) by the diagonal gives E_{ij}(zeta^k), and
-        commutators of neighbours give every other E_{ij}(a).  Any other
-        subgroup kind uses all of its elements.
+        For full GL(n, q): E_{01}(1) and the cyclic permutation matrix
+        P (P e_j = e_{j+1 mod n}) when n >= 2, and diag(zeta, 1, ..., 1),
+        zeta = Fq.generator (dropped when it is the identity, q = 2).
+        They generate GL(n, q): conjugating E_{01}(1) by powers of P gives
+        every E_{i,i+1 mod n}(1), and by the diagonal E_{01}(zeta^k);
+        commutators and sums of those give every E_{ij}(a), so SL(n, q),
+        and the diagonal adds the determinant.  Any other subgroup kind
+        uses all of its elements.
         """
         if self.spec.kind != "full":
             return self.elements
         n, zeta = self.n, self.field_.generator
-        gens = [elementary_mat(n, r, c, 1) for i in range(n - 1)
-                for r, c in ((i, i + 1), (i + 1, i))]
+        gens = [elementary_mat(n, 0, 1, 1),
+                perm_matrix(n, [(j + 1) % n for j in range(n)])] \
+            if n >= 2 else []
         return gens + ([elementary_mat(n, 0, 0, zeta)] if zeta != 1 else [])
 
     def generators(self) -> list[Mat]:
@@ -704,8 +720,9 @@ class MatrixGroup:
         Each class is the orbit of its first element under conjugation by
         `conjugation_generators()`, found by breadth-first search, so every
         element is reached once: |G| * |S| conjugations in all, each one
-        row and one column operation for full GL(n, q) (`multiplier`).
-        Classes hold the objects of `elements`, not the conjugates.
+        row and one column operation, or a reordering of both, for full
+        GL(n, q) (`multiplier`).  The sorting makes the result independent
+        of S.  Classes hold the objects of `elements`, not the conjugates.
         """
         if self._classes is None:
             F = self.field_
@@ -858,15 +875,14 @@ def _bruhat_cell(F: Fq, g: Mat) -> tuple[tuple[int, ...], int]:
 def proper_parabolic_avoidance(n: int, q: int, g: Mat) -> bool:
     """True iff g lies in no conjugate of a proper standard parabolic.
 
-    Brute force over all conjugates and all proper block compositions;
-    must agree with elliptic_regular.
+    Brute force over all conjugates x g x^-1, the members of g's class,
+    and all proper block compositions; must agree with elliptic_regular.
     """
     G = gl_group(n, q)
     if g not in G:
         raise ValueError("element is not invertible of the right size")
     compositions = [c for c in _compositions(n) if len(c) >= 2]
-    for x in G.elements:
-        y = G.mul(G.mul(x, g), G.inv(x))
+    for y in G.conjugacy_classes()[G.class_index(g)]:
         for blocks in compositions:
             if is_block_upper(y, blocks):
                 return False

@@ -53,9 +53,10 @@ from math import gcd
 from .hecke import CentralHeckeElt, HeckeElt, central_reduction
 from .qpoly import QPoly
 from .weyl import (
-    AffineElt, ParahoricType, canonical_rep, epsilon, mul, orbit_reps,
-    parahoric_type, period_and_n, pi_power, parahoric_weyl_group,
-    poincare_sum, proper_subsets_of_s, standard_orbit_members,
+    AffineElt, ParahoricType, canonical_rep, epsilon, mask_period, mul,
+    orbit_reps, parahoric_type, period_and_n, pi_power,
+    parahoric_weyl_group, poincare_sum, proper_subsets_of_s,
+    standard_orbit_members,
 )
 
 
@@ -205,9 +206,14 @@ def projection_check(params: PseudoCoefParams) -> bool:
 
 def support_filter(N: int, e_prime: int, nu: int) -> list:
     """Solutions (T, l, k) of l*N/(n_T*e') = nu - k*N with T ⊆ S and
-    0 <= l < e'*n_T; k scanned over a window wide enough to be exhaustive.
+    0 <= l < e'*n_T.
 
-    For nu coprime to N the unique solution is (empty type, nu, 0).
+    As l*N/(n_T*e') = l*u_T and 0 <= l*u_T < e'*n_T*u_T = N, the bounds
+    0 <= nu < N force k = 0, so T has a solution exactly when u_T divides
+    nu, with l = nu/u_T.  The subsets T of S are walked as even node
+    bitmasks below 2^e, u_T is read off the mask, and a `ParahoricType`
+    is built only for a solution.  For nu coprime to N the unique
+    solution is (empty type, nu, 0).
     """
     if N < 1 or e_prime < 1 or N % e_prime:
         raise ValueError("need e' | N")
@@ -215,14 +221,11 @@ def support_filter(N: int, e_prime: int, nu: int) -> list:
         raise ValueError("need 0 <= nu < N")
     e = N // e_prime
     out = []
-    for T in proper_subsets_of_s(e):
-        u, n = period_and_n(T)
-        for l in range(e_prime * n):
-            # l * N/(n_T e') = l * u_T = nu - k*N has at most one k,
-            # kept if it lies in the window -(e' n_T + 1) <= k <= e' n_T + 1
-            k, r = divmod(nu - l * u, N)
-            if not r and -(e_prime * n + 1) <= k <= e_prime * n + 1:
-                out.append((T, l, k))
+    for mask in range(0, 1 << e, 2):  # bit 0, the affine node, stays clear
+        u = mask_period(mask, e)
+        if nu % u == 0:
+            nodes = [t for t in range(1, e) if mask >> t & 1]
+            out.append((parahoric_type(nodes, e), nu // u, 0))
     return sorted(out, key=lambda t: (len(t[0].nodes), t[0].sorted_nodes(),
                                       t[1], t[2]))
 

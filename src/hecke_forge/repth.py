@@ -596,9 +596,12 @@ def sign_identity_deviation(gamma, e: int, q: int, chi: MultChar) -> float:
     return abs(complex(lhs) - complex(rhs))
 
 
+SIGN_IDENTITY_TOL = 1e-8
+
+
 def alvis_curtis_sign_check(gamma, e: int, q: int, chi: MultChar) -> bool:
     """Tr tau(gamma) = (-1)^(e-1) Tr St(gamma) on elliptic regular gamma."""
-    return sign_identity_deviation(gamma, e, q, chi) <= 1e-8
+    return sign_identity_deviation(gamma, e, q, chi) <= SIGN_IDENTITY_TOL
 
 
 def elliptic_regular_class_reps(e: int, q: int) -> list:

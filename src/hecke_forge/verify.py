@@ -7,7 +7,7 @@ module invariants, intersected with the requested (max_e, max_q) wherever
 a finite group has to be enumerated; pure-combinatorics checks run at
 their natural desk-scale ranges regardless (they cost milliseconds).
 The ranges and tolerances written here are the only ones, apart from the
-1e-8 fixed in `repth.alvis_curtis_sign_check`: every entry point runs the
+1e-8 fixed in `repth.SIGN_IDENTITY_TOL`: every entry point runs the
 checks through `run_checks`.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import time
 import traceback
+from functools import lru_cache
 
 from . import charformula, finglq, hecke, pseudocoef, repth, weyl
 from .finglq import GroupSizeError, MultChar, all_characters, gl_group
@@ -331,18 +332,34 @@ def check_generalized_trivial_char(max_e, max_q):
     return out
 
 
+SIGN_IDENTITY_PAIRS = ((2, 2), (2, 3), (3, 2), (2, 5))
+
+
+@lru_cache(maxsize=None)
+def _sign_deviations(e, q):
+    """(reps, {chi.k: deviations at reps}) for the sign identity at (e, q).
+
+    `check_alvis_curtis` and `check_unramified_consistency` both read it,
+    so each deviation is computed once per `run_checks` call, which
+    empties the cache before and after its checks.
+    """
+    reps = repth.elliptic_regular_class_reps(e, q)
+    return reps, {chi.k: [repth.sign_identity_deviation(g, e, q, chi)
+                          for g in reps] for chi in all_characters(q)}
+
+
 def check_alvis_curtis(max_e, max_q):
     out = []
-    for e, q in ((2, 2), (2, 3), (3, 2), (2, 5)):
+    for e, q in SIGN_IDENTITY_PAIRS:
         if e > max_e or q > max_q:
             continue
-        reps = repth.elliptic_regular_class_reps(e, q)
-        for chi in all_characters(q):
-            ok = bool(reps) and all(
-                repth.alvis_curtis_sign_check(g, e, q, chi) for g in reps)
+        reps, deviations = _sign_deviations(e, q)
+        for k, devs in deviations.items():
+            ok = bool(reps) and all(d <= repth.SIGN_IDENTITY_TOL
+                                    for d in devs)
             out.append(VerificationReport.exact(
                 "repth.alvis_curtis_sign",
-                {"e": e, "q": q, "chi": chi.k, "classes": len(reps)},
+                {"e": e, "q": q, "chi": k, "classes": len(reps)},
                 "Tr tau", "(-1)^(e-1) Tr St", ok))
     return out
 
@@ -505,12 +522,11 @@ def check_constant_collapse(max_e, max_q):
 
 def check_unramified_consistency(max_e, max_q):
     out = []
-    for e, q in ((2, 2), (2, 3), (3, 2), (2, 5)):
+    for e, q in SIGN_IDENTITY_PAIRS:
         if e > max_e or q > max_q:
             continue
-        reps = repth.elliptic_regular_class_reps(e, q)
-        worst = max((repth.sign_identity_deviation(gamma, e, q, chi)
-                     for chi in all_characters(q) for gamma in reps),
+        reps, deviations = _sign_deviations(e, q)
+        worst = max((d for devs in deviations.values() for d in devs),
                     default=0.0)
         out.append(VerificationReport.passfail(
             "charformula.unramified_consistency",
@@ -593,6 +609,8 @@ def run_checks(checks, max_e: int, max_q: int):
     run.
     """
     reports = []
+    # the shared deviations hold for this run's library functions only
+    _sign_deviations.cache_clear()
     for fn in checks:
         try:
             reports.extend(_timed(lambda: fn(max_e, max_q)))
@@ -604,6 +622,7 @@ def run_checks(checks, max_e: int, max_q: int):
             reports.append(VerificationReport(
                 fn.__name__, {}, f"{type(exc).__name__}: {exc}", "",
                 1.0, 0.0, "fail"))
+    _sign_deviations.cache_clear()
     reports.sort(key=lambda r: r.sort_key())
     return reports
 

@@ -18,7 +18,7 @@ affine generators, length zero) rather than by trusting the coordinates.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -260,21 +260,28 @@ def rotate(T: ParahoricType, j: int) -> ParahoricType:
     return ParahoricType(frozenset((t + j) % T.e for t in T.nodes), T.e)
 
 
+def mask_period(mask: int, e: int) -> int:
+    """The rotation period u_T of the node set T ⊆ Z/e with bitmask `mask`
+    (bit t set iff t is in T): the least j > 0 with T + j = T.
+
+    The stabilizer of T in Z/e is a subgroup, so u_T divides e and only
+    divisors are tried; rotating by j is a cyclic shift of the bitmask.
+    """
+    full = (1 << e) - 1
+    for j in range(1, e + 1):
+        if e % j == 0 and ((mask << j) & full | mask >> (e - j)) == mask:
+            return j
+    raise AssertionError("rotation by e always fixes T")
+
+
 def period_and_n(T: ParahoricType) -> tuple[int, int]:
     """(u_T, n_T): u_T = rotation period of T, n_T = e / u_T.
 
     z_T = Pi^{u_T} generates the normalizer of P_T over P_T, and
     z_T^{n_T} is the central uniformizer translation.
     """
-    e = T.e
-    mask = sum(1 << t for t in T.nodes)
-    full = (1 << e) - 1
-    for j in range(1, e + 1):
-        # the stabilizer of T in Z/e is a subgroup: u_T divides e.
-        # Rotating by j is a cyclic shift of the node bitmask.
-        if e % j == 0 and ((mask << j) & full | mask >> (e - j)) == mask:
-            return j, e // j
-    raise AssertionError("rotation by e always fixes T")
+    u = mask_period(sum(1 << t for t in T.nodes), T.e)
+    return u, T.e // u
 
 
 def epsilon(T: ParahoricType) -> int:
@@ -352,18 +359,27 @@ def poincare_sum(elements, q) -> Fraction:
     return sum((Fraction(q) ** length(w) for w in elements), Fraction(0))
 
 
+@lru_cache(maxsize=None)
+def _length_profile(T: ParahoricType) -> tuple[tuple[int, int], ...]:
+    """(l, number of w in W_T of length l), W_T built once per T by BFS."""
+    return tuple(sorted(Counter(map(length, parahoric_weyl_group(T))).items()))
+
+
 def parahoric_volume(T: ParahoricType, q) -> Fraction:
     """Sum of q^l(w) over the subgroup of W_0 generated by T ⊆ {1..e-1}.
 
     Equals the index [P_T : I] counted with q-powers, i.e. the Haar volume
-    of P_T when the Iwahori has volume 1.
+    of P_T when the Iwahori has volume 1.  Read off the length profile of
+    W_T, which is built once per T.
     """
     if not T.is_standard():
         raise ValueError("only standard types (node 0 excluded) have a "
                          "spherical volume; rotate first")
     if q <= 0:
         raise ValueError("q must be positive")
-    return poincare_sum(parahoric_weyl_group(T), q)
+    q = Fraction(q)
+    return sum((count * q ** l for l, count in _length_profile(T)),
+               Fraction(0))
 
 
 def poincare_poly(e: int) -> QPoly:

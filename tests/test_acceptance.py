@@ -5,7 +5,7 @@ lines.  Criteria 01-11 name the checks of the `verify` registry they gate
 and run them through `verify.run_checks` at (max_e, max_q) = (4, 5).  The
 (e, q, chi) each identity is checked at, and its tolerance, are written
 in the registry and nowhere else (the sign identity's 1e-8 is fixed in
-`repth.alvis_curtis_sign_check`); the pass line lists the tolerances the
+`repth.SIGN_IDENTITY_TOL`); the pass line lists the tolerances the
 records carried.  Each of these criteria has a negative control: one
 library value is made wrong, and the criterion's records must turn
 `fail` under their own names and params.  Criterion 12 runs
@@ -220,9 +220,10 @@ def _wrong_lift_coefficient(mp):
     mp.setattr(pseudocoef, "assemble_F0_terms", wrong)
 
 
-def _swapped_period_and_n(mp):
-    real = pseudocoef.period_and_n
-    mp.setattr(pseudocoef, "period_and_n", lambda T: real(T)[::-1])
+def _n_for_period(mp):
+    # the filter's period function returns n_T = e / u_T in place of u_T
+    real = pseudocoef.mask_period
+    mp.setattr(pseudocoef, "mask_period", lambda mask, e: e // real(mask, e))
 
 
 def _flipped_perm_sign(mp):
@@ -249,7 +250,7 @@ FAULTS = {
     5: _flipped_steinberg,
     6: _flipped_averaged_weight,
     7: _wrong_lift_coefficient,
-    8: _swapped_period_and_n,
+    8: _n_for_period,
     9: _flipped_perm_sign,
     10: _wrong_poincare_in_collapse,
     11: _flipped_direct_action,
@@ -263,6 +264,33 @@ def test_negative_control(n, monkeypatch):
     assert failed
     # the records themselves failed: the runner caught no exception
     assert all(r.params for r in failed), failed
+
+
+def test_period_fault_fails_every_coprime_case_above_rank_one(monkeypatch):
+    # at e = N/e' = 1 the only type has u_T = n_T = 1, so no period fault
+    # can show there; at every e > 1 the empty type loses its solution
+    from math import gcd
+    _n_for_period(monkeypatch)
+    cases = 0
+    for N in range(2, 13):
+        for ep in range(1, N):
+            if N % ep:
+                continue
+            for nu in range(N):
+                if gcd(nu, N) == 1:
+                    assert not pseudocoef.support_filter_is_unique(N, ep, nu)
+                    cases += 1
+    assert cases == 89
+
+
+def test_sign_identity_fault_shows_after_a_clean_run(monkeypatch):
+    # the deviations both sign checks share last for one run_checks call
+    checks = verify.checks_named("check_alvis_curtis",
+                                 "check_unramified_consistency")
+    assert all(r.status == "pass" for r in verify.run_checks(checks, 2, 2))
+    _flipped_steinberg(monkeypatch)
+    records = verify.run_checks(checks, 2, 2)
+    assert records and all(r.status == "fail" for r in records), records
 
 
 # --- negative controls for ungated checks: each check alone, at (2, 2) ---------

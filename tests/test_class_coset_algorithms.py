@@ -480,7 +480,7 @@ def test_class_number_closed_form(n, q):
 def test_conjugation_generators_generate(n, q):
     G = gl_group(n, q)
     gens = G.conjugation_generators()
-    assert len(gens) == 2 * (n - 1) + (q > 2)
+    assert len(gens) == 2 * (n >= 2) + (q > 2)
     reached = {G.identity}
     queue = [G.identity]
     for x in queue:
@@ -491,6 +491,40 @@ def test_conjugation_generators_generate(n, q):
                 queue.append(y)
     assert len(reached) == G.order
     assert reached == set(G.elements)
+
+
+def ref_elementary_classes(G):
+    """Class orbits by breadth-first search under conjugation by the
+    2(n-1) + 1 elementary generators E_{i,i+1}(1), E_{i+1,i}(1) and
+    diag(zeta, 1, ..., 1), each conjugation two matrix products."""
+    F, n, zeta = G.field_, G.n, G.field_.generator
+    gens = [finglq.elementary_mat(n, r, c, 1) for i in range(n - 1)
+            for r, c in ((i, i + 1), (i + 1, i))]
+    gens += [finglq.elementary_mat(n, 0, 0, zeta)] if zeta != 1 else []
+    pairs = [(s, finglq.mat_inv(F, s)) for s in gens]
+    classes, seen = [], set()
+    for g in G.elements:
+        if g in seen:
+            continue
+        seen.add(g)
+        orbit = [g]
+        for y in orbit:
+            for s, s_inv in pairs:
+                z = mat_mul(F, mat_mul(F, s, y), s_inv)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        classes.append(sorted(orbit))
+    return classes
+
+
+@pytest.mark.parametrize("n,q", slow_if_large(
+    [(n, q) for n, q in ENUMERABLE if gl_order(n, q) <= gl_order(3, 3)],
+    limit=6000))
+def test_classes_match_elementary_generator_orbits(n, q):
+    # the same classes, in the same order, as with the elementary generators
+    G = gl_group(n, q)
+    assert G.conjugacy_classes() == ref_elementary_classes(G)
 
 
 def inversions(w):

@@ -189,6 +189,34 @@ def test_multiplier_matches_mat_mul(n, q):
             assert right(g) == mat_mul(F, g, s)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_multiplier_permutation_path_matches_mat_mul(n):
+    # permutation matrices reorder rows (left) or columns (right)
+    import random
+    rng = random.Random(40 + n)
+    for q in (2, 3, 4):
+        F = get_field(q)
+        mats = [tuple(tuple(rng.randrange(q) for _ in range(n))
+                      for _ in range(n)) for _ in range(10)]
+        for _ in range(8):
+            w = rng.sample(range(n), n)
+            s = finglq.perm_matrix(n, w)
+            left = finglq.multiplier(F, s, left=True)
+            right = finglq.multiplier(F, s, left=False)
+            for g in mats:
+                assert left(g) == mat_mul(F, s, g)
+                assert right(g) == mat_mul(F, g, s)
+
+
+def test_multiplier_monomial_is_not_a_permutation():
+    # a scaled permutation matrix takes the mat_mul fallback
+    F = get_field(3)
+    s = ((0, 2), (1, 0))
+    g = ((1, 2), (0, 1))
+    assert finglq.multiplier(F, s, left=True)(g) == mat_mul(F, s, g)
+    assert finglq.multiplier(F, s, left=False)(g) == mat_mul(F, g, s)
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2), (3, 3)])
 def test_borel_generators_generate_the_borel(n, q):
     B = finglq.subgroup(n, q, SubgroupSpec.borel())
@@ -228,6 +256,32 @@ def test_elliptic_equals_parabolic_avoidance_exhaustive(n, q):
     G = gl_group(n, q)
     for g in G.elements:
         assert elliptic_regular(q, g) == proper_parabolic_avoidance(n, q, g)
+
+
+def ref_proper_parabolic_avoidance(n, q, g):
+    """g conjugated by every x in G, each conjugate tested against every
+    proper block composition."""
+    G = gl_group(n, q)
+    compositions = [c for c in finglq._compositions(n) if len(c) >= 2]
+    for x in G.elements:
+        y = G.mul(G.mul(x, g), G.inv(x))
+        if any(finglq.is_block_upper(y, blocks) for blocks in compositions):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_parabolic_avoidance_matches_conjugation_scan(n, q):
+    for g in gl_group(n, q).elements:
+        assert proper_parabolic_avoidance(n, q, g) \
+            == ref_proper_parabolic_avoidance(n, q, g)
+
+
+def test_parabolic_avoidance_rejects_non_members():
+    with pytest.raises(ValueError, match="not invertible"):
+        proper_parabolic_avoidance(2, 3, ((1, 1), (1, 1)))
+    with pytest.raises(ValueError, match="not invertible"):
+        proper_parabolic_avoidance(2, 3, identity_mat(3))
 
 
 def test_poly_irreducibility_against_root_count():

@@ -6,7 +6,8 @@ import pytest
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
     AffineElt, affine_identity, bfs_ball, canonical_rep, central_index,
-    epsilon, from_perm, inv, length, length_bfs, mul, orbit_reps,
+    epsilon, from_perm, inv, length, length_bfs, mask_period, mul,
+    orbit_reps,
     parahoric_type, parahoric_volume, parahoric_weyl_group, period_and_n,
     perm_inv, perm_mul, perm_sign, pi_element, pi_power, poincare_poly,
     poincare_sum, rotate, simple_reflection, translation,
@@ -188,6 +189,14 @@ def test_period_and_n_equals_rotation_reference(e):
             assert period_and_n(T) == ref_period_and_n(T)
 
 
+@pytest.mark.parametrize("e", range(1, 13))
+def test_mask_period_equals_rotation_reference(e):
+    # every bitmask of a proper subset of Z/e, as support_filter reads it
+    for mask in range((1 << e) - 1):
+        T = parahoric_type([t for t in range(e) if mask >> t & 1], e)
+        assert mask_period(mask, e) == ref_period_and_n(T)[0]
+
+
 def test_orbit_reps_is_a_shared_tuple():
     for e in range(1, 7):
         reps = orbit_reps(e)
@@ -230,6 +239,18 @@ def test_parahoric_volume_examples():
     assert parahoric_volume(parahoric_type((), 3), 5) == 1
     assert parahoric_volume(parahoric_type({1}, 2), 3) == 4
     assert parahoric_volume(parahoric_type({1, 2}, 3), 2) == 21
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_parahoric_volume_matches_summed_bfs_group(e):
+    # the length profile read at q against q^l(w) summed over a fresh W_T
+    import itertools
+    for r in range(e):
+        for nodes in itertools.combinations(range(1, e), r):
+            T = parahoric_type(nodes, e)
+            for q in (2, 3, Fraction(5, 2)):
+                assert parahoric_volume(T, q) \
+                    == poincare_sum(parahoric_weyl_group(T), q)
 
 
 def test_parahoric_volume_rejects_affine_node():
