@@ -14,15 +14,23 @@ determinant is computed.  Enumeration is capped (default 25000 elements,
 override via HECKE_FORGE_MAX_GROUP_ORDER) and every enumerated order is
 checked against the closed-form count.
 
-Conjugacy classes of GL(n, q) are orbits under conjugation by at most
-three generators: |G| * 3 conjugations in all, not one scan of G per
-class, and the parabolic-avoidance oracle reads the class of g instead
-of conjugating g by every x in G.  The Bruhat decomposition reduces each
-element to a monomial matrix by elimination instead of forming all
-|B|^2 * n! products b1 w b2, and checks its labels against the
-generators of B on both sides.  Every generator is elementary, diagonal
-or a permutation matrix, so a product with one is a single row or column
-operation or a reordering (`multiplier`), not a matrix product.
+Whole-group scans run on one code array per group
+(`MatrixGroup._code_array`): the |G| x n x n uint8 field codes of
+`elements`, in their order, with int64 row-major keys sorted once, so any
+batch of matrices is located in G by one searchsorted and an equality
+test.  Products s g or g s by one matrix s are formed for every g at once
+(`_mul_codes`), with the field tables as uint8 arrays.  `elements` stays
+the one representation: classes and Bruhat labels hold its objects.
+
+Conjugacy classes are orbits under conjugation by at most three
+generators of GL(n, q), each turned into one index permutation of G, and
+the parabolic-avoidance oracle reads the class of g instead of
+conjugating g by every x in G.  The Bruhat decomposition reduces every
+element to a monomial matrix by one vectorised elimination instead of
+forming all |B|^2 * n! products b1 w b2, and checks its labels against
+the generators of B on both sides with one row and one column operation
+per generator over the whole array: every g, every generator, both sides,
+so the check is as strong as a loop over the elements.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+
+import numpy as np
 
 DEFAULT_MAX_GROUP_ORDER = 25000
 
@@ -101,6 +111,10 @@ class Fq:
         for k in range(1, q - 1):
             acc = self._mul[acc][g]
             self._log[acc] = k
+        # the same tables as code arrays, for the whole-group kernels
+        self.add_arr, self.mul_arr, self.neg_arr, self.inv_arr = (
+            np.array(t, dtype=np.uint8)
+            for t in (self._add, self._mul, self._neg, self._inv))
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -282,47 +296,40 @@ def mat_mul(F: Fq, a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def multiplier(F: Fq, s: Mat, left: bool):
-    """The map g -> s g (left) or g -> g s (right).
+def _mul_codes(F: Fq, s: Mat, codes, left: bool):
+    """s g (left) or g s (right) for every g of a code array (|G| x n x n
+    field codes).  Row i of s g is the sum over j of s[i][j] times row j
+    of g, and column j of g s the sum over i of s[i][j] times column i of
+    g.  A zero coefficient is skipped and a lone 1 is a copy, so an
+    elementary matrix costs one row (column) operation and a permutation
+    matrix a reordering."""
+    out = np.empty_like(codes)
+    src, dst, coeffs = ((codes, out, s) if left else
+                        (codes.transpose(0, 2, 1), out.transpose(0, 2, 1),
+                         tuple(zip(*s))))
+    add, mul_ = F.add_arr, F.mul_arr
+    for i, row in enumerate(coeffs):
+        acc = None
+        for j, x in enumerate(row):
+            if x:
+                term = src[:, j] if x == 1 else mul_[x][src[:, j]]
+                acc = term if acc is None else add[acc, term]
+        dst[:, i] = acc
+    return out
 
-    When s is elementary_mat(n, r, c, x), as every generator of GL(n, q)
-    and of its Borel in `MatrixGroup.generators()` but one is, the map is
-    one row operation on row r (left) or one column operation on column c
-    (right): scaling by x when r = c, else adding x times row c (column
-    r).  When s is a permutation matrix, as that one is, the map reorders
-    the rows (left) or the columns (right).  Any other s falls back on
-    `mat_mul`.
-    """
-    n = len(s)
-    off = [(i, j) for i in range(n) for j in range(n)
-           if s[i][j] != int(i == j)]
-    if len(off) != 1:
-        # column j of a permutation matrix has its 1 in row w[j]
-        unit = [0] * (n - 1) + [1]
-        w = [col.index(1) for col in zip(*s) if sorted(col) == unit]
-        if sorted(w) == list(range(n)):
-            if left:  # row w[j] of s g is row j of g
-                src = [w.index(i) for i in range(n)]
-                return lambda g: tuple([g[j] for j in src])
-            # column j of g s is column w[j] of g
-            return lambda g: tuple([tuple([row[k] for k in w]) for row in g])
-        if left:
-            return lambda g: mat_mul(F, s, g)
-        return lambda g: mat_mul(F, g, s)
-    ((r, c),) = off
-    add, times_x = F._add, F._mul[s[r][c]]
-    if left and r == c:
-        return lambda g: (g[:r] + (tuple([times_x[a] for a in g[r]]),)
-                          + g[r + 1:])
-    if left:
-        return lambda g: (g[:r] + (tuple([add[a][times_x[b]]
-                                          for a, b in zip(g[r], g[c])]),)
-                          + g[r + 1:])
-    if r == c:
-        return lambda g: tuple([row[:c] + (times_x[row[c]],) + row[c + 1:]
-                                for row in g])
-    return lambda g: tuple([row[:c] + (add[row[c]][times_x[row[r]]],)
-                            + row[c + 1:] for row in g])
+
+def _row_major_keys(codes, q: int):
+    """The base-q number whose digits are each matrix's entries in
+    row-major order, first entry most significant: sorting the keys sorts
+    the matrices as tuples.  int64 while q^(n^2) fits, else Python ints."""
+    _, n, m = codes.shape
+    dtype = np.int64 if q ** (n * m) < 2 ** 63 else object
+    keys = np.zeros(len(codes), dtype=dtype)
+    for i in range(n):
+        for j in range(m):
+            keys *= q
+            keys += codes[:, i, j].astype(dtype)
+    return keys
 
 
 def mat_det(F: Fq, a: Mat) -> int:
@@ -643,6 +650,8 @@ class MatrixGroup:
     # subgroup spec -> right-coset data of that subgroup, filled by
     # repth._coset_data
     _cosets: dict = field(default_factory=dict, repr=False)
+    # (codes, sorted keys, their argsort), built by _code_array
+    _array: tuple = field(default=None, repr=False, compare=False)
     field_: Fq = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -670,6 +679,31 @@ class MatrixGroup:
         if self._index is None:
             self.index(self.identity)
         return g in self._index
+
+    def _code_array(self):
+        """(codes, keys, order): the |G| x n x n uint8 array of `elements`
+        in their order, their `_row_major_keys` sorted, and the argsort
+        that sorts them.  Built once; the order of `elements` is not
+        assumed (Borel and parabolic lists are not sorted)."""
+        if self._array is None:
+            n = self.n
+            codes = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.chain.from_iterable(self.elements)),
+                dtype=np.uint8, count=self.order * n * n
+            ).reshape(self.order, n, n)
+            keys = _row_major_keys(codes, self.q)
+            order = np.argsort(keys, kind="stable")
+            self._array = (codes, keys[order], order)
+        return self._array
+
+    def _locate(self, codes):
+        """The index in `elements` of each matrix of a code array, -1 for
+        a matrix not in the group: one searchsorted and an equality test."""
+        _, keys, order = self._code_array()
+        want = _row_major_keys(codes, self.q)
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, order[pos], -1)
 
     def mul(self, a: Mat, b: Mat) -> Mat:
         return mat_mul(self.field_, a, b)
@@ -717,36 +751,51 @@ class MatrixGroup:
     def conjugacy_classes(self) -> list[list[Mat]]:
         """Classes ordered by first appearance in `elements`, each sorted.
 
-        Each class is the orbit of its first element under conjugation by
-        `conjugation_generators()`, found by breadth-first search, so every
-        element is reached once: |G| * |S| conjugations in all, each one
-        row and one column operation, or a reordering of both, for full
-        GL(n, q) (`multiplier`).  The sorting makes the result independent
+        Each generator s of `conjugation_generators()` becomes one index
+        permutation of G: s g s^-1 for every g at once on the code array
+        (`_mul_codes`, a row and a column operation, or a reordering, for
+        full GL(n, q)), located by `_locate`.  Each class is the orbit of
+        its first element under those permutations, found by
+        breadth-first search over int lists, so every element is reached
+        once: |G| * |S| steps in all.  A conjugate outside the group
+        raises.  Sorting each class by key makes the result independent
         of S.  Classes hold the objects of `elements`, not the conjugates.
         """
         if self._classes is None:
-            F = self.field_
-            pairs = [(multiplier(F, s, left=True),
-                      multiplier(F, self.inv(s), left=False))
-                     for s in self.conjugation_generators()]
-            classes, class_of = [], {}
-            for g in self.elements:
-                if g in class_of:
+            F, els = self.field_, self.elements
+            codes, _, order = self._code_array()
+            perms = []
+            for s in self.conjugation_generators():
+                conj = _mul_codes(F, self.inv(s),
+                                  _mul_codes(F, s, codes, left=True),
+                                  left=False)
+                perm = self._locate(conj)
+                if (perm < 0).any():
+                    raise AssertionError(
+                        f"conjugating by {s} leaves the group")
+                perms.append(perm.tolist())
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            rank = rank.tolist()
+            class_ids = [-1] * len(els)
+            classes = []
+            for start in range(len(els)):
+                if class_ids[start] >= 0:
                     continue
                 idx = len(classes)
-                class_of[g] = idx
-                orbit = [g]
+                class_ids[start] = idx
+                orbit = [start]
                 for y in orbit:  # the queue grows while it is read
-                    for left, right in pairs:
-                        z = right(left(y))
-                        if z not in class_of:
-                            z = self.element(z)
-                            class_of[z] = idx
+                    for perm in perms:
+                        z = perm[y]
+                        if class_ids[z] < 0:
+                            class_ids[z] = idx
                             orbit.append(z)
-                classes.append(sorted(orbit))
+                orbit.sort(key=rank.__getitem__)
+                classes.append([els[i] for i in orbit])
             # publish the index first: a thread that sees _classes set
             # must also see _class_of
-            self._class_of = class_of
+            self._class_of = dict(zip(els, class_ids))
             self._classes = classes
         return self._classes
 
@@ -793,12 +842,18 @@ def bruhat_decomposition(e: int, q: int) -> dict:
 
     Each g is reduced to a monomial matrix u1 g u2 = w * diag(pivots) by
     elimination with upper unitriangular u1, u2, so w is read off the
-    pivot positions and v is the product of the pivots.  Every cell is
-    checked to have its closed-form size |B| * q^l(w), the labels to be
-    B-bi-equivariant in field codes: (w, v)(s g) = (w, v)(g s) = (w, d(s) v),
-    d the diagonal product, for every g and s in `_borel_generators`, and
-    the permutation matrix of w to have the label (w, 1): e! lookups.  So
-    the label set of w holds w and is stable under B on both sides, so it
+    pivot positions and v is the product of the pivots; `_bruhat_labels`
+    runs that elimination column by column over the group's whole code
+    array.  Every cell is checked to have its closed-form size
+    |B| * q^l(w), the labels to be B-bi-equivariant in field codes:
+    (w, v)(s g) = (w, v)(g s) = (w, d(s) v), d the diagonal product, for
+    every g and s in `_borel_generators`, and the permutation matrix of w
+    to have the label (w, 1): e! lookups.  The equivariance check is one
+    row operation (s g) and one column operation (g s) per generator over
+    the whole array, each product located in G and its label compared
+    with the expected one, so it makes the same |G| * |S| * 2 comparisons
+    as a loop over g would, and a product outside G fails it.  So the
+    label set of w holds w and is stable under B on both sides, so it
     holds B w B; both have |B| * q^l(w) elements, so it is B w B, and
     g = b1 w b2 has the label (w, d(b1) d(b2)).  In particular g^-1 has
     the label (w^-1, v^-1), and every label in W x F_q^x occurs.  A
@@ -809,24 +864,30 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     of B.
     """
     F = get_field(q)
-    out, labels = {}, {}
-    for g in gl_group(e, q).elements:
-        label = _bruhat_cell(F, g)
-        out[g] = labels.setdefault(label, label)  # one tuple per label
+    G = gl_group(e, q)
+    codes = G._code_array()[0]
+    pivots, v = _bruhat_labels(F, codes)
+    # one int per label (the pivot rows as base-e digits, then v), and
+    # one tuple per label
+    w_codes = pivots.astype(np.int64) @ (e ** np.arange(e))
+    label_codes = w_codes * q + v
+    _, first, inverse = np.unique(label_codes, return_index=True,
+                                  return_inverse=True)
+    labels = [(tuple(pivots[i].tolist()), int(v[i])) for i in first]
+    out = dict(zip(G.elements, [labels[k] for k in inverse.tolist()]))
     sizes = Counter(w for w, _ in out.values())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
         if sizes[w] != b_order * q ** _inversions(w):
             raise AssertionError(f"Bruhat cell of {w} has the wrong size")
     for s in _borel_generators(F, e):
-        d = diag_product(F, s)
-        left = multiplier(F, s, left=True)
-        right = multiplier(F, s, left=False)
-        for g, (w, v) in out.items():
-            label = (w, F.mul(d, v))
-            if out[left(g)] != label or out[right(g)] != label:
-                raise AssertionError(
-                    f"Bruhat label of {g} is not B-bi-equivariant")
+        want = w_codes * q + F.mul_arr[diag_product(F, s)][v]
+        for left in (True, False):
+            at = G._locate(_mul_codes(F, s, codes, left))
+            bad = np.flatnonzero((at < 0) | (label_codes[at] != want))
+            if len(bad):
+                raise AssertionError(f"Bruhat label of {G.elements[bad[0]]} "
+                                     "is not B-bi-equivariant")
     for w in itertools.permutations(range(e)):
         if out[perm_matrix(e, w)] != (w, 1):
             raise AssertionError(
@@ -844,32 +905,31 @@ def _borel_generators(F: Fq, n: int) -> list[Mat]:
     return diag + [elementary_mat(n, i, i + 1, 1) for i in range(n - 1)]
 
 
-def _bruhat_cell(F: Fq, g: Mat) -> tuple[tuple[int, ...], int]:
-    """(w, v) for one g.  For each column j, pivot on the lowest nonzero
-    entry in a row not yet used; clear the pivot's row to the right with
-    column operations and its column above with row operations.  Used
-    rows are zero right of their pivot, so the pivot row is the lowest
-    nonzero entry of the column and the operations stay unitriangular."""
-    n = len(g)
-    m = [list(row) for row in g]
-    mul_, sub, inv = F.mul, F.sub, F.inv
-    w = [0] * n
-    v = 1
+def _bruhat_labels(F: Fq, codes):
+    """(w, v) for every g of a code array: w[g, j] the pivot row of column
+    j, v[g] the product of the pivots.  For each column j, pivot on the
+    lowest nonzero entry, which lies in a row not yet used, and clear the
+    pivot's row to the right with column operations.  Used rows are zero
+    right of their pivot, so the operations stay unitriangular; clearing
+    the pivot's column above it by row operations would change no entry
+    that a later column reads, so it is left out."""
+    m = codes.copy()
+    count, n, _ = m.shape
+    at = np.arange(count)
+    add, mul_, neg, inv = F.add_arr, F.mul_arr, F.neg_arr, F.inv_arr
+    w = np.empty((count, n), dtype=np.uint8)
+    v = np.ones(count, dtype=np.uint8)
     for j in range(n):
-        r = next(i for i in range(n - 1, -1, -1) if m[i][j])
-        p = m[r][j]
-        w[j] = r
-        v = mul_(v, p)
-        p_inv = inv(p)
+        r = n - 1 - np.argmax(m[:, ::-1, j] != 0, axis=1)
+        p = m[at, r, j]
+        w[:, j] = r
+        v = mul_[v, p]
+        pivot_row = m[at, r]
+        p_inv = inv[p]
         for k in range(j + 1, n):
-            c = m[r][k]
-            if c:
-                f = mul_(c, p_inv)
-                for i in range(n):
-                    m[i][k] = sub(m[i][k], mul_(f, m[i][j]))
-        for i in range(r):
-            m[i][j] = 0
-    return tuple(w), v
+            f = mul_[pivot_row[:, k], p_inv]
+            m[:, :, k] = add[m[:, :, k], neg[mul_[f[:, None], m[:, :, j]]]]
+    return w, v
 
 
 def proper_parabolic_avoidance(n: int, q: int, g: Mat) -> bool:

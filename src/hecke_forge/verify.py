@@ -63,15 +63,16 @@ def check_epsilon_sign_rule(max_e, max_q):
 
 def check_orbit_partition(max_e, max_q):
     import itertools
+    from collections import Counter
     out = []
     for e in range(1, 9):
-        reps = weyl.orbit_reps(e)
+        times = Counter(weyl.orbit_reps(e))
         ok = True
         count = 0
         for r in range(e):
             for nodes in itertools.combinations(range(e), r):
                 canon = weyl.canonical_rep(weyl.parahoric_type(nodes, e))
-                ok &= sum(1 for R in reps if canon == R) == 1
+                ok &= times[canon] == 1
                 count += 1
         out.append(VerificationReport.exact(
             "weyl.orbit_reps_partition", {"e": e, "proper_subsets": count},

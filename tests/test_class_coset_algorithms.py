@@ -92,6 +92,111 @@ def ref_bruhat_decomposition(e, q):
     return out
 
 
+def multiplier(F, s, left):
+    """The map g -> s g (left) or g -> g s (right) on one tuple matrix.
+
+    When s is elementary_mat(n, r, c, x) the map is one row operation on
+    row r (left) or one column operation on column c (right): scaling by
+    x when r = c, else adding x times row c (column r).  When s is a
+    permutation matrix the map reorders the rows (left) or the columns
+    (right).  Any other s falls back on `mat_mul`."""
+    n = len(s)
+    off = [(i, j) for i in range(n) for j in range(n)
+           if s[i][j] != int(i == j)]
+    if len(off) != 1:
+        # column j of a permutation matrix has its 1 in row w[j]
+        unit = [0] * (n - 1) + [1]
+        w = [col.index(1) for col in zip(*s) if sorted(col) == unit]
+        if sorted(w) == list(range(n)):
+            if left:  # row w[j] of s g is row j of g
+                src = [w.index(i) for i in range(n)]
+                return lambda g: tuple([g[j] for j in src])
+            # column j of g s is column w[j] of g
+            return lambda g: tuple([tuple([row[k] for k in w]) for row in g])
+        if left:
+            return lambda g: mat_mul(F, s, g)
+        return lambda g: mat_mul(F, g, s)
+    ((r, c),) = off
+    add, times_x = F._add, F._mul[s[r][c]]
+    if left and r == c:
+        return lambda g: (g[:r] + (tuple([times_x[a] for a in g[r]]),)
+                          + g[r + 1:])
+    if left:
+        return lambda g: (g[:r] + (tuple([add[a][times_x[b]]
+                                          for a, b in zip(g[r], g[c])]),)
+                          + g[r + 1:])
+    if r == c:
+        return lambda g: tuple([row[:c] + (times_x[row[c]],) + row[c + 1:]
+                                for row in g])
+    return lambda g: tuple([row[:c] + (add[row[c]][times_x[row[r]]],)
+                            + row[c + 1:] for row in g])
+
+
+def bruhat_cell(F, g):
+    """(w, v) for one g.  For each column j, pivot on the lowest nonzero
+    entry in a row not yet used; clear the pivot's row to the right with
+    column operations and its column above with row operations.  Used
+    rows are zero right of their pivot, so the pivot row is the lowest
+    nonzero entry of the column and the operations stay unitriangular."""
+    n = len(g)
+    m = [list(row) for row in g]
+    mul_, sub, inv = F.mul, F.sub, F.inv
+    w = [0] * n
+    v = 1
+    for j in range(n):
+        r = next(i for i in range(n - 1, -1, -1) if m[i][j])
+        p = m[r][j]
+        w[j] = r
+        v = mul_(v, p)
+        p_inv = inv(p)
+        for k in range(j + 1, n):
+            c = m[r][k]
+            if c:
+                f = mul_(c, p_inv)
+                for i in range(n):
+                    m[i][k] = sub(m[i][k], mul_(f, m[i][j]))
+        for i in range(r):
+            m[i][j] = 0
+    return tuple(w), v
+
+
+def ref_elementwise_bruhat(e, q):
+    """`bruhat_cell` at every g of GL(e, q), in the order of `elements`,
+    one tuple per label."""
+    F, labels, out = get_field(q), {}, {}
+    for g in gl_group(e, q).elements:
+        label = bruhat_cell(F, g)
+        out[g] = labels.setdefault(label, label)
+    return out
+
+
+def ref_elementwise_classes(G):
+    """Classes by breadth-first search under conjugation by
+    `G.conjugation_generators()`, one `multiplier` pair per generator
+    applied to one tuple matrix at a time; each class sorted, holding the
+    objects of `elements`.  Returns the classes and g -> class index."""
+    F = G.field_
+    pairs = [(multiplier(F, s, left=True),
+              multiplier(F, G.inv(s), left=False))
+             for s in G.conjugation_generators()]
+    classes, class_of = [], {}
+    for g in G.elements:
+        if g in class_of:
+            continue
+        idx = len(classes)
+        class_of[g] = idx
+        orbit = [g]
+        for y in orbit:
+            for left, right in pairs:
+                z = right(left(y))
+                if z not in class_of:
+                    z = G.element(z)
+                    class_of[z] = idx
+                    orbit.append(z)
+        classes.append(sorted(orbit))
+    return classes, class_of
+
+
 def ref_intertwining_dimension(e, q, chi):
     """<chi_Ind, chi_Ind> summed over every element of G."""
     ind = repth.induce(e, q, chi).char_value
@@ -166,7 +271,7 @@ def ref_right_equivariant(ind, phi):
     Fraction values, else within 1e-10.  |G| * |S| evaluations."""
     G, H = ind.group, ind.sub
     values = values_of(phi)
-    gens = [(finglq.multiplier(G.field_, s, left=False), ind.sigma(s))
+    gens = [(multiplier(G.field_, s, left=False), ind.sigma(s))
             for s in H.generators()]
     exact = (all(isinstance(v, Fraction) for v in values.values())
              and all(isinstance(sig, Fraction) for _, sig in gens))
@@ -567,3 +672,62 @@ def test_steinberg_degree(e, q):
     G = gl_group(e, q)
     st = repth.steinberg_char(e, q, MultChar(q, 0))
     assert st.at(G.identity) == q ** (e * (e - 1) // 2)
+
+
+# --- the array kernels against their per-element references ---------------------
+
+def slow_from_33(pairs):
+    return [pytest.param(n, q, marks=pytest.mark.slow)
+            if gl_order(n, q) >= gl_order(3, 3) else (n, q) for n, q in pairs]
+
+
+def assert_same_classes(G, want_classes, want_class_of):
+    classes = G.conjugacy_classes()
+    assert classes == want_classes
+    assert G._class_of == want_class_of
+    assert list(G._class_of) == list(G.elements)
+    els = G.elements
+    assert all(g is els[G.index(g)] for cls in classes for g in cls)
+    assert all(g is els[G.index(g)] for g in G._class_of)
+
+
+@pytest.mark.parametrize("n,q", slow_from_33(ENUMERABLE))
+def test_bruhat_kernel_matches_per_element_elimination(n, q):
+    # equal labels, the same key order, the enumerated objects as keys
+    got = finglq.bruhat_decomposition(n, q)
+    want = ref_elementwise_bruhat(n, q)
+    assert got == want
+    assert list(got) == list(want)
+    els = gl_group(n, q).elements
+    assert all(g is h for g, h in zip(got, els))
+    assert all(type(v) is int and all(type(r) is int for r in w)
+               for w, v in got.values())
+
+
+@pytest.mark.parametrize("n,q", slow_from_33(ENUMERABLE))
+def test_class_kernel_matches_per_element_orbits(n, q):
+    G = gl_group(n, q)
+    assert_same_classes(G, *ref_elementwise_classes(G))
+
+
+@pytest.mark.parametrize("n,q,spec", [
+    (2, 3, SubgroupSpec.borel()),
+    (3, 2, SubgroupSpec.standard_parabolic((2, 1))),
+    (3, 2, SubgroupSpec.standard_parabolic((1, 2))),
+    (3, 3, SubgroupSpec.borel()),
+], ids=["borel-2-3", "parabolic21-3-2", "parabolic12-3-2", "borel-3-3"])
+def test_subgroup_class_kernel_matches_per_element_orbits(n, q, spec):
+    # element lists in block order, not sorted; every element a generator
+    H = subgroup(n, q, spec)
+    assert H.elements != sorted(H.elements)
+    assert_same_classes(H, *ref_elementwise_classes(H))
+
+
+def test_subgroup_classes_past_int64_keys():
+    # 8 x 8 matrices over F_2 have 2^64 row-major keys, past int64: the
+    # keys fall back on Python ints.  The radical of the (7, 1) parabolic
+    # is abelian, so every class is one element
+    H = subgroup(8, 2, SubgroupSpec.unipotent_radical((7, 1)))
+    assert H._code_array()[1].dtype == object
+    assert_same_classes(H, *ref_elementwise_classes(H))
+    assert [len(c) for c in H.conjugacy_classes()] == [1] * H.order

@@ -2,6 +2,7 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hecke_forge import finglq
@@ -21,6 +22,12 @@ def mat_from_ints(n, vals):
     if len(vals) != n * n:
         raise ValueError("wrong entry count")
     return tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n))
+
+
+def multiplier(F, s, left):
+    # the per-element product, kept with the other whole-group references
+    from test_class_coset_algorithms import multiplier as ref
+    return ref(F, s, left)
 
 
 def centralizer_order(G, g):
@@ -182,8 +189,8 @@ def test_multiplier_matches_mat_mul(n, q):
     mats = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
             for _ in range(30)]
     for s in gens + mats[:5]:
-        left = finglq.multiplier(F, s, left=True)
-        right = finglq.multiplier(F, s, left=False)
+        left = multiplier(F, s, left=True)
+        right = multiplier(F, s, left=False)
         for g in mats:
             assert left(g) == mat_mul(F, s, g)
             assert right(g) == mat_mul(F, g, s)
@@ -201,11 +208,51 @@ def test_multiplier_permutation_path_matches_mat_mul(n):
         for _ in range(8):
             w = rng.sample(range(n), n)
             s = finglq.perm_matrix(n, w)
-            left = finglq.multiplier(F, s, left=True)
-            right = finglq.multiplier(F, s, left=False)
+            left = multiplier(F, s, left=True)
+            right = multiplier(F, s, left=False)
             for g in mats:
                 assert left(g) == mat_mul(F, s, g)
                 assert right(g) == mat_mul(F, g, s)
+
+
+@pytest.mark.parametrize("n,q", [
+    (1, 5), (2, 4), (2, 9), (3, 2), (3, 3), (4, 2)])
+def test_mul_codes_matches_mat_mul(n, q):
+    # the array product against mat_mul, for the generators of GL(n, q)
+    # and its Borel, permutation matrices and arbitrary invertible s
+    import random
+    rng = random.Random(n * 100 + q)
+    F = get_field(q)
+    gens = (finglq.MatrixGroup(n, q, SubgroupSpec.full(), []).generators()
+            + finglq.MatrixGroup(n, q, SubgroupSpec.borel(), []).generators()
+            + [finglq.perm_matrix(n, rng.sample(range(n), n))
+               for _ in range(3)])
+    mats = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+            for _ in range(30)]
+    gens += [a for a in mats if mat_det(F, a)][:5]
+    codes = np.array(mats, dtype=np.uint8).reshape(len(mats), n, n)
+    for s in gens:
+        for left in (True, False):
+            got = finglq._mul_codes(F, s, codes, left)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            want = [mat_mul(F, s, g) if left else mat_mul(F, g, s)
+                    for g in mats]
+            assert [tuple(map(tuple, m)) for m in got.tolist()] == want
+
+
+def test_locate_finds_members_in_unsorted_lists():
+    # the Borel's list is not sorted; members map to their own index,
+    # anything else to -1
+    B = finglq.subgroup(3, 3, SubgroupSpec.borel())
+    assert B.elements != sorted(B.elements)
+    codes = B._code_array()[0]
+    assert B._locate(codes).tolist() == list(range(B.order))
+    G = gl_group(3, 3)
+    at = B._locate(G._code_array()[0])
+    assert [G.elements[i] for i in np.flatnonzero(at >= 0)] \
+        == sorted(B.elements)
+    assert all(B.elements[i] == g for i, g in zip(at.tolist(), G.elements)
+               if i >= 0)
 
 
 def test_multiplier_monomial_is_not_a_permutation():
@@ -213,8 +260,8 @@ def test_multiplier_monomial_is_not_a_permutation():
     F = get_field(3)
     s = ((0, 2), (1, 0))
     g = ((1, 2), (0, 1))
-    assert finglq.multiplier(F, s, left=True)(g) == mat_mul(F, s, g)
-    assert finglq.multiplier(F, s, left=False)(g) == mat_mul(F, g, s)
+    assert multiplier(F, s, left=True)(g) == mat_mul(F, s, g)
+    assert multiplier(F, s, left=False)(g) == mat_mul(F, g, s)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2), (3, 3)])
@@ -368,14 +415,20 @@ def test_serialization_roundtrip():
 
 
 def _mislabel(monkeypatch, e, q, wrong_label):
-    """Patch `_bruhat_cell` so that `wrong_label(g, (w, v))` gives the
-    label of g."""
-    real = finglq._bruhat_cell
+    """Patch the labelling kernel `_bruhat_labels` so that
+    `wrong_label(g, (w, v))` gives the label of g, for every g of the
+    code array of GL(e, q) (the order of `elements`)."""
+    real = finglq._bruhat_labels
+    els = gl_group(e, q).elements
 
-    def patched(F, g):
-        return wrong_label(g, real(F, g))
+    def patched(F, codes):
+        w, v = real(F, codes)
+        assert len(w) == len(els)
+        for i, g in enumerate(els):
+            w[i], v[i] = wrong_label(g, (tuple(w[i].tolist()), int(v[i])))
+        return w, v
 
-    monkeypatch.setattr(finglq, "_bruhat_cell", patched)
+    monkeypatch.setattr(finglq, "_bruhat_labels", patched)
 
 
 @pytest.mark.parametrize("e,q", [
@@ -438,3 +491,58 @@ def test_bruhat_rejects_two_cells_trading_labels(monkeypatch):
                                                 wv[1]))
     with pytest.raises(AssertionError, match="permutation matrix"):
         finglq.bruhat_decomposition.__wrapped__(3, 2)
+
+
+def _changed_line(s, left):
+    """The row (left) or column (right) that multiplying by the
+    elementary matrix s changes."""
+    lines = s if left else tuple(zip(*s))
+    ident = identity_mat(len(s))
+    return next(i for i, line in enumerate(lines) if line != ident[i])
+
+
+def _misplace(monkeypatch, on_left):
+    """Patch `_mul_codes` so that products on one side write the line
+    they change into the next line instead, leaving the changed one as
+    it was."""
+    real = finglq._mul_codes
+
+    def patched(F, s, codes, left):
+        out = real(F, s, codes, left)
+        if left != on_left:
+            return out
+        i = _changed_line(s, left)
+        j = (i + 1) % len(s)
+        bad = codes.copy()
+        if left:
+            bad[:, j] = out[:, i]
+        else:
+            bad[:, :, j] = out[:, :, i]
+        return bad
+
+    monkeypatch.setattr(finglq, "_mul_codes", patched)
+
+
+@pytest.mark.parametrize("e,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("left", [True, False], ids=["row", "column"])
+def test_bruhat_rejects_an_operation_on_the_wrong_line(monkeypatch, e, q,
+                                                       left):
+    # s g with its new row written to the wrong row, or g s with its new
+    # column written to the wrong column: the labels are right, the
+    # products are not
+    _misplace(monkeypatch, left)
+    with pytest.raises(AssertionError, match="bi-equivariant"):
+        finglq.bruhat_decomposition.__wrapped__(e, q)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 5), (3, 2)])
+def test_classes_need_every_conjugation_generator(n, q):
+    # with any one generator dropped, the orbits are those of a proper
+    # subgroup and split some classes (Green's class number)
+    from test_class_coset_algorithms import class_number
+    gens = gl_group(n, q).conjugation_generators()
+    for k in range(len(gens)):
+        G = finglq.MatrixGroup(n, q, SubgroupSpec.full(),
+                               enumerate_group(n, q, SubgroupSpec.full()))
+        G.conjugation_generators = lambda k=k: gens[:k] + gens[k + 1:]
+        assert len(G.conjugacy_classes()) > class_number(n, q)
