@@ -19,8 +19,10 @@ Whole-group scans run on one code array per group
 `elements`, in their order, with int64 row-major keys sorted once, so any
 batch of matrices is located in G by one searchsorted and an equality
 test.  Products s g or g s by one matrix s are formed for every g at once
-(`_mul_codes`), with the field tables as uint8 arrays.  `elements` stays
-the one representation: classes and Bruhat labels hold its objects.
+(`_mul_codes`), and the products a b of the pairs of two arrays
+(`_mul_pairs`), with the field tables as uint8 arrays.  `elements` stays
+the one representation: classes, Bruhat labels and coset transversals
+hold its objects.
 
 Conjugacy classes are orbits under conjugation by at most three
 generators of GL(n, q), each turned into one index permutation of G, and
@@ -318,17 +320,30 @@ def _mul_codes(F: Fq, s: Mat, codes, left: bool):
     return out
 
 
+def _mul_pairs(F: Fq, a, b):
+    """a b for every pair of matrices of two code arrays, their leading
+    axes broadcast against each other: entry (i, j) is the sum over l of
+    a[..., i, l] times b[..., l, j], each term one table lookup over the
+    whole array."""
+    add, mul_ = F.add_arr, F.mul_arr
+    out = mul_[a[..., :, :1], b[..., :1, :]]
+    for k in range(1, a.shape[-1]):
+        out = add[out, mul_[a[..., :, k:k + 1], b[..., k:k + 1, :]]]
+    return out
+
+
 def _row_major_keys(codes, q: int):
     """The base-q number whose digits are each matrix's entries in
     row-major order, first entry most significant: sorting the keys sorts
     the matrices as tuples.  int64 while q^(n^2) fits, else Python ints."""
     _, n, m = codes.shape
-    dtype = np.int64 if q ** (n * m) < 2 ** 63 else object
-    keys = np.zeros(len(codes), dtype=dtype)
-    for i in range(n):
-        for j in range(m):
-            keys *= q
-            keys += codes[:, i, j].astype(dtype)
+    flat = codes.reshape(len(codes), n * m)
+    if q ** (n * m) < 2 ** 63:
+        return flat.astype(np.int64) @ (
+            q ** np.arange(n * m - 1, -1, -1, dtype=np.int64))
+    keys = np.zeros(len(codes), dtype=object)
+    for j in range(n * m):
+        keys = keys * q + flat[:, j].astype(object)
     return keys
 
 
@@ -647,8 +662,8 @@ class MatrixGroup:
     _inverses: dict = field(default=None, repr=False)
     _classes: list = field(default=None, repr=False)
     _class_of: dict = field(default=None, repr=False)
-    # subgroup spec -> right-coset data of that subgroup, filled by
-    # repth._coset_data
+    # subgroup spec -> index arrays of the right cosets of that subgroup,
+    # filled by repth._coset_data
     _cosets: dict = field(default_factory=dict, repr=False)
     # (codes, sorted keys, their argsort), built by _code_array
     _array: tuple = field(default=None, repr=False, compare=False)
@@ -669,11 +684,6 @@ class MatrixGroup:
         if self._index is None:
             self._index = {g: i for i, g in enumerate(self.elements)}
         return self._index[g]
-
-    def element(self, g: Mat) -> Mat:
-        """The enumerated object equal to g, so that what is kept per
-        element refers to the tuples of `elements`, not to fresh copies."""
-        return self.elements[self.index(g)]
 
     def __contains__(self, g: Mat) -> bool:
         if self._index is None:
@@ -704,6 +714,15 @@ class MatrixGroup:
         want = _row_major_keys(codes, self.q)
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[pos] == want, order[pos], -1)
+
+    def _indices(self, codes):
+        """`_locate` for matrices of the group: raises KeyError when one is
+        not in it."""
+        at = self._locate(codes)
+        if (at < 0).any():
+            raise KeyError(f"a matrix outside the {self.spec.kind} group of "
+                           f"GL({self.n},{self.q})")
+        return at
 
     def mul(self, a: Mat, b: Mat) -> Mat:
         return mat_mul(self.field_, a, b)
@@ -742,10 +761,20 @@ class MatrixGroup:
 
     def generators(self) -> list[Mat]:
         """A generating set: `conjugation_generators()` for full GL(n, q),
-        the elementary and diagonal `_borel_generators` for the Borel, and
-        every element for any other subgroup kind."""
+        the elementary and diagonal `_borel_generators` for the Borel,
+        those and E_{i+1,i}(1) for each i, i+1 in one block for a standard
+        parabolic, and every element for the Levi and unipotent kinds.
+        With B, E_{i+1,i}(1) gives the simple reflection s_i, since
+        E_{i,i+1}(1) E_{i+1,i}(-1) E_{i,i+1}(1) is s_i times a diagonal
+        matrix, and P_T = B W_T B."""
         if self.spec.kind == "borel":
             return _borel_generators(self.field_, self.n)
+        if self.spec.kind == "standard_parabolic":
+            return _borel_generators(self.field_, self.n) + [
+                elementary_mat(self.n, i + 1, i, 1)
+                for s, b in zip(_block_starts(self.spec.blocks),
+                                self.spec.blocks)
+                for i in range(s, s + b - 1)]
         return self.conjugation_generators()
 
     def conjugacy_classes(self) -> list[list[Mat]]:

@@ -19,7 +19,12 @@ sum, the sign identity on elliptic regular classes, and the module-action
 transport identity (for any torus character sigma, on g -> value dicts)
 are all implemented against explicit sums.  Sums of class functions run
 over conjugacy classes weighted by class size, and fixed-point counts run
-over coset representatives rather than over the whole group.
+over coset representatives rather than over the whole group.  Every coset
+sum reads the index arrays of `_coset_data`: the products it needs, such
+as r_i y or x gamma x^-1 for each representative, are formed for all
+cosets at once on the group's code array (`finglq._mul_codes`,
+`finglq._mul_pairs`) and located in G, not multiplied one tuple matrix
+at a time.
 
 Convolution uses the counting measure giving every singleton volume 1,
 so the unit is the function (1/|H|) sigma on H.  Values stay exact
@@ -38,8 +43,9 @@ import numpy as np
 
 from . import finglq
 from .finglq import (
-    MatrixGroup, MultChar, SubgroupSpec, bruhat_decomposition, diag_product,
-    get_field, gl_group, perm_matrix, subgroup,
+    MatrixGroup, MultChar, SubgroupSpec, _mul_codes, _mul_pairs,
+    bruhat_decomposition, diag_product, get_field, gl_group, perm_matrix,
+    subgroup,
 )
 from .weyl import all_perms, from_perm, length, poincare_poly
 
@@ -86,16 +92,19 @@ class FinHeckeElt:
         left-(H, sigma)-equivariant.  Then y = h r turns the full sum over
         y in G into |H| times the sum over the right transversal, since
         sigma(h^-1) sigma(h) = 1.  For fbar_w and e_tau the label check in
-        `bruhat_decomposition` guarantees it.  Terms with other(r) = 0 are
-        skipped, so a cell-supported `other` costs one product per coset
-        in its support.
+        `bruhat_decomposition` guarantees it.  The products g r^-1 are
+        formed for every r at once and located in G; terms with
+        other(r) = 0 are skipped, so self is read only on the cosets in the
+        support of `other`.
         """
         G, H = self.group, self.sub
+        data = _coset_data(G, H)
+        at = G._indices(_mul_codes(G.field_, g, data.inv_codes, left=True))
         acc = Fraction(0)
-        for r in _coset_data(G, H).transversal:
+        for r, k in zip(data.transversal, at.tolist()):
             vr = other(r)
             if vr != 0:
-                acc += self(G.mul(g, G.inv(r))) * vr
+                acc += self(G.elements[k]) * vr
         return H.order * acc
 
 
@@ -260,28 +269,74 @@ def dim_from_e_tau(e: int, q: int, chi: MultChar) -> Fraction:
 
 @dataclass
 class _CosetData:
-    transversal: list
-    coset_of: dict  # g -> (i, h) with g = h * transversal[i]
+    """The right cosets H r_i of G as index arrays: the k-th element of
+    `G.elements` is H.elements[h[k]] * transversal[coset[k]]."""
+    transversal: list  # the r_i, objects of G.elements, identity first
+    codes: np.ndarray  # code array of the r_i
+    inv_codes: np.ndarray  # code array of the r_i^-1
+    coset: np.ndarray
+    h: np.ndarray
 
 
 def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
-    """Right cosets H g of G, kept on G in `G._cosets` by H.spec, keyed
-    by the objects of `G.elements`."""
+    """Right cosets H g of G, kept on G in `G._cosets` by H.spec.
+
+    The cosets are the orbits of G under left multiplication by
+    `H.generators()`, each generator one index permutation of G.  Each
+    coset's representative is its first element in the order [identity] +
+    `G.elements`, so the transversal starts with the identity: every
+    element starts labelled by its place in that order, and each pass
+    takes the smaller label across every permutation, both ways, then
+    each label's own label, until a pass changes nothing.  Each h = g r^-1
+    is one elementwise product over the code array, located in H.  A
+    product outside G or H, or other than |G|/|H| cosets (generators that
+    miss part of H), raises AssertionError.
+    """
     got = G._cosets.get(H.spec)
     if got is not None:
         return got
-    coset_of: dict = {}
-    transversal: list = []
-    for g in [G.element(G.identity)] + G.elements:
-        if g in coset_of:
-            continue
-        i = len(transversal)
-        transversal.append(g)
-        for h in H.elements:
-            coset_of[G.element(G.mul(h, g))] = (i, h)
-    data = _CosetData(transversal, coset_of)
+    F, count = G.field_, G.order
+    codes = G._code_array()[0]
+    first = G.index(G.identity)
+    # the element at each place of the order, and the place of each element
+    seq = np.r_[first, np.delete(np.arange(count), first)]
+    place = np.empty_like(seq)
+    place[seq] = np.arange(count)
+    steps = []
+    for s in H.generators():
+        perm = G._locate(_mul_codes(F, s, codes, left=True))
+        if (perm < 0).any():
+            raise AssertionError(f"{s} times an element of G leaves G")
+        steps.append(place[perm[seq]])
+    label = np.arange(count)
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])
+            new[step] = np.minimum(new[step], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    firsts = np.flatnonzero(label == np.arange(count))
+    coset = np.empty_like(seq)
+    coset[seq] = np.searchsorted(firsts, label)
+    transversal = [G.elements[k] for k in seq[firsts].tolist()]
+    inv_codes = np.array([G.inv(r) for r in transversal], dtype=np.uint8)
+    h = H._locate(_mul_pairs(F, codes, inv_codes[coset]))
+    if (h < 0).any() or len(firsts) * H.order != count:
+        raise AssertionError(f"the cosets of the {H.spec.kind} subgroup "
+                             "do not partition G")
+    data = _CosetData(transversal, codes[seq[firsts]], inv_codes, coset, h)
     G._cosets[H.spec] = data
     return data
+
+
+def _product_table(G: MatrixGroup, a, b) -> np.ndarray:
+    """at[i, j]: the index in G.elements of a_i b_j, for the matrices a_i
+    and b_j of two code arrays; KeyError for a product outside G."""
+    prods = _mul_pairs(G.field_, a[:, None], b[None])
+    return G._indices(prods.reshape(-1, G.n, G.n)).reshape(len(a), len(b))
 
 
 @dataclass
@@ -316,44 +371,53 @@ class FinRep:
 
 class InducedRep:
     """Ind_H^G of a scalar sigma: functions f with f(hg) = sigma(h) f(g),
-    right translation action, coordinates = values on a right transversal."""
+    right translation action, coordinates = values on a right transversal.
+
+    Reads the index arrays of `_coset_data(G, H)`: rho(y) and its trace
+    take the products r_i y for every i at once, located in G, and sigma
+    is evaluated once per element of H (`sigma_values`)."""
 
     def __init__(self, G: MatrixGroup, H: MatrixGroup, sigma):
         self.group = G
         self.sub = H
         self.sigma = sigma
-        data = _coset_data(G, H)
-        self.transversal = data.transversal
-        self.coset_of = data.coset_of
+        self._cosets = _coset_data(G, H)
+        self.transversal = self._cosets.transversal
         self.dim = len(self.transversal)
+        # complex(sigma(h)) for each h, in the order of H.elements
+        self.sigma_values = [complex(sigma(h)) for h in H.elements]
         self._mats: dict = {}
         # id(e_idem) -> (e_idem, dim pi_e); holding e_idem keeps its id
         # from being reused
         self._cut_dims: dict = {}
 
+    def _translates(self, y):
+        """(j, h): r_i y = H.elements[h[i]] r_j[i] for every i."""
+        data, G = self._cosets, self.group
+        at = G._indices(_mul_codes(G.field_, y, data.codes, left=False))
+        return data.coset[at], data.h[at]
+
     def mat(self, y) -> np.ndarray:
         got = self._mats.get(y)
         if got is None:
-            G = self.group
-            m = np.zeros((self.dim, self.dim), dtype=complex)
-            for i, r in enumerate(self.transversal):
-                j, h = self.coset_of[G.mul(r, y)]
-                m[i, j] = complex(self.sigma(h))
-            self._mats[y] = got = m
+            j, h = self._translates(y)
+            got = np.zeros((self.dim, self.dim), dtype=complex)
+            got[np.arange(self.dim), j] = [self.sigma_values[k]
+                                           for k in h.tolist()]
+            self._mats[y] = got
         return got
 
     def char_value(self, y) -> complex:
-        G = self.group
+        j, h = self._translates(y)
         acc = 0j
-        for i, r in enumerate(self.transversal):
-            j, h = self.coset_of[G.mul(r, y)]
-            if j == i:
-                acc += complex(self.sigma(h))
+        for k in h[j == np.arange(self.dim)].tolist():
+            acc += self.sigma_values[k]
         return acc
 
     def value_at(self, vec: np.ndarray, g) -> complex:
-        i, h = self.coset_of[g]
-        return complex(self.sigma(h)) * vec[i]
+        k = self.group.index(g)
+        return (self.sigma_values[self._cosets.h[k]]
+                * vec[self._cosets.coset[k]])
 
     def hecke_operator(self, phi: FinHeckeElt) -> np.ndarray:
         """Matrix of f -> phi * f in the transversal coordinates:
@@ -368,13 +432,12 @@ class InducedRep:
         """
         if not _right_equivariant(phi, self):
             raise ValueError("phi is not right sigma-equivariant")
-        G, n = self.group, self.dim
-        inverses = [G.inv(r) for r in self.transversal]
-        m = np.zeros((n, n), dtype=complex)
-        for i, ri in enumerate(self.transversal):
-            for j, rj_inv in enumerate(inverses):
-                m[i, j] = complex(self.sub.order * phi(G.mul(ri, rj_inv)))
-        return m
+        G, data = self.group, self._cosets
+        at = _product_table(G, data.codes, data.inv_codes)
+        els = G.elements
+        return np.array([complex(self.sub.order * phi(els[k]))
+                         for k in at.ravel().tolist()],
+                        dtype=complex).reshape(at.shape)
 
 
 @lru_cache(maxsize=None)
@@ -477,8 +540,11 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     if abs(complex(lam1).imag) > 1e-9 or complex(lam1).real <= 0:
         raise ValueError("e(1) must be a positive scalar")
     dim_pi = _cut_dimension(e_idem, ind)
-    acc = sum(e_idem(G.mul(G.mul(x, gamma), G.inv(x)))
-              for x in _coset_data(G, H).transversal)
+    data = _coset_data(G, H)
+    at = G._indices(_mul_pairs(
+        G.field_, _mul_codes(G.field_, gamma, data.codes, left=False),
+        data.inv_codes))
+    acc = sum(e_idem(G.elements[k]) for k in at.tolist())
     scale = Fraction(dim_pi) * Fraction(H.order, G.order)
     if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
         return scale / lam1 * acc
@@ -530,30 +596,19 @@ class ClassFunction:
 
 def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
     """Character of Ind_{P_T}^G 1 by fixed-point counting on P_T\\G: at
-    each class representative gamma, the number of cosets P t with
-    t gamma t^-1 in P."""
+    each class representative gamma, the number of cosets P t fixed by
+    gamma, P t gamma = P t, which is t gamma t^-1 in P (Carter, *Finite
+    Groups of Lie Type*, Ch. 2).  The products t gamma for every
+    representative t and every class representative gamma are one
+    elementwise product on the code arrays, located in G and read off
+    `_coset_data(G, P_T)`."""
     G = gl_group(e, q)
     P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
-    p_set = set(P.elements)
-    pairs = [(t, G.inv(t)) for t in _right_transversal(G, P)]
-    values = []
-    for gamma in G.class_reps():
-        count = sum(1 for t, t_inv in pairs
-                    if G.mul(G.mul(t, gamma), t_inv) in p_set)
-        values.append(Fraction(count))
-    return ClassFunction(G, values)
-
-
-def _right_transversal(G: MatrixGroup, H: MatrixGroup) -> list:
-    """First element of each right coset H g in the order of G.elements;
-    built on every call, not kept on G."""
-    seen: set = set()
-    out = []
-    for g in G.elements:
-        if g not in seen:
-            out.append(g)
-            seen.update(G.mul(h, g) for h in H.elements)
-    return out
+    data = _coset_data(G, P)
+    at = _product_table(G, data.codes,
+                        np.array(G.class_reps(), dtype=np.uint8))
+    fixed = data.coset[at] == np.arange(len(data.codes))[:, None]
+    return ClassFunction(G, [Fraction(int(c)) for c in fixed.sum(axis=0)])
 
 
 @lru_cache(maxsize=None)
@@ -660,17 +715,17 @@ def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
                       f: dict) -> np.ndarray:
     """phi . f computed through the Frobenius maps: Psi(Phi(phi) ∘ f_*)."""
     G, H = ind.group, ind.sub
-    # T_1 in coordinates: supported on the identity coset
-    t1 = np.zeros(ind.dim, dtype=complex)
-    t1[0] = 1.0  # transversal[0] is the identity
-    # f * T_1
+    # f * T_1 at r_i: the sum over h in H of f(r_i h^-1) sigma(h), with
+    # the products r_i h^-1 formed for every (i, h) at once
+    at = _product_table(G, ind._cosets.codes, np.array(
+        [G.inv(h) for h in H.elements], dtype=np.uint8))
     ft = np.zeros(ind.dim, dtype=complex)
-    for i, r in enumerate(ind.transversal):
+    for i, row in enumerate(at.tolist()):
         acc = 0j
-        for h in H.elements:
-            v = f.get(G.mul(r, G.inv(h)), 0)
+        for k, sig in zip(row, ind.sigma_values):
+            v = f.get(G.elements[k], 0)
             if v != 0:
-                acc += complex(v) * complex(ind.sigma(h))
+                acc += complex(v) * sig
         ft[i] = acc
     # Phi(phi) applied to (f * T_1): (1/|H|) sum_x F(x^-1) pi(x) phi_vec
     out = np.zeros(ind.dim, dtype=complex)

@@ -413,6 +413,8 @@ def check_matrix_coefficient_sum(max_e, max_q):
             continue
         st = _steinberg_rep(e, q)
         G = st.group
+        F, codes = G.field_, G._code_array()[0]
+        inv_codes = np.array([G.inv(x) for x in G.elements], dtype=np.uint8)
         M = st.invariant_inner_product()
         rng = np.random.default_rng(29)
         v = rng.normal(size=st.dim) + 1j * rng.normal(size=st.dim)
@@ -420,10 +422,12 @@ def check_matrix_coefficient_sum(max_e, max_q):
         pick = random.Random(31)
         worst = 0.0
         for gamma in pick.sample(G.elements, min(10, G.order)):
+            # x gamma x^-1 for every x in G.elements, in their order
+            conj = G._indices(finglq._mul_pairs(
+                F, finglq._mul_codes(F, gamma, codes, left=False), inv_codes))
             acc = 0j
-            for x in G.elements:
-                y = G.mul(G.mul(x, gamma), G.inv(x))
-                acc += v.conj() @ M @ (st.mat(y) @ v)
+            for k in conj.tolist():
+                acc += v.conj() @ M @ (st.mat(G.elements[k]) @ v)
             rhs = acc * st.dim / G.order
             worst = max(worst, abs(st.char_value(gamma) - rhs))
         out.append(VerificationReport.passfail(

@@ -3,7 +3,11 @@ against their whole-group reference implementations, and against closed
 forms that do not depend on either."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from hecke_forge.weyl import all_perms, poincare_poly
 from test_finglq import ENUMERABLE
 from test_repth import convolve, values_of
 
+ROOT = Path(__file__).resolve().parent.parent
 SMALL = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -190,7 +195,7 @@ def ref_elementwise_classes(G):
             for left, right in pairs:
                 z = right(left(y))
                 if z not in class_of:
-                    z = G.element(z)
+                    z = G.elements[G.index(z)]
                     class_of[z] = idx
                     orbit.append(z)
         classes.append(sorted(orbit))
@@ -243,6 +248,97 @@ def ref_parabolic_induction_values(e, q, nodes):
                     if G.mul(G.mul(G.inv(x), gamma), x) in p_set)
         values.append(Fraction(count, P.order))
     return values
+
+
+def ref_coset_data(G, H):
+    """Right cosets H g by a scan over [identity] + G.elements: each element
+    not yet reached starts a coset, and all |H| products h g are formed.
+    Returns the transversal and g -> (i, h) with g = h * transversal[i],
+    keyed by the objects of G.elements."""
+    coset_of, transversal = {}, []
+    for g in [G.elements[G.index(G.identity)]] + G.elements:
+        if g in coset_of:
+            continue
+        i = len(transversal)
+        transversal.append(g)
+        for h in H.elements:
+            coset_of[G.elements[G.index(G.mul(h, g))]] = (i, h)
+    return transversal, coset_of
+
+
+def ref_parabolic_fixed_points(e, q, nodes):
+    """Ind_{P_T}^G 1 at every class representative gamma: the first element
+    t of each coset P t in the order of G.elements, and the number of t
+    with t gamma t^-1 in the set of P's elements."""
+    G = gl_group(e, q)
+    P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
+    p_set = set(P.elements)
+    seen, pairs = set(), []
+    for g in G.elements:
+        if g not in seen:
+            pairs.append((g, G.inv(g)))
+            seen.update(G.mul(h, g) for h in P.elements)
+    return [Fraction(sum(1 for t, t_inv in pairs
+                         if G.mul(G.mul(t, gamma), t_inv) in p_set))
+            for gamma in G.class_reps()]
+
+
+def ref_induced_mat(ind, ref, y):
+    """rho(y) of an `InducedRep` from the scan's g -> (i, h): one product
+    r_i y per row."""
+    G, (transversal, coset_of) = ind.group, ref
+    m = np.zeros((ind.dim, ind.dim), dtype=complex)
+    for i, r in enumerate(transversal):
+        j, h = coset_of[G.mul(r, y)]
+        m[i, j] = complex(ind.sigma(h))
+    return m
+
+
+def ref_induced_char_value(ind, ref, y):
+    G, (transversal, coset_of) = ind.group, ref
+    acc = 0j
+    for i, r in enumerate(transversal):
+        j, h = coset_of[G.mul(r, y)]
+        if j == i:
+            acc += complex(ind.sigma(h))
+    return acc
+
+
+def ref_transversal_hecke_operator(ind, transversal, phi):
+    """m[i, j] = |H| phi(r_i r_j^-1), one product per entry."""
+    G, n = ind.group, len(transversal)
+    m = np.zeros((n, n), dtype=complex)
+    for i, ri in enumerate(transversal):
+        for j, rj in enumerate(transversal):
+            m[i, j] = complex(ind.sub.order * phi(G.mul(ri, G.inv(rj))))
+    return m
+
+
+def ref_convolve_at(a, b, transversal, g):
+    """(a * b)(g) = |H| * sum over r of a(g r^-1) b(r), one product per
+    coset in the support of b."""
+    G = a.group
+    acc = Fraction(0)
+    for r in transversal:
+        vr = b(r)
+        if vr != 0:
+            acc += a(G.mul(g, G.inv(r))) * vr
+    return a.sub.order * acc
+
+
+def ref_trace_via_coset_sum(gamma, e_idem, ind, transversal):
+    """`trace_via_coset_sum` with one pair of products x gamma x^-1 per
+    coset and dim pi_e from the reference operator; its hypotheses are
+    left to the function itself."""
+    G, H = e_idem.group, e_idem.sub
+    lam1 = e_idem(G.identity)
+    E = ref_transversal_hecke_operator(ind, transversal, e_idem)
+    dim_pi = int(round(np.trace(E).real))
+    acc = sum(e_idem(G.mul(G.mul(x, gamma), G.inv(x))) for x in transversal)
+    scale = Fraction(dim_pi) * Fraction(H.order, G.order)
+    if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
+        return scale / lam1 * acc
+    return complex(scale) / complex(lam1) * complex(acc)
 
 
 def ref_hecke_operator(ind, phis):
@@ -731,3 +827,221 @@ def test_subgroup_classes_past_int64_keys():
     assert H._code_array()[1].dtype == object
     assert_same_classes(H, *ref_elementwise_classes(H))
     assert [len(c) for c in H.conjugacy_classes()] == [1] * H.order
+
+
+# --- coset index arrays against the coset scans ----------------------------------
+
+def assert_same_cosets(G, H):
+    # the same transversal objects in the same order, and the same (i, h)
+    # for every g, h the object of H.elements
+    data = repth._coset_data(G, H)
+    transversal, coset_of = ref_coset_data(G, H)
+    assert len(data.transversal) == len(transversal)
+    assert all(a is b for a, b in zip(data.transversal, transversal))
+    assert data.transversal[0] == G.identity
+    for g, i, h in zip(G.elements, data.coset.tolist(), data.h.tolist()):
+        want_i, want_h = coset_of[g]
+        assert (i, H.elements[h]) == (want_i, want_h)
+        assert H.elements[h] is want_h
+    assert np.array_equal(data.codes, np.array(transversal, dtype=np.uint8))
+    assert np.array_equal(data.inv_codes, np.array(
+        [G.inv(r) for r in transversal], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n,q", slow_from_33(ENUMERABLE))
+def test_borel_cosets_match_scan(n, q):
+    assert_same_cosets(gl_group(n, q), repth.borel(n, q))
+
+
+PARABOLIC_GROUPS = [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2)]
+
+
+@pytest.mark.parametrize("n,q", PARABOLIC_GROUPS)
+def test_parabolic_cosets_match_scan(n, q):
+    for blocks in finglq._compositions(n):
+        H = subgroup(n, q, SubgroupSpec.standard_parabolic(blocks))
+        assert_same_cosets(gl_group(n, q), H)
+
+
+@pytest.mark.parametrize("n,q", PARABOLIC_GROUPS + [
+    pytest.param(3, 3, marks=pytest.mark.slow),
+    pytest.param(4, 2, marks=pytest.mark.slow)])
+def test_parabolic_induction_matches_fixed_point_scan(n, q):
+    for nodes in all_types(n):
+        got = repth.parabolic_induction_character(n, q, nodes).values
+        want = ref_parabolic_fixed_points(n, q, nodes)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 2)])
+def test_induced_module_matches_coset_scan(e, q):
+    # equal matrices, traces, operators, convolutions and coset sums, so
+    # the float bytes of every record built on them stay the same
+    G = gl_group(e, q)
+    ref = ref_coset_data(G, repth.borel(e, q))
+    transversal = ref[0]
+    pts = [perm_matrix(e, w) for w in all_perms(e)]
+    for chi in all_characters(q):
+        ind = repth.induce(e, q, chi)
+        for y in G.elements:
+            assert np.array_equal(ind.mat(y), ref_induced_mat(ind, ref, y))
+            assert ind.char_value(y) == ref_induced_char_value(ind, ref, y)
+        basis = repth.finite_hecke_basis(e, q, chi)
+        et = repth.e_tau(e, q, chi)
+        for phi in [et] + basis:
+            assert np.array_equal(
+                ind.hecke_operator(phi),
+                ref_transversal_hecke_operator(ind, transversal, phi))
+        for a in basis + [et]:
+            for b in basis + [et]:
+                for g in pts + G.elements[::7]:
+                    got = a.convolve_at(b, g)
+                    want = ref_convolve_at(a, b, transversal, g)
+                    assert got == want and type(got) is type(want)
+        for gamma in G.elements:
+            got = repth.trace_via_coset_sum(gamma, et, ind)
+            want = ref_trace_via_coset_sum(gamma, et, ind, transversal)
+            assert got == want and type(got) is type(want)
+
+
+def test_induced_module_rejects_matrices_outside_the_group():
+    ind = repth.induce(2, 3, MultChar(3, 1))
+    singular = ((1, 1), (1, 1))
+    for call in (lambda: ind.mat(singular), lambda: ind.char_value(singular),
+                 lambda: repth.trace_via_coset_sum(
+                     singular, repth.e_tau(2, 3, MultChar(3, 1)), ind)):
+        with pytest.raises(KeyError):
+            call()
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_mul_pairs_matches_mat_mul(q):
+    F = get_field(q)
+    rng = np.random.default_rng(q)
+
+    def product(x, y):
+        return np.array(mat_mul(F, tuple(map(tuple, x.tolist())),
+                                tuple(map(tuple, y.tolist()))),
+                        dtype=np.uint8)
+
+    for n in (1, 2, 3, 4):
+        a = rng.integers(0, q, size=(30, n, n), dtype=np.uint8)
+        b = rng.integers(0, q, size=(30, n, n), dtype=np.uint8)
+        want = np.array([product(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(finglq._mul_pairs(F, a, b), want)
+        # leading axes broadcast: every pair of a[:5] and b[:4]
+        table = finglq._mul_pairs(F, a[:5, None], b[None, :4])
+        assert table.shape == (5, 4, n, n)
+        assert all(np.array_equal(table[i, j], product(a[i], b[j]))
+                   for i in range(5) for j in range(4))
+
+
+def test_coset_data_rejects_generators_that_miss_the_subgroup(monkeypatch):
+    # a Borel whose generators lack the diagonal ones reaches only the
+    # unitriangular part: too many cosets, so the data is refused
+    G, B = gl_group(2, 3), subgroup(2, 3, SubgroupSpec.borel())
+    G._cosets.pop(B.spec, None)
+    unitriangular = [s for s in B.generators() if s[0][0] == s[1][1] == 1]
+    monkeypatch.setattr(B, "generators", lambda: unitriangular)
+    try:
+        with pytest.raises(AssertionError, match="partition"):
+            repth._coset_data(G, B)
+    finally:
+        G._cosets.pop(B.spec, None)
+
+
+# --- a fault in the coset data turns the records that read it `fail` --------------
+
+def clear_coset_caches():
+    for fn in (repth.induce, repth.e_tau, repth.finite_hecke_basis):
+        fn.cache_clear()
+    for n in (1, 2, 3):
+        for q in (2, 3):
+            gl_group(n, q)._cosets.clear()
+
+
+def hidden_fault_elements(G, data):
+    """The indices k of G.elements whose translates r_i^-1 g_k are no class
+    representative, in order.  The hypothesis checks read rho only at class
+    representatives (`class_norm`), so a fault at such an element leaves
+    them passing and has to be caught by the comparisons of the records."""
+    reps = {G.index(g) for g in G.class_reps()}
+    return [k for k, g in enumerate(G.elements)
+            if not reps & {G.index(G.mul(G.inv(r), g))
+                           for r in data.transversal}]
+
+
+@pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
+def test_coset_data_fault_fails_trace_records(fault):
+    # GL(2,3) and its Borel, chi the sign character of F_3^x.  Either h
+    # moves, at one hidden element, to its neighbour in B.elements with
+    # the other sigma value; or the coset labels of two hidden elements
+    # are swapped, the second in a coset whose representative has the
+    # other chi(det), so that the moved entry of rho changes the
+    # character of the chi∘det line
+    import dataclasses
+    e, q = 2, 3
+    G, B = gl_group(e, q), repth.borel(e, q)
+    chi, F = MultChar(q, 1), get_field(q)
+    sig = repth.sigma_tilde(e, q, chi)
+    clear_coset_caches()
+    try:
+        data = repth._coset_data(G, B)
+        hidden = hidden_fault_elements(G, data)
+        coset, h = data.coset.copy(), data.h.copy()
+        if fault == "shift_h":
+            k = next(k for k in hidden if sig(B.elements[h[k]])
+                     != sig(B.elements[(h[k] + 1) % B.order]))
+            h[k] = (h[k] + 1) % B.order
+        else:
+            def sign(k):
+                return chi(finglq.mat_det(F, data.transversal[coset[k]]))
+
+            a = hidden[0]
+            b = next(k for k in hidden if sign(k) != sign(a))
+            coset[a], coset[b] = coset[b], coset[a]
+        G._cosets[B.spec] = dataclasses.replace(data, coset=coset, h=h)
+        records = verify.run_all(3, 3)
+    finally:
+        clear_coset_caches()
+    failed = {r.name for r in records if r.status == "fail"}
+    assert failed & {"repth.trace_via_coset_sum",
+                     "repth.trace_via_coset_sum_vs_subrep",
+                     "hecke.oracle_equivalence"}, failed
+
+
+# --- mat_mul stays off the per-coset paths ---------------------------------------
+
+MAT_MUL_BUDGET = 1000  # mat_mul calls in verify all --max-e 3 --max-q 3
+
+
+def test_verify_all_makes_few_mat_mul_calls():
+    # every hecke_forge global bound to mat_mul counts its calls; the
+    # count is deterministic, so per-element products coming back onto a
+    # coset path show at once
+    code = """
+import sys
+from hecke_forge import finglq, verify
+real, calls = finglq.mat_mul, [0]
+def counted(*args):
+    calls[0] += 1
+    return real(*args)
+for name, mod in list(sys.modules.items()):
+    if name.startswith("hecke_forge"):
+        for attr, val in list(vars(mod).items()):
+            if val is real:
+                setattr(mod, attr, counted)
+records = verify.run_all(3, 3)
+assert all(r.status == "pass" for r in records)
+print(calls[0])
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=ROOT, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    count = int(proc.stdout.strip().splitlines()[-1])
+    assert 0 < count <= MAT_MUL_BUDGET, count

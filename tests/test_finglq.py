@@ -279,6 +279,38 @@ def test_borel_generators_generate_the_borel(n, q):
     assert reached == set(B.elements)
 
 
+def closure(G, gens):
+    """Every product of gens, by breadth-first search from the identity."""
+    reached, queue = {G.identity}, [G.identity]
+    for x in queue:
+        for s in gens:
+            y = G.mul(x, s)
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return reached
+
+
+@pytest.mark.parametrize("n,q,blocks", [
+    (n, q, blocks) for n, q in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                (3, 3), (4, 2)]
+    for blocks in finglq._compositions(n)])
+def test_parabolic_generators_generate_the_parabolic(n, q, blocks):
+    # the Borel's generators, then one E_{i+1,i}(1) for each i, i+1 in one
+    # block; none of those can be dropped
+    P = finglq.subgroup(n, q, SubgroupSpec.standard_parabolic(blocks))
+    gens = P.generators()
+    borel_gens = finglq._borel_generators(P.field_, n)
+    lower = gens[len(borel_gens):]
+    assert gens[:len(borel_gens)] == borel_gens
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    assert lower == [finglq.elementary_mat(n, i + 1, i, 1)
+                     for i in range(n - 1) if block_of[i] == block_of[i + 1]]
+    assert closure(P, gens) == set(P.elements)
+    for s in lower:
+        assert closure(P, [g for g in gens if g is not s]) < set(P.elements)
+
+
 def test_char_poly_examples():
     F2 = get_field(2)
     # identity, n=2: (x-1)^2 = x^2 + 1 over F_2 -> coeffs (1, 0, 1)

@@ -657,24 +657,31 @@ def test_coset_data_is_kept_on_the_group():
     G, B = gl_group(2, 3), borel(2, 3)
     ind = induce(2, 3, MultChar(3, 1))
     data = G._cosets[B.spec]
-    assert data.transversal == ind.transversal
-    assert data.coset_of is ind.coset_of
+    assert data.transversal is ind.transversal
+    assert ind._cosets is data
     assert len(data.transversal) == G.order // B.order
+    assert data.coset.shape == data.h.shape == (G.order,)
     assert repth._coset_data(G, B) is data
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3)])
 def test_coset_data_keeps_the_enumerated_objects(n, q):
+    # the transversal holds objects of G.elements, and each g's h indexes
+    # B.elements, so g = B.elements[h] * transversal[i] with the
+    # enumerated objects on both sides
     G, B = gl_group(n, q), borel(n, q)
     data = repth._coset_data(G, B)
 
     def enumerated(g):
         return g is G.elements[G.index(g)]
 
-    assert all(enumerated(g) for g in data.coset_of)
     assert all(enumerated(r) for r in data.transversal)
-    assert all(h is B.elements[B.index(h)]
-               for _i, h in data.coset_of.values())
+    assert data.h.min() >= 0 and data.h.max() < B.order
+    assert data.coset.min() == 0
+    assert data.coset.max() == len(data.transversal) - 1
+    assert all(G.mul(B.elements[h], data.transversal[i]) == g
+               for g, i, h in zip(G.elements, data.coset.tolist(),
+                                  data.h.tolist()))
 
 
 def test_double_coset_basis_asymmetric_character():
