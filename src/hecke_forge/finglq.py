@@ -495,8 +495,12 @@ class SubgroupSpec:
     @staticmethod
     def parahoric_image(nodes, e: int) -> "SubgroupSpec":
         """Reduction of the parahoric of type T ⊆ {1..e-1}: the standard
-        parabolic whose blocks are the runs of consecutive nodes in T."""
-        return SubgroupSpec("standard_parabolic", blocks_from_type(nodes, e))
+        parabolic whose blocks are the runs of consecutive nodes in T, and
+        the Borel itself for T = ∅, so it is enumerated once."""
+        blocks = blocks_from_type(nodes, e)
+        if blocks == (1,) * e:
+            return SubgroupSpec.borel()
+        return SubgroupSpec("standard_parabolic", blocks)
 
 
 def blocks_from_type(nodes, e: int) -> tuple[int, ...]:

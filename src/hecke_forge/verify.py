@@ -1,22 +1,33 @@
 """Registry of verification checks behind `verify all`, `char verify` and
 the acceptance gate.
 
-Each check emits VerificationReport records; group-enumeration checks
-convert size-cap violations into `skipped` records.  Ranges follow the
-module invariants, intersected with the requested (max_e, max_q) wherever
-a finite group has to be enumerated; pure-combinatorics checks run at
-their natural desk-scale ranges regardless (they cost milliseconds).
-The ranges and tolerances written here are the only ones, apart from the
-1e-8 fixed in `repth.SIGN_IDENTITY_TOL`: every entry point runs the
-checks through `run_checks`.
+Each check emits VerificationReport records.  Every finite-group check
+runs at the pairs of one rule, `_gl_pairs`: each (e, q) with
+2 <= e <= max_e, q <= max_q in PRIME_POWERS and |GL(e, q)| at most the
+enumeration cap and the check's order limit, a constant measured from
+its cost: none for the Hecke oracle and e_tau; 168 = |GL(3,2)| for the
+trace formula, the generalized trivial character and the elliptic
+equivalence; 5760 = |GL(2,9)| for the two sign-identity checks (GL(3,3)
+would add 0.19 s to every `--max-e 3 --max-q 3` run); 48 = |GL(2,3)| for
+the numpy checks and the transport.  The trace formula reads every
+element up to order 48 and the class representatives above.  A pair that
+raises becomes one `fail` record with that pair's params.  Only
+`gl_order_formula` reports groups over the cap, as `skipped`;
+pure-combinatorics checks run at their natural desk-scale ranges (they
+cost milliseconds).  The ranges and tolerances written here are the only
+ones, apart from the 1e-8 fixed in `repth.SIGN_IDENTITY_TOL`: every entry
+point runs the checks through `run_checks`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import traceback
 from functools import lru_cache
+
+import numpy as np
 
 from . import charformula, finglq, hecke, pseudocoef, repth, weyl
 from .finglq import GroupSizeError, MultChar, all_characters, gl_group
@@ -24,6 +35,42 @@ from .qpoly import QPoly
 from .report import VerificationReport
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _gl_pairs(max_e, max_q, max_order=math.inf):
+    """Every (e, q) with 2 <= e <= max_e, q in PRIME_POWERS, q <= max_q and
+    |GL(e, q)| <= min(max_order, the enumeration cap), in (e, q) order."""
+    limit = min(max_order, finglq.max_group_order())
+    return [(e, q) for e in range(2, max_e + 1) for q in PRIME_POWERS
+            if q <= max_q and finglq.gl_order(e, q) <= limit]
+
+
+def _raised(name, params, exc):
+    """The `fail` record of a raised exception; its traceback goes to
+    stderr."""
+    traceback.print_exc()
+    return VerificationReport(name, params, f"{type(exc).__name__}: {exc}",
+                              "", 1.0, 0.0, "fail")
+
+
+def _per_pair(name, max_order=math.inf):
+    """Make `at(e, q)`, the records of one pair, into a registry check
+    `(max_e, max_q)` over `_gl_pairs(max_e, max_q, max_order)`.  A pair
+    that raises keeps none of its records and gives one `fail` record
+    named `name`, with params {e, q}."""
+    def wrap(at):
+        def check(max_e, max_q):
+            out = []
+            for e, q in _gl_pairs(max_e, max_q, max_order):
+                try:
+                    out.extend(list(at(e, q)))
+                except Exception as exc:  # one pair must not hide the rest
+                    out.append(_raised(name, {"e": e, "q": q}, exc))
+            return out
+        check.__name__ = check.__qualname__ = at.__name__
+        check.max_order = max_order
+        return check
+    return wrap
 
 
 def _timed(fn):
@@ -126,19 +173,11 @@ def check_perm_sign_multiplicative(max_e, max_q):
 
 # --- hecke ---------------------------------------------------------------------
 
-ORACLE_PAIRS = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
-
-
-def check_hecke_oracle(max_e, max_q):
-    out = []
-    for e, q in ORACLE_PAIRS:
-        if e > max_e or q > max_q:
-            continue
-        ok = hecke.oracle_matches_t_mul(e, q)
-        out.append(VerificationReport.exact(
-            "hecke.oracle_equivalence", {"e": e, "q": q},
-            "t_mul constants at q", "double-coset convolution", ok))
-    return out
+@_per_pair("hecke.oracle_equivalence")
+def check_hecke_oracle(e, q):
+    yield VerificationReport.exact(
+        "hecke.oracle_equivalence", {"e": e, "q": q}, "t_mul constants at q",
+        "double-coset convolution", hecke.oracle_matches_t_mul(e, q))
 
 
 def check_hecke_associativity(max_e, max_q):
@@ -230,110 +269,88 @@ def check_gl_orders(max_e, max_q):
     return out
 
 
-def check_elliptic_equivalence(max_e, max_q):
-    out = []
-    for n, q in ((2, 2), (2, 3), (3, 2)):
-        if n > max_e or q > max_q:
-            continue
-        G = gl_group(n, q)
-        ok = all(finglq.elliptic_regular(q, g)
-                 == finglq.proper_parabolic_avoidance(n, q, g)
-                 for g in G.elements)
-        out.append(VerificationReport.exact(
-            "finglq.elliptic_iff_avoids_parabolics", {"n": n, "q": q},
-            "char poly irreducible", "avoids all conjugates", ok))
-    return out
+@_per_pair("finglq.elliptic_iff_avoids_parabolics", 168)
+def check_elliptic_equivalence(n, q):
+    ok = all(finglq.elliptic_regular(q, g)
+             == finglq.proper_parabolic_avoidance(n, q, g)
+             for g in gl_group(n, q).elements)
+    yield VerificationReport.exact(
+        "finglq.elliptic_iff_avoids_parabolics", {"n": n, "q": q},
+        "char poly irreducible", "avoids all conjugates", ok)
 
 
 # --- repth ------------------------------------------------------------------------
 
-def check_e_tau(max_e, max_q):
+@_per_pair("repth.e_tau_idempotent_dim")
+def check_e_tau(e, q):
     name = "repth.e_tau_idempotent_dim"
-    out = []
-    for e, q in ORACLE_PAIRS:
-        if e > max_e or q > max_q:
+    for chi in all_characters(q):
+        params = {"e": e, "q": q, "chi": chi.k}
+        try:
+            d = repth.dim_from_e_tau(e, q, chi)  # e_tau checks idempotency
+        except ValueError as exc:
+            yield VerificationReport(name, params, str(exc), "", 1.0, 0.0,
+                                     "fail")
             continue
-        for chi in all_characters(q):
-            params = {"e": e, "q": q, "chi": chi.k}
-            try:
-                d = repth.dim_from_e_tau(e, q, chi)  # e_tau checks idempotency
-            except ValueError as exc:
-                out.append(VerificationReport(
-                    name, params, str(exc), "", 1.0, 0.0, "fail"))
-                continue
-            if chi.is_rational:
-                out.append(VerificationReport.exact(name, params, d, 1, d == 1))
-            else:
-                out.append(VerificationReport.passfail(
-                    name, params, d, 1, abs(complex(d) - 1), 1e-10))
-    return out
+        if chi.is_rational:
+            yield VerificationReport.exact(name, params, d, 1, d == 1)
+        else:
+            yield VerificationReport.passfail(
+                name, params, d, 1, abs(complex(d) - 1), 1e-10)
 
 
-def check_trace_formula(max_e, max_q):
-    out = []
-    plan = [(2, 2, "all"), (2, 3, "all"), (3, 2, "reps")]
-    for e, q, mode in plan:
-        if e > max_e or q > max_q:
-            continue
-        G = gl_group(e, q)
-        gammas = G.elements if mode == "all" else G.class_reps()
-        from .finglq import get_field, mat_det
-        F = get_field(q)
-        for chi in all_characters(q):
-            et = repth.e_tau(e, q, chi)
-            ind = repth.induce(e, q, chi)
-            sub = repth.subrep_from_idempotent(et, ind)
-            worst = worst_sub = 0.0
-            for gamma in gammas:
-                val = complex(repth.trace_via_coset_sum(gamma, et, ind))
-                expect = chi(mat_det(F, gamma))
-                worst = max(worst, abs(val - complex(expect)))
-                worst_sub = max(worst_sub, abs(val - sub.char_value(gamma)))
-            params = {"e": e, "q": q, "chi": chi.k, "gammas": len(gammas)}
-            out.append(VerificationReport.passfail(
-                "repth.trace_via_coset_sum", params,
-                "coset sum", "chi(det)", worst, 1e-8))
-            out.append(VerificationReport.passfail(
-                "repth.trace_via_coset_sum_vs_subrep", params,
-                "coset sum", "subrep character", worst_sub, 1e-8))
-    return out
+@_per_pair("repth.trace_via_coset_sum", 168)
+def check_trace_formula(e, q):
+    G = gl_group(e, q)
+    gammas = G.elements if G.order <= 48 else G.class_reps()
+    F = finglq.get_field(q)
+    for chi in all_characters(q):
+        et = repth.e_tau(e, q, chi)
+        ind = repth.induce(e, q, chi)
+        sub = repth.subrep_from_idempotent(et, ind)
+        worst = worst_sub = 0.0
+        for gamma in gammas:
+            val = complex(repth.trace_via_coset_sum(gamma, et, ind))
+            expect = chi(finglq.mat_det(F, gamma))
+            worst = max(worst, abs(val - complex(expect)))
+            worst_sub = max(worst_sub, abs(val - sub.char_value(gamma)))
+        params = {"e": e, "q": q, "chi": chi.k, "gammas": len(gammas)}
+        yield VerificationReport.passfail(
+            "repth.trace_via_coset_sum", params,
+            "coset sum", "chi(det)", worst, 1e-8)
+        yield VerificationReport.passfail(
+            "repth.trace_via_coset_sum_vs_subrep", params,
+            "coset sum", "subrep character", worst_sub, 1e-8)
 
 
-def check_generalized_trivial_char(max_e, max_q):
-    out = []
-    for e, q in ((2, 2), (2, 3), (3, 2)):
-        if e > max_e or q > max_q:
-            continue
-        G = gl_group(e, q)
-        from .finglq import get_field, mat_det
-        F = get_field(q)
-        for chi in all_characters(q):
-            oracle = repth.isotypic_projector_character(
-                repth.induce(e, q, chi), lambda g, c=chi: c(mat_det(F, g)), 1)
-            worst = worst_oracle = 0.0
-            all_one = True
-            for cls in G.conjugacy_classes():
-                val = repth.char_generalized_trivial(cls[0], e, q, chi)
-                expect = chi(mat_det(F, cls[0]))
-                worst = max(worst, abs(complex(val) - complex(expect)))
-                worst_oracle = max(worst_oracle,
-                                   abs(complex(val) - oracle(cls[0])))
-                all_one &= val == 1
-            params = {"e": e, "q": q, "chi": chi.k}
-            out.append(VerificationReport.passfail(
-                "repth.generalized_trivial_character", params,
-                "conjugation sum of Tr e_tau", "chi(det)", worst, 1e-8))
-            # the trivial chi's sum is rational: it must be exactly 1
-            ok = worst_oracle <= 1e-8 and (chi.k != 0 or all_one)
-            out.append(VerificationReport(
-                "repth.generalized_trivial_vs_isotypic_projector", params,
-                "conjugation sum of Tr e_tau",
-                "isotypic-projector character, exactly 1 at trivial chi",
-                worst_oracle, 1e-8, "pass" if ok else "fail"))
-    return out
-
-
-SIGN_IDENTITY_PAIRS = ((2, 2), (2, 3), (3, 2), (2, 5))
+@_per_pair("repth.generalized_trivial_character", 168)
+def check_generalized_trivial_char(e, q):
+    G = gl_group(e, q)
+    F = finglq.get_field(q)
+    for chi in all_characters(q):
+        oracle = repth.isotypic_projector_character(
+            repth.induce(e, q, chi),
+            lambda g, c=chi: c(finglq.mat_det(F, g)), 1)
+        worst = worst_oracle = 0.0
+        all_one = True
+        for cls in G.conjugacy_classes():
+            val = repth.char_generalized_trivial(cls[0], e, q, chi)
+            expect = chi(finglq.mat_det(F, cls[0]))
+            worst = max(worst, abs(complex(val) - complex(expect)))
+            worst_oracle = max(worst_oracle,
+                               abs(complex(val) - oracle(cls[0])))
+            all_one &= val == 1
+        params = {"e": e, "q": q, "chi": chi.k}
+        yield VerificationReport.passfail(
+            "repth.generalized_trivial_character", params,
+            "conjugation sum of Tr e_tau", "chi(det)", worst, 1e-8)
+        # the trivial chi's sum is rational: it must be exactly 1
+        ok = worst_oracle <= 1e-8 and (chi.k != 0 or all_one)
+        yield VerificationReport(
+            "repth.generalized_trivial_vs_isotypic_projector", params,
+            "conjugation sum of Tr e_tau",
+            "isotypic-projector character, exactly 1 at trivial chi",
+            worst_oracle, 1e-8, "pass" if ok else "fail")
 
 
 @lru_cache(maxsize=None)
@@ -349,51 +366,40 @@ def _sign_deviations(e, q):
                           for g in reps] for chi in all_characters(q)}
 
 
-def check_alvis_curtis(max_e, max_q):
-    out = []
-    for e, q in SIGN_IDENTITY_PAIRS:
-        if e > max_e or q > max_q:
-            continue
-        reps, deviations = _sign_deviations(e, q)
-        for k, devs in deviations.items():
-            ok = bool(reps) and all(d <= repth.SIGN_IDENTITY_TOL
-                                    for d in devs)
-            out.append(VerificationReport.exact(
-                "repth.alvis_curtis_sign",
-                {"e": e, "q": q, "chi": k, "classes": len(reps)},
-                "Tr tau", "(-1)^(e-1) Tr St", ok))
-    return out
+@_per_pair("repth.alvis_curtis_sign", 5760)
+def check_alvis_curtis(e, q):
+    reps, deviations = _sign_deviations(e, q)
+    for k, devs in deviations.items():
+        ok = bool(reps) and all(d <= repth.SIGN_IDENTITY_TOL for d in devs)
+        yield VerificationReport.exact(
+            "repth.alvis_curtis_sign",
+            {"e": e, "q": q, "chi": k, "classes": len(reps)},
+            "Tr tau", "(-1)^(e-1) Tr St", ok)
 
 
-def check_group_averaged_trace(max_e, max_q):
-    import numpy as np
-    out = []
-    for e, q in ((2, 2), (2, 3)):
-        if e > max_e or q > max_q:
-            continue
-        reps = [_steinberg_rep(e, q)]
-        G = gl_group(e, q)
-        from .finglq import get_field, mat_det
-        F = get_field(q)
-        for chi in all_characters(q):
-            reps.append(repth.FinRep.from_character(
-                G, lambda g, c=chi: c(mat_det(F, g))))
-        rng = np.random.default_rng(17)
-        worst = 0.0
-        for trial in range(20):
-            rep = reps[trial % len(reps)]
-            v = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-            M = rep.invariant_inner_product()
-            v = v / np.sqrt((v.conj() @ M @ v).real)
-            T = rng.normal(size=(rep.dim, rep.dim)) \
-                + 1j * rng.normal(size=(rep.dim, rep.dim))
-            got = repth.conj_avg(T, rep, v)
-            worst = max(worst, abs(got - np.trace(T)))
-        out.append(VerificationReport.passfail(
-            "repth.group_averaged_trace",
-            {"e": e, "q": q, "trials": 20, "reps": len(reps)},
-            "averaged form", "Tr T", worst, 1e-7))
-    return out
+@_per_pair("repth.group_averaged_trace", 48)
+def check_group_averaged_trace(e, q):
+    reps = [_steinberg_rep(e, q)]
+    G = gl_group(e, q)
+    F = finglq.get_field(q)
+    for chi in all_characters(q):
+        reps.append(repth.FinRep.from_character(
+            G, lambda g, c=chi: c(finglq.mat_det(F, g))))
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for trial in range(20):
+        rep = reps[trial % len(reps)]
+        v = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+        M = rep.invariant_inner_product()
+        v = v / np.sqrt((v.conj() @ M @ v).real)
+        T = rng.normal(size=(rep.dim, rep.dim)) \
+            + 1j * rng.normal(size=(rep.dim, rep.dim))
+        got = repth.conj_avg(T, rep, v)
+        worst = max(worst, abs(got - np.trace(T)))
+    yield VerificationReport.passfail(
+        "repth.group_averaged_trace",
+        {"e": e, "q": q, "trials": 20, "reps": len(reps)},
+        "averaged form", "Tr T", worst, 1e-7)
 
 
 def _steinberg_rep(e, q):
@@ -405,58 +411,52 @@ def _steinberg_rep(e, q):
         ind, repth.isotypic_projector(ind, st.at, degree))
 
 
-def check_matrix_coefficient_sum(max_e, max_q):
-    import numpy as np
-    out = []
-    for e, q in ((2, 2), (2, 3)):
-        if e > max_e or q > max_q:
-            continue
-        st = _steinberg_rep(e, q)
-        G = st.group
-        F, codes = G.field_, G._code_array()[0]
-        inv_codes = np.array([G.inv(x) for x in G.elements], dtype=np.uint8)
-        M = st.invariant_inner_product()
-        rng = np.random.default_rng(29)
-        v = rng.normal(size=st.dim) + 1j * rng.normal(size=st.dim)
-        v = v / np.sqrt((v.conj() @ M @ v).real)
-        pick = random.Random(31)
-        worst = 0.0
-        for gamma in pick.sample(G.elements, min(10, G.order)):
-            # x gamma x^-1 for every x in G.elements, in their order
-            conj = G._indices(finglq._mul_pairs(
-                F, finglq._mul_codes(F, gamma, codes, left=False), inv_codes))
-            acc = 0j
-            for k in conj.tolist():
-                acc += v.conj() @ M @ (st.mat(G.elements[k]) @ v)
-            rhs = acc * st.dim / G.order
-            worst = max(worst, abs(st.char_value(gamma) - rhs))
-        out.append(VerificationReport.passfail(
-            "repth.matrix_coefficient_sum",
-            {"e": e, "q": q, "gammas": 10},
-            "character", "coefficient sum", worst, 1e-7))
-    return out
+@_per_pair("repth.matrix_coefficient_sum", 48)
+def check_matrix_coefficient_sum(e, q):
+    st = _steinberg_rep(e, q)
+    G = st.group
+    F, codes = G.field_, G._code_array()[0]
+    inv_codes = np.array([G.inv(x) for x in G.elements], dtype=np.uint8)
+    M = st.invariant_inner_product()
+    rng = np.random.default_rng(29)
+    v = rng.normal(size=st.dim) + 1j * rng.normal(size=st.dim)
+    v = v / np.sqrt((v.conj() @ M @ v).real)
+    pick = random.Random(31)
+    worst = 0.0
+    for gamma in pick.sample(G.elements, min(10, G.order)):
+        # x gamma x^-1 for every x in G.elements, in their order
+        conj = G._indices(finglq._mul_pairs(
+            F, finglq._mul_codes(F, gamma, codes, left=False), inv_codes))
+        acc = 0j
+        for k in conj.tolist():
+            acc += v.conj() @ M @ (st.mat(G.elements[k]) @ v)
+        rhs = acc * st.dim / G.order
+        worst = max(worst, abs(st.char_value(gamma) - rhs))
+    yield VerificationReport.passfail(
+        "repth.matrix_coefficient_sum", {"e": e, "q": q, "gammas": 10},
+        "character", "coefficient sum", worst, 1e-7)
 
 
-def check_frobenius_transport(max_e, max_q):
-    out = []
-    configs = []
-    if 2 <= max_e and 2 <= max_q:
-        configs.append(("gl22_borel_trivial", 2, 2,
-                        lambda: repth.sigma_tilde(2, 2, MultChar(2, 0))))
-    if 2 <= max_e and 3 <= max_q:
-        configs.append(("gl23_borel_sign_sign", 2, 3,
-                        lambda: repth.torus_character(3, (1, 1))))
-        configs.append(("gl23_borel_asymmetric", 2, 3,
-                        lambda: repth.torus_character(3, (0, 1))))
-    for label, e, q, mk in configs:
-        G = gl_group(e, q)
-        B = repth.borel(e, q)
-        dev = repth.frobenius_transport_check(G, B, mk())
-        out.append(VerificationReport.passfail(
+# (e, q) -> the (label, torus character) of each transport configuration
+TRANSPORT_CONFIGS = {
+    (2, 2): (("gl22_borel_trivial",
+              lambda: repth.sigma_tilde(2, 2, MultChar(2, 0))),),
+    (2, 3): (("gl23_borel_sign_sign",
+              lambda: repth.torus_character(3, (1, 1))),
+             ("gl23_borel_asymmetric",
+              lambda: repth.torus_character(3, (0, 1)))),
+}
+
+
+@_per_pair("repth.module_action_transport", 48)
+def check_frobenius_transport(e, q):
+    for label, sigma in TRANSPORT_CONFIGS.get((e, q), ()):
+        dev = repth.frobenius_transport_check(
+            gl_group(e, q), repth.borel(e, q), sigma())
+        yield VerificationReport.passfail(
             "repth.module_action_transport",
             {"config": label, "pairs": repth.TRANSPORT_TRIALS},
-            "transported action", "displayed sum", dev, 1e-9))
-    return out
+            "transported action", "displayed sum", dev, 1e-9)
 
 
 # --- pseudocoef ----------------------------------------------------------------------
@@ -525,19 +525,15 @@ def check_constant_collapse(max_e, max_q):
     return out
 
 
-def check_unramified_consistency(max_e, max_q):
-    out = []
-    for e, q in SIGN_IDENTITY_PAIRS:
-        if e > max_e or q > max_q:
-            continue
-        reps, deviations = _sign_deviations(e, q)
-        worst = max((d for devs in deviations.values() for d in devs),
-                    default=0.0)
-        out.append(VerificationReport.passfail(
-            "charformula.unramified_consistency",
-            {"e": e, "q": q, "classes": len(reps)},
-            "idempotent sum", "signed Steinberg", worst, 1e-7))
-    return out
+@_per_pair("charformula.unramified_consistency", 5760)
+def check_unramified_consistency(e, q):
+    reps, deviations = _sign_deviations(e, q)
+    worst = max((d for devs in deviations.values() for d in devs),
+                default=0.0)
+    yield VerificationReport.passfail(
+        "charformula.unramified_consistency",
+        {"e": e, "q": q, "classes": len(reps)},
+        "idempotent sum", "signed Steinberg", worst, 1e-7)
 
 
 def check_prefactor(max_e, max_q):
@@ -608,10 +604,9 @@ def checks_named(*names):
 def run_checks(checks, max_e: int, max_q: int):
     """Run the given checks; reports come back in canonical order.
 
-    A check over the group-size cap becomes one `skipped` record; a check
-    that raises anything else becomes one `fail` record whose lhs is the
-    exception (its traceback goes to stderr), and the other checks still
-    run.
+    A check that raises becomes one `fail` record named after the check,
+    with empty params and the exception as lhs (its traceback goes to
+    stderr), and the other checks still run.
     """
     reports = []
     # the shared deviations hold for this run's library functions only
@@ -619,14 +614,8 @@ def run_checks(checks, max_e: int, max_q: int):
     for fn in checks:
         try:
             reports.extend(_timed(lambda: fn(max_e, max_q)))
-        except GroupSizeError as exc:
-            reports.append(
-                VerificationReport.skipped(fn.__name__, {}, str(exc)))
         except Exception as exc:  # one raising check must not hide the rest
-            traceback.print_exc()
-            reports.append(VerificationReport(
-                fn.__name__, {}, f"{type(exc).__name__}: {exc}", "",
-                1.0, 0.0, "fail"))
+            reports.append(_raised(fn.__name__, {}, exc))
     _sign_deviations.cache_clear()
     reports.sort(key=lambda r: r.sort_key())
     return reports

@@ -26,8 +26,9 @@ MAX_E, MAX_Q = 4, 5
 
 # number -> (title, gated registry checks, time bound in seconds or None)
 CRITERIA = {
-    1: ("Iwahori-Matsumoto constants = double-coset convolution "
-        f"on {verify.ORACLE_PAIRS}", ("check_hecke_oracle",), 60),
+    1: ("Iwahori-Matsumoto constants = double-coset convolution at every "
+        "GL(e, q), 2 <= e <= max_e, q <= max_q, under the enumeration cap",
+        ("check_hecke_oracle",), 60),
     2: ("e_tau idempotency and dim tau = Tr(e_tau(1))|G|, all chi, "
         "exact where rational", ("check_e_tau",), None),
     3: ("coset-sum trace formula = subrep character and chi(det) at every "
@@ -258,12 +259,13 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("n", sorted(FAULTS), ids=lambda n: f"{n:02d}")
-def test_negative_control(n, monkeypatch):
+def test_negative_control(n, monkeypatch, capsys):
     FAULTS[n](monkeypatch)
     failed = [r for r in _records(n, 2, 2) if r.status == "fail"]
     assert failed
-    # the records themselves failed: the runner caught no exception
+    # the records themselves failed: no check and no pair raised
     assert all(r.params for r in failed), failed
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_period_fault_fails_every_coprime_case_above_rank_one(monkeypatch):
@@ -460,11 +462,13 @@ UNGATED_FAULTS = {
 
 
 @pytest.mark.parametrize("check", sorted(UNGATED_FAULTS))
-def test_ungated_negative_control(check, monkeypatch):
+def test_ungated_negative_control(check, monkeypatch, capsys):
     UNGATED_FAULTS[check](monkeypatch)
     records = verify.run_checks(verify.checks_named(check), 2, 2)
     assert records
     assert all(r.status == "fail" and r.params for r in records), records
+    # no check and no pair raised
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- the systems average counts every system -----------------------------------

@@ -1016,6 +1016,19 @@ def test_coset_data_fault_fails_trace_records(fault):
 MAT_MUL_BUDGET = 1000  # mat_mul calls in verify all --max-e 3 --max-q 3
 
 
+def run_fresh(code):
+    """The stdout of `code` run in a fresh interpreter on this checkout's
+    src/, so no cache of another test is read."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=ROOT, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_verify_all_makes_few_mat_mul_calls():
     # every hecke_forge global bound to mat_mul counts its calls; the
     # count is deterministic, so per-element products coming back onto a
@@ -1036,12 +1049,21 @@ records = verify.run_all(3, 3)
 assert all(r.status == "pass" for r in records)
 print(calls[0])
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, cwd=ROOT, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    count = int(proc.stdout.strip().splitlines()[-1])
+    count = int(run_fresh(code).strip().splitlines()[-1])
     assert 0 < count <= MAT_MUL_BUDGET, count
+
+
+def test_empty_type_reuses_the_borel():
+    # Ind_B^G 1 reads the Borel's own coset data: after a fresh run no
+    # group holds a second copy under an all-ones standard parabolic
+    assert SubgroupSpec.parahoric_image(frozenset(), 3) == SubgroupSpec.borel()
+    code = """
+from hecke_forge import finglq, verify
+verify.run_all(3, 3)
+for e, q in verify._gl_pairs(3, 3):
+    specs = finglq.gl_group(e, q)._cosets
+    assert finglq.SubgroupSpec.borel() in specs, (e, q)
+    assert not [s for s in specs if s.kind == "standard_parabolic"
+                and set(s.blocks) == {1}], (e, q)
+"""
+    run_fresh(code)

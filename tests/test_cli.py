@@ -184,6 +184,8 @@ def _serialized_records(text):
 @pytest.mark.parametrize("golden, argv", [
     ("verify_all_max_e3_max_q3.json", ("--max-e", "3", "--max-q", "3")),
     ("verify_all_defaults.json", ()),
+    pytest.param("verify_all_max_e4_max_q5.json",
+                 ("--max-e", "4", "--max-q", "5"), marks=pytest.mark.slow),
 ])
 def test_verify_all_keeps_golden_records(golden, argv, tmp_path, capsys):
     # every checked-in record appears in a fresh run with the same bytes;
