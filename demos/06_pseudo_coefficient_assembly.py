@@ -10,7 +10,8 @@ Chain of identities, all exact rational arithmetic:
   4. against an elliptic regular element only the full-type term
      survives, and its constant collapses to (-1)^(e-1);
   5. in the ramified regime the valuation filter kills everything but
-     (empty type, nu, 0), leaving the prefactor epsilon^nu c^nu.
+     (empty type, nu, 0), so the lift's coefficient at Pi^nu, times
+     N = e e', is the prefactor epsilon^nu = (-1)^((e-1) nu).
 """
 
 import json
@@ -54,5 +55,5 @@ for N, ep, nu in ((4, 1, 1), (6, 2, 5), (4, 1, 2)):
 
 print("\nprefactor through the k-average:")
 for nu, n in ((1, 2), (3, 4), (1, 3)):
-    val = charformula.ramified_prefactor(nu, n, n, 1)
+    val = charformula.lift_prefactors(n, 1, Q)[nu]
     print(f"  nu={nu}, n={n}: {val}")

@@ -375,14 +375,21 @@ class InducedRep:
 
     Reads the index arrays of `_coset_data(G, H)`: rho(y) and its trace
     take the products r_i y for every i at once, located in G, and sigma
-    is evaluated once per element of H (`sigma_values`)."""
+    is evaluated once per element of H (`sigma_values`).  Those arrays
+    are checked here, at every g, as g = H.elements[h[g]] r_{coset[g]}
+    (the checks downstream read rho only at class representatives);
+    AssertionError if they do not hold."""
 
     def __init__(self, G: MatrixGroup, H: MatrixGroup, sigma):
         self.group = G
         self.sub = H
         self.sigma = sigma
-        self._cosets = _coset_data(G, H)
-        self.transversal = self._cosets.transversal
+        self._cosets = data = _coset_data(G, H)
+        if not np.array_equal(
+                _mul_pairs(G.field_, H._code_array()[0][data.h],
+                           data.codes[data.coset]), G._code_array()[0]):
+            raise AssertionError("the coset data does not factor G")
+        self.transversal = data.transversal
         self.dim = len(self.transversal)
         # complex(sigma(h)) for each h, in the order of H.elements
         self.sigma_values = [complex(sigma(h)) for h in H.elements]

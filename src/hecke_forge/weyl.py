@@ -355,8 +355,11 @@ def parahoric_weyl_group(T: ParahoricType) -> list[AffineElt]:
 
 
 def poincare_sum(elements, q) -> Fraction:
-    """Sum of q^l(w) over the given elements, e.g. a W_T already built."""
-    return sum((Fraction(q) ** length(w) for w in elements), Fraction(0))
+    """Sum of q^l(w) over the given elements, e.g. a W_T already built:
+    one power of q per length."""
+    return sum((n * Fraction(q) ** l
+                for l, n in Counter(map(length, elements)).items()),
+               Fraction(0))
 
 
 @lru_cache(maxsize=None)

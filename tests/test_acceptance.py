@@ -15,6 +15,8 @@ library value is made wrong, and the criterion's records must turn
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -48,8 +50,9 @@ CRITERIA = {
     9: ("epsilon_empty = (-1)^(e-1) for e <= 8; closed-form length = "
         "BFS oracle, e <= 4, l <= 6, exhaustive",
         ("check_epsilon_sign_rule", "check_length_oracle"), None),
-    10: ("C_S * (-1)^(e-1) = 1 and vol(P_S) = p_{e-1}(q), "
-         "e <= 6, q in {2,3,4,5}, exact", ("check_constant_collapse",), None),
+    10: ("C_S * (-1)^(e-1) = 1, C_S read off the lift's full-type term "
+         "times p_{e-1}(q), e <= 6, q in {2,3,4,5}, exact",
+         ("check_constant_collapse",), None),
     11: ("module-action transport identity on 20 random pairs, "
          "three configurations", ("check_frobenius_transport",), None),
 }
@@ -303,9 +306,14 @@ def _doubled_generalized_trivial(mp):
                lambda gamma, e, q, chi: 2 * real(gamma, e, q, chi))
 
 
-def _negated_epsilon(mp):
-    real = charformula.epsilon
-    mp.setattr(charformula, "epsilon", lambda T: -real(T))
+def _unit_empty_epsilon(mp):
+    # epsilon_empty := 1 in the builders, on fresh type caches: no entry
+    # built before the fault hides it, and none built under it outlives it
+    real = pseudocoef.epsilon
+    mp.setattr(pseudocoef, "epsilon", lambda T: real(T) if T.nodes else 1)
+    for name in ("_type_shape", "_type_data"):
+        mp.setattr(pseudocoef, name,
+                   lru_cache(getattr(pseudocoef, name).__wrapped__))
 
 
 def _shifted_pi_power(mp):
@@ -453,7 +461,7 @@ UNGATED_FAULTS = {
     "check_group_averaged_trace": _conj_avg_off_by_one,
     "check_matrix_coefficient_sum": _char_value_off_by_one,
     "check_unramified_consistency": _doubled_generalized_trivial,
-    "check_prefactor": _negated_epsilon,
+    "check_prefactor": _unit_empty_epsilon,
     "check_power_identity": _shifted_pi_power,
     "check_orbit_partition": _doubled_orbit_reps,
     "check_rotation_period": _period_n_off_by_one,
@@ -469,6 +477,38 @@ def test_ungated_negative_control(check, monkeypatch, capsys):
     assert all(r.status == "fail" and r.params for r in records), records
     # no check and no pair raised
     assert "Traceback" not in capsys.readouterr().err
+
+
+# --- faults in the builders that the charformula records read ----------------
+
+def _weight_over_d_plus_two(mp):
+    mp.setattr(pseudocoef, "_averaged_weight",
+               lambda e, ep: lambda T, n: Fraction(
+                   (-1) ** (e - 1) * (-1) ** T.d, ep * (T.d + 2)))
+
+
+def _volume_times_q(mp):
+    real = pseudocoef._type_data
+
+    def wrong(T, q):
+        u, n, eps, vol, W_T = real(T, q)
+        return u, n, eps, vol * q, W_T
+
+    mp.setattr(pseudocoef, "_type_data", wrong)
+
+
+@pytest.mark.parametrize("check, fault", [
+    ("check_prefactor", _unit_empty_epsilon),
+    ("check_constant_collapse", _weight_over_d_plus_two),
+    ("check_constant_collapse", _volume_times_q),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_charformula_records_read_the_lift(check, fault, monkeypatch):
+    # the constants are read off the assembled elements, so a fault in the
+    # builders fails every record; a restated formula passed all three
+    fault(monkeypatch)
+    records = verify.run_checks(verify.checks_named(check), 3, 3)
+    assert records
+    assert all(r.status == "fail" and r.params for r in records), records
 
 
 # --- the systems average counts every system -----------------------------------

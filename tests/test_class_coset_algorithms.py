@@ -965,43 +965,48 @@ def hidden_fault_elements(G, data):
     """The indices k of G.elements whose translates r_i^-1 g_k are no class
     representative, in order.  The hypothesis checks read rho only at class
     representatives (`class_norm`), so a fault at such an element leaves
-    them passing and has to be caught by the comparisons of the records."""
+    them passing; the factorisation check of `InducedRep` catches it."""
     reps = {G.index(g) for g in G.class_reps()}
     return [k for k, g in enumerate(G.elements)
             if not reps & {G.index(G.mul(G.inv(r), g))
                            for r in data.transversal}]
 
 
-@pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
-def test_coset_data_fault_fails_trace_records(fault):
-    # GL(2,3) and its Borel, chi the sign character of F_3^x.  Either h
-    # moves, at one hidden element, to its neighbour in B.elements with
-    # the other sigma value; or the coset labels of two hidden elements
-    # are swapped, the second in a coset whose representative has the
-    # other chi(det), so that the moved entry of rho changes the
-    # character of the chi∘det line
+def faulty_coset_data(fault):
+    """GL(2,3)'s Borel coset data with one hidden fault, chi the sign
+    character of F_3^x.  Either h moves, at one hidden element, to its
+    neighbour in B.elements with the other sigma value; or the coset
+    labels of two hidden elements are swapped, the second in a coset whose
+    representative has the other chi(det), so that the moved entry of rho
+    changes the character of the chi∘det line."""
     import dataclasses
     e, q = 2, 3
     G, B = gl_group(e, q), repth.borel(e, q)
     chi, F = MultChar(q, 1), get_field(q)
     sig = repth.sigma_tilde(e, q, chi)
+    data = repth._coset_data(G, B)
+    hidden = hidden_fault_elements(G, data)
+    coset, h = data.coset.copy(), data.h.copy()
+    if fault == "shift_h":
+        k = next(k for k in hidden if sig(B.elements[h[k]])
+                 != sig(B.elements[(h[k] + 1) % B.order]))
+        h[k] = (h[k] + 1) % B.order
+    else:
+        def sign(k):
+            return chi(finglq.mat_det(F, data.transversal[coset[k]]))
+
+        a = hidden[0]
+        b = next(k for k in hidden if sign(k) != sign(a))
+        coset[a], coset[b] = coset[b], coset[a]
+    return dataclasses.replace(data, coset=coset, h=h)
+
+
+@pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
+def test_coset_data_fault_fails_trace_records(fault):
+    G, B = gl_group(2, 3), repth.borel(2, 3)
     clear_coset_caches()
     try:
-        data = repth._coset_data(G, B)
-        hidden = hidden_fault_elements(G, data)
-        coset, h = data.coset.copy(), data.h.copy()
-        if fault == "shift_h":
-            k = next(k for k in hidden if sig(B.elements[h[k]])
-                     != sig(B.elements[(h[k] + 1) % B.order]))
-            h[k] = (h[k] + 1) % B.order
-        else:
-            def sign(k):
-                return chi(finglq.mat_det(F, data.transversal[coset[k]]))
-
-            a = hidden[0]
-            b = next(k for k in hidden if sign(k) != sign(a))
-            coset[a], coset[b] = coset[b], coset[a]
-        G._cosets[B.spec] = dataclasses.replace(data, coset=coset, h=h)
+        G._cosets[B.spec] = faulty_coset_data(fault)
         records = verify.run_all(3, 3)
     finally:
         clear_coset_caches()
@@ -1009,6 +1014,23 @@ def test_coset_data_fault_fails_trace_records(fault):
     assert failed & {"repth.trace_via_coset_sum",
                      "repth.trace_via_coset_sum_vs_subrep",
                      "hecke.oracle_equivalence"}, failed
+
+
+@pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
+def test_induced_module_rejects_faulty_coset_data(fault):
+    # the class-representative checks pass these faults; the induced
+    # module checks the data at every element before it reads any
+    G, B = gl_group(2, 3), repth.borel(2, 3)
+    sig = repth.sigma_tilde(2, 3, MultChar(3, 1))
+    clear_coset_caches()
+    try:
+        G._cosets[B.spec] = faulty_coset_data(fault)
+        with pytest.raises(AssertionError, match="coset data"):
+            repth.InducedRep(G, B, sig)
+    finally:
+        clear_coset_caches()
+    # the rebuilt data passes
+    assert repth.InducedRep(G, B, sig).dim == 4
 
 
 # --- mat_mul stays off the per-coset paths ---------------------------------------

@@ -111,10 +111,10 @@ def test_char_verify(capsys):
 def test_char_verify_raising_check_is_one_fail_line(capsys, monkeypatch):
     from hecke_forge import charformula
 
-    def raises(nu, N):
+    def raises(e, e_prime, q):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(charformula, "epsilon_cross_check", raises)
+    monkeypatch.setattr(charformula, "lift_prefactors", raises)
     code, out, err = run(capsys, "char", "verify", "--e", "2", "--q", "2")
     assert code == 1
     assert "FAIL    check_prefactor {}" in out.splitlines()
