@@ -572,7 +572,7 @@ def is_block_upper(g: Mat, blocks) -> bool:
 
 def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     """Complete duplicate-free element list; order checked against the
-    closed-form count, capped at max_group_order().
+    closed-form count, capped at max_group_order().  n must be positive.
 
     Full GL(n, q), and each diagonal block of the other kinds, is built
     row by row (`_invertible_matrices`): row k runs, in `itertools.product`
@@ -581,6 +581,8 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     so this only prunes the product of all q^(n^2) matrices at the first
     dependent row: the list keeps that product's row-major lexicographic
     order, and no determinant is computed."""
+    if n < 1:
+        raise ValueError("n must be positive")
     order = group_order(n, q, spec)
     cap = max_group_order()
     if order > cap:
@@ -671,6 +673,8 @@ class MatrixGroup:
     _cosets: dict = field(default_factory=dict, repr=False)
     # (codes, sorted keys, their argsort), built by _code_array
     _array: tuple = field(default=None, repr=False, compare=False)
+    # (labels, at), the Bruhat label index set by bruhat_decomposition
+    _bruhat: tuple = field(default=None, repr=False, compare=False)
     field_: Fq = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -894,7 +898,9 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     `repth.e_tau`, is then fixed by its values at the permutation
     matrices, its hypotheses can be checked once per label, and the
     convolution of two such functions is |B| times a sum over the cosets
-    of B.
+    of B.  Once the checks pass, the labels are also kept on G as an
+    index, `G._bruhat` = (labels, at): the label tuples in code order and
+    the position of each element's label (`np.unique`'s inverse).
     """
     F = get_field(q)
     G = gl_group(e, q)
@@ -925,6 +931,7 @@ def bruhat_decomposition(e: int, q: int) -> dict:
         if out[perm_matrix(e, w)] != (w, 1):
             raise AssertionError(
                 f"permutation matrix of {w} is not labelled ({w}, 1)")
+    G._bruhat = (labels, inverse.astype(np.min_scalar_type(len(labels))))
     return out
 
 

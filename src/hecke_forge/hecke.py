@@ -19,7 +19,8 @@ l(x s_i) > l(x) is read off x = (lam, w) in O(1), not from two lengths
 The ground truth for the relations is the double-coset convolution
 algebra of GL(e, F_q) over the Borel (`convolution_oracle`): the
 normalized cell indicators fbar_w of `repth.finite_hecke_basis`,
-convolved over the cosets B\\G.
+convolved over the cosets B\\G: each structure constant is a count of
+cosets by the Bruhat cells of w3 r_i^-1 and r_i.
 
 Central-character reduction collapses the basis along central
 translations (lam, w) ~ (lam + n*(1..1), w), weighting by omega^n.
@@ -221,22 +222,30 @@ def convolution_oracle(e: int, q: int) -> dict:
     Counting-measure convolution on GL(e, F_q); the identity-coset element
     is the unit.  The coefficient of fbar_{w3} in fbar_{w1} * fbar_{w2} is
     the product's value at the permutation matrix of w3 divided by
-    fbar_{w3} there, 1/|B|.  Constants are exact Fractions, indexed by
-    (w1, w2, w3).
+    fbar_{w3} there, 1/|B|.  The value is |B| times the sum over cosets
+    B r_i of fbar_{w1}(w3 r_i^-1) fbar_{w2}(r_i), each term 1/|B|^2 or 0,
+    so the coefficient is the count #{i : w3 r_i^-1 in B w1 B, r_i in
+    B w2 B}: one histogram of the cells of `repth._label_pairs` per w3.
+    `finite_hecke_basis` checks the hypothesis (the fbar_w span the
+    commutant).  Constants are exact Fractions, indexed by (w1, w2, w3).
     """
-    from . import finglq, repth  # importing hecke does not load numpy
-    basis = repth.finite_hecke_basis(e, q, finglq.MultChar(q, 0))
-    b_order = repth.borel(e, q).order
+    import numpy as np  # importing hecke does not load numpy
+    from . import finglq, repth
+    # the hypothesis check; its basis also sets G's label index
+    repth.finite_hecke_basis(e, q, finglq.MultChar(q, 0))
+    G, B = finglq.gl_group(e, q), repth.borel(e, q)
     perms = all_perms(e)
-    fbar = dict(zip(perms, basis))
-    consts: dict = {}
-    for w1 in perms:
-        for w3 in perms:
-            pt = finglq.perm_matrix(e, w3)
-            for w2 in perms:
-                consts[(w1, w2, w3)] = b_order * fbar[w1].convolve_at(
-                    fbar[w2], pt)
-    return consts
+    m = len(perms)
+    # the position in perms of the cell of each label of G's label index
+    cell = np.array([perms.index(w) for w, _ in G._bruhat[0]])
+    counts = {}
+    for w3 in perms:
+        a, b = repth._label_pairs(G, B, finglq.perm_matrix(e, w3))
+        counts[w3] = np.bincount(cell[a] * m + cell[b],
+                                 minlength=m * m).reshape(m, m).tolist()
+    return {(w1, w2, w3): Fraction(counts[w3][i][j])
+            for i, w1 in enumerate(perms) for w3 in perms
+            for j, w2 in enumerate(perms)}
 
 
 def oracle_mismatches(consts: dict, e: int, q: int) -> int:

@@ -204,6 +204,13 @@ def projection_check(params: PseudoCoefParams) -> bool:
     return central_reduction(assemble_F0(params)) == laumon_f0(params)
 
 
+@lru_cache(maxsize=None)
+def _mask_periods(e: int) -> bytes:
+    """`mask_period` of every even node bitmask below 2^e, at mask >> 1:
+    one byte per mask (u_T <= e), built once per e."""
+    return bytes(mask_period(mask, e) for mask in range(0, 1 << e, 2))
+
+
 def support_filter(N: int, e_prime: int, nu: int) -> list:
     """Solutions (T, l, k) of l*N/(n_T*e') = nu - k*N with T ⊆ S and
     0 <= l < e'*n_T.
@@ -211,18 +218,19 @@ def support_filter(N: int, e_prime: int, nu: int) -> list:
     As l*N/(n_T*e') = l*u_T and 0 <= l*u_T < e'*n_T*u_T = N, the bounds
     0 <= nu < N force k = 0, so T has a solution exactly when u_T divides
     nu, with l = nu/u_T.  The subsets T of S are walked as even node
-    bitmasks below 2^e, u_T is read off the mask, and a `ParahoricType`
-    is built only for a solution.  For nu coprime to N the unique
-    solution is (empty type, nu, 0).
+    bitmasks below 2^e, u_T is read from the table `_mask_periods`, and
+    a `ParahoricType` is built only for a solution.  For nu coprime to N
+    the unique solution is (empty type, nu, 0).
     """
     if N < 1 or e_prime < 1 or N % e_prime:
         raise ValueError("need e' | N")
     if not 0 <= nu < N:
         raise ValueError("need 0 <= nu < N")
     e = N // e_prime
+    periods = _mask_periods(e)
     out = []
     for mask in range(0, 1 << e, 2):  # bit 0, the affine node, stays clear
-        u = mask_period(mask, e)
+        u = periods[mask >> 1]
         if nu % u == 0:
             nodes = [t for t in range(1, e) if mask >> t & 1]
             out.append((parahoric_type(nodes, e), nu // u, 0))

@@ -10,7 +10,9 @@ supported on the Bruhat cell of w, and the normalized sum of the basis is
 the idempotent cutting out the one-dimensional constituent chi∘det.  Both
 are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and
 `FinHeckeElt` holds only that form: one coefficient per label (e!(q-1)
-of them), read at g through the cached `bruhat_decomposition`.  The
+of them), read at one g through the cached `bruhat_decomposition`, and
+in the coset sums through the label index that it keeps on G
+(`G._bruhat`): one array read per sum, not a dict lookup per coset.  The
 hypotheses the operator and the trace formula rest on, right
 sigma-equivariance and adjointness, are checked once per label; the
 label checks of `bruhat_decomposition` make that as strong as checking
@@ -84,6 +86,11 @@ class FinHeckeElt:
     def __call__(self, g):
         return self.labels.get(self._dec[g], 0)
 
+    def coefficients(self) -> list:
+        """phi at each label of `group._bruhat`, in its order, so that
+        phi(G.elements[k]) is coefficients()[at[k]]."""
+        return [self.labels.get(label, 0) for label in self.group._bruhat[0]]
+
     def convolve_at(self, other: "FinHeckeElt", g):
         """(self * other)(g) = |H| * sum over r in H\\G of
         self(g r^-1) * other(r).
@@ -92,20 +99,29 @@ class FinHeckeElt:
         left-(H, sigma)-equivariant.  Then y = h r turns the full sum over
         y in G into |H| times the sum over the right transversal, since
         sigma(h^-1) sigma(h) = 1.  For fbar_w and e_tau the label check in
-        `bruhat_decomposition` guarantees it.  The products g r^-1 are
-        formed for every r at once and located in G; terms with
-        other(r) = 0 are skipped, so self is read only on the cosets in the
-        support of `other`.
+        `bruhat_decomposition` guarantees it.  Both factors are read by
+        label index at every coset (`_label_pairs`); terms with
+        other(r) = 0 are skipped.
         """
-        G, H = self.group, self.sub
-        data = _coset_data(G, H)
-        at = G._indices(_mul_codes(G.field_, g, data.inv_codes, left=True))
+        a, b = _label_pairs(self.group, self.sub, g)
+        mine, theirs = self.coefficients(), other.coefficients()
         acc = Fraction(0)
-        for r, k in zip(data.transversal, at.tolist()):
-            vr = other(r)
+        for i, j in zip(a.tolist(), b.tolist()):
+            vr = theirs[j]
             if vr != 0:
-                acc += self(G.elements[k]) * vr
-        return H.order * acc
+                acc += mine[i] * vr
+        return self.sub.order * acc
+
+
+def _label_pairs(G: MatrixGroup, H: MatrixGroup, g):
+    """(a, b): for each coset H r_i of G's Borel H, in transversal order,
+    the label positions in `G._bruhat` of g r_i^-1 (a) and of r_i (b),
+    the products formed for every i at once.  `convolve_at` and the Hecke
+    oracle's cell count both read them."""
+    data = _coset_data(G, H)
+    at = G._bruhat[1]
+    return (at[G._indices(_mul_codes(G.field_, g, data.inv_codes, left=True))],
+            at[G._indices(data.codes)])
 
 
 def _labels_of(phi: FinHeckeElt, G: MatrixGroup, H: MatrixGroup) -> dict:
@@ -441,9 +457,9 @@ class InducedRep:
             raise ValueError("phi is not right sigma-equivariant")
         G, data = self.group, self._cosets
         at = _product_table(G, data.codes, data.inv_codes)
-        els = G.elements
-        return np.array([complex(self.sub.order * phi(els[k]))
-                         for k in at.ravel().tolist()],
+        coeffs = phi.coefficients()
+        return np.array([complex(self.sub.order * coeffs[k])
+                         for k in G._bruhat[1][at].ravel().tolist()],
                         dtype=complex).reshape(at.shape)
 
 
@@ -551,7 +567,8 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     at = G._indices(_mul_pairs(
         G.field_, _mul_codes(G.field_, gamma, data.codes, left=False),
         data.inv_codes))
-    acc = sum(e_idem(G.elements[k]) for k in at.tolist())
+    coeffs = e_idem.coefficients()
+    acc = sum(coeffs[k] for k in G._bruhat[1][at].tolist())
     scale = Fraction(dim_pi) * Fraction(H.order, G.order)
     if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
         return scale / lam1 * acc

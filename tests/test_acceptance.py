@@ -225,9 +225,13 @@ def _wrong_lift_coefficient(mp):
 
 
 def _n_for_period(mp):
-    # the filter's period function returns n_T = e / u_T in place of u_T
+    # the filter's period function returns n_T = e / u_T in place of u_T;
+    # its per-e table starts empty under the fault, and the table built
+    # under it goes with the undo
     real = pseudocoef.mask_period
     mp.setattr(pseudocoef, "mask_period", lambda mask, e: e // real(mask, e))
+    mp.setattr(pseudocoef, "_mask_periods",
+               lru_cache(pseudocoef._mask_periods.__wrapped__))
 
 
 def _flipped_perm_sign(mp):

@@ -558,8 +558,12 @@ def compare_convolution_oracle(e, q):
             == {k: type(v) for k, v in want.items()})
 
 
-@pytest.mark.parametrize("e,q", SMALL)
+@pytest.mark.parametrize("e,q", [
+    pytest.param(e, q, marks=pytest.mark.slow) if (e, q) == (4, 2)
+    else (e, q) for e, q in verify._gl_pairs(4, 9) if (e, q) != (3, 3)])
 def test_convolution_oracle_matches_reference(e, q):
+    # every pair `verify all --max-e 4 --max-q 9` runs the oracle at;
+    # (3, 3) is the slow test below
     compare_convolution_oracle(e, q)
 
 
@@ -585,9 +589,25 @@ def test_convolve_at_matches_full_convolution(e, q):
                         assert abs(complex(got) - complex(want)) <= 1e-12
 
 
+def test_convolution_oracle_makes_no_convolve_at_call(monkeypatch):
+    calls = []
+    real = repth.FinHeckeElt.convolve_at
+
+    def counted(self, other, g):
+        calls.append(g)
+        return real(self, other, g)
+
+    monkeypatch.setattr(repth.FinHeckeElt, "convolve_at", counted)
+    for e, q in [(2, 3), (3, 2)]:
+        hecke.convolution_oracle(e, q)
+    assert calls == []
+
+
 def test_convolve_at_fault_fails_oracle_and_idempotency(monkeypatch):
-    # convolve_at off by 1/|B| at the identity: both of its callers must
-    # report `fail` records under their own names and params
+    # convolve_at off by 1/|B| at the identity: e_tau's idempotency check
+    # reports `fail` records under its own name and params.  The oracle
+    # counts cell pairs without calling convolve_at, so its records pass;
+    # the fault below, at the pairs both read, fails both.
     real = repth.FinHeckeElt.convolve_at
 
     def wrong(self, other, g):
@@ -603,7 +623,42 @@ def test_convolve_at_fault_fails_oracle_and_idempotency(monkeypatch):
         verify.checks_named("check_hecke_oracle", "check_e_tau"), 2, 2)
     names = {r.name for r in records}
     assert names == {"hecke.oracle_equivalence", "repth.e_tau_idempotent_dim"}
+    assert all(r.params for r in records), records
+    assert all(r.status == ("pass" if r.name == "hecke.oracle_equivalence"
+                            else "fail") for r in records), records
+
+
+def test_label_pair_fault_fails_oracle_and_idempotency(monkeypatch):
+    # the last coset dropped from the (g r^-1, r) label pairs that the
+    # oracle's cell count and convolve_at both read: both checks must
+    # report `fail` records under their own names and params
+    real = repth._label_pairs
+    monkeypatch.setattr(repth, "_label_pairs",
+                        lambda G, H, g: tuple(x[:-1] for x in real(G, H, g)))
+    # bypass the cache so e_tau runs its idempotency check again
+    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+    records = verify.run_checks(
+        verify.checks_named("check_hecke_oracle", "check_e_tau"), 2, 2)
+    names = {r.name for r in records}
+    assert names == {"hecke.oracle_equivalence", "repth.e_tau_idempotent_dim"}
     assert all(r.status == "fail" and r.params for r in records), records
+
+
+@pytest.mark.parametrize("e,q", [
+    pytest.param(n, q, marks=pytest.mark.slow) if gl_order(n, q) > 15000
+    else (n, q) for n, q in ENUMERABLE])
+def test_label_index_reads_match_dict_reads(e, q):
+    # the label index kept on the group, and a function of the label read
+    # through it, agree with the dict of `bruhat_decomposition` at every g
+    G = gl_group(e, q)
+    dec = finglq.bruhat_decomposition(e, q)
+    labels, at = G._bruhat
+    assert len(labels) == len(set(dec.values()))
+    assert all(labels[k] is dec[g] for g, k in zip(G.elements, at.tolist()))
+    phi = repth.FinHeckeElt(e, q, {label: Fraction(i + 1, 7)
+                                   for i, label in enumerate(labels[::-1])})
+    coeffs = phi.coefficients()
+    assert [coeffs[k] for k in at.tolist()] == [phi(g) for g in G.elements]
 
 
 @pytest.mark.parametrize("n,q", ENUMERABLE)

@@ -85,6 +85,19 @@ def test_rep_alvis_curtis(capsys):
     assert "failures: 0" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("hecke", "oracle", "--e", "0", "--q", "2"),
+    ("hecke", "oracle", "--e", "-1", "--q", "2"),
+    ("rep", "alvis-curtis", "--e", "0", "--q", "3"),
+], ids=["oracle-e0", "oracle-e-1", "alvis-curtis-e0"])
+def test_rank_below_one_is_an_error(capsys, argv):
+    # GL(n, q) needs n >= 1: one error line, no traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "error: n must be positive\n"
+    assert out == ""
+
+
 def test_pseudocoef_assemble(capsys):
     code, out, _ = run(capsys, "pseudocoef", "assemble", "--e", "2",
                        "--eprime", "1", "--q", "2")
@@ -186,6 +199,8 @@ def _serialized_records(text):
     ("verify_all_defaults.json", ()),
     pytest.param("verify_all_max_e4_max_q5.json",
                  ("--max-e", "4", "--max-q", "5"), marks=pytest.mark.slow),
+    pytest.param("verify_all_max_e4_max_q9.json",
+                 ("--max-e", "4", "--max-q", "9"), marks=pytest.mark.slow),
 ])
 def test_verify_all_keeps_golden_records(golden, argv, tmp_path, capsys):
     # every checked-in record appears in a fresh run with the same bytes;

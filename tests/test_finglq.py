@@ -92,6 +92,15 @@ def test_enumerate_group_examples():
     assert len(enumerate_group(1, 5, SubgroupSpec.full())) == 4
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_rank_below_one_raises(n):
+    for spec in (SubgroupSpec.full(), SubgroupSpec.borel()):
+        with pytest.raises(ValueError, match="n must be positive"):
+            enumerate_group(n, 2, spec)
+    with pytest.raises(ValueError, match="n must be positive"):
+        gl_group(n, 3)
+
+
 ENUMERABLE = [(1, q) for q in ALL_Q] + [
     (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9),
     (3, 2), (3, 3), (4, 2),

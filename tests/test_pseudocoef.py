@@ -11,9 +11,9 @@ from hecke_forge.pseudocoef import (
 )
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
-    AffineElt, affine_identity, epsilon, mul, orbit_reps, parahoric_type,
-    parahoric_weyl_group, period_and_n, pi_element, pi_power, poincare_sum,
-    proper_subsets_of_s,
+    AffineElt, affine_identity, epsilon, mask_period, mul, orbit_reps,
+    parahoric_type, parahoric_weyl_group, period_and_n, pi_element, pi_power,
+    poincare_sum, proper_subsets_of_s,
 )
 
 
@@ -401,3 +401,12 @@ def test_support_filter_matches_window_scan():
             for nu in range(N):
                 assert support_filter(N, e_prime, nu) \
                     == ref_support_filter(N, e_prime, nu)
+
+
+def test_period_table_matches_mask_period():
+    # one byte per even mask, at mask >> 1, for every e the filter meets
+    for e in range(1, 13):
+        table = pseudocoef._mask_periods(e)
+        assert type(table) is bytes and len(table) == 1 << (e - 1)
+        assert list(table) == [mask_period(mask, e)
+                               for mask in range(0, 1 << e, 2)]

@@ -138,3 +138,11 @@ def test_oracle_and_e_tau_pass_at_every_enumerable_pair():
     for name in ("hecke.oracle_equivalence", "repth.e_tau_idempotent_dim"):
         assert {(r.params["e"], r.params["q"]) for r in records
                 if r.name == name} == want
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_avoidance_per_class_matches_per_element_loop(n, q):
+    # the elliptic check evaluates the avoidance once per class
+    G = finglq.gl_group(n, q)
+    assert verify._avoidance_at_elements(n, q) == [
+        finglq.proper_parabolic_avoidance(n, q, g) for g in G.elements]
