@@ -37,10 +37,12 @@ so the check is as strong as a loop over the elements.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
@@ -241,8 +243,6 @@ class MultChar:
         return self.k == 0 or 2 * self.k == n
 
     def __call__(self, unit_code: int):
-        from fractions import Fraction
-        import cmath
         m = self.field.log(unit_code)
         n = self.q - 1
         if self.k == 0:
@@ -495,11 +495,14 @@ class SubgroupSpec:
     @staticmethod
     def parahoric_image(nodes, e: int) -> "SubgroupSpec":
         """Reduction of the parahoric of type T ⊆ {1..e-1}: the standard
-        parabolic whose blocks are the runs of consecutive nodes in T, and
-        the Borel itself for T = ∅, so it is enumerated once."""
+        parabolic whose blocks are the runs of consecutive nodes in T, the
+        Borel itself for T = ∅ and all of GL(e) for T = {1..e-1}, so
+        neither is enumerated a second time as a standard parabolic."""
         blocks = blocks_from_type(nodes, e)
         if blocks == (1,) * e:
             return SubgroupSpec.borel()
+        if blocks == (e,):
+            return SubgroupSpec.full()
         return SubgroupSpec("standard_parabolic", blocks)
 
 
@@ -675,6 +678,11 @@ class MatrixGroup:
     _array: tuple = field(default=None, repr=False, compare=False)
     # (labels, at), the Bruhat label index set by bruhat_decomposition
     _bruhat: tuple = field(default=None, repr=False, compare=False)
+    # per class, the positions in _bruhat's labels of its members, in
+    # class order, filled by repth._class_labels
+    _class_labels: list = field(default=None, repr=False, compare=False)
+    # the indices of the elliptic regular classes, set by elliptic_classes
+    _elliptic: frozenset = field(default=None, repr=False, compare=False)
     field_: Fq = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -842,6 +850,16 @@ class MatrixGroup:
 
     def class_reps(self) -> list[Mat]:
         return [cls[0] for cls in self.conjugacy_classes()]
+
+    def elliptic_classes(self) -> frozenset:
+        """The indices of the classes whose characteristic polynomial is
+        irreducible: `elliptic_regular`, a class function, tested once at
+        each class representative."""
+        if self._elliptic is None:
+            self._elliptic = frozenset(
+                c for c, g in enumerate(self.class_reps())
+                if elliptic_regular(self.q, g))
+        return self._elliptic
 
 
 @lru_cache(maxsize=None)

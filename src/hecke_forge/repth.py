@@ -28,6 +28,12 @@ cosets at once on the group's code array (`finglq._mul_codes`,
 `finglq._mul_pairs`) and located in G, not multiplied one tuple matrix
 at a time.
 
+What does not depend on chi is formed once and kept beside the data it
+comes from: on the coset data, the class table (`_class_table`), which
+the induced character, the cut norm and the parabolic fixed-point counts
+read, the label positions of the x gamma x^-1 per gamma, and the
+transport's r_i h^-1 table; on G, the label positions of each class.
+
 Convolution uses the counting measure giving every singleton volume 1,
 so the unit is the function (1/|H|) sigma on H.  Values stay exact
 Fractions whenever the character is rational (k = 0 or (q-1)/2).
@@ -206,8 +212,9 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
 
 def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
     """dim End_G(Ind_B sigma) = <chi_Ind, chi_Ind>, the class norm of the
-    induced character."""
-    val = class_norm(gl_group(e, q), induce(e, q, chi).char_value)
+    induced character, read off the class table (`InducedRep.class_traces`)."""
+    ind = induce(e, q, chi)
+    val = values_norm(ind.group, ind.class_traces())
     out = round(val)
     if abs(val - out) > 1e-6:
         raise ValueError(f"non-integral character norm {val}")
@@ -216,9 +223,15 @@ def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
 
 def class_norm(G: MatrixGroup, char_fn) -> float:
     """<chi, chi> = (1/|G|) sum over classes C of |C| |chi(rep C)|^2."""
+    return values_norm(G, [char_fn(r) for r in G.class_reps()])
+
+
+def values_norm(G: MatrixGroup, values) -> float:
+    """`class_norm` of the class function with these values at the class
+    representatives, in class order."""
     acc = 0.0
-    for cls in G.conjugacy_classes():
-        acc += len(cls) * abs(complex(char_fn(cls[0]))) ** 2
+    for cls, v in zip(G.conjugacy_classes(), values):
+        acc += len(cls) * abs(complex(v)) ** 2
     return acc / G.order
 
 
@@ -286,12 +299,18 @@ def dim_from_e_tau(e: int, q: int, chi: MultChar) -> Fraction:
 @dataclass
 class _CosetData:
     """The right cosets H r_i of G as index arrays: the k-th element of
-    `G.elements` is H.elements[h[k]] * transversal[coset[k]]."""
+    `G.elements` is H.elements[h[k]] * transversal[coset[k]].  The tables
+    derived from them alone are filled on first use, each set last; they
+    are no init fields, so a `dataclasses.replace` copy starts empty."""
     transversal: list  # the r_i, objects of G.elements, identity first
     codes: np.ndarray  # code array of the r_i
     inv_codes: np.ndarray  # code array of the r_i^-1
     coset: np.ndarray
     h: np.ndarray
+    class_table: tuple = field(default=None, init=False, repr=False)
+    conjugate_labels: dict = field(default_factory=dict, init=False,
+                                   repr=False)
+    transport_table: list = field(default=None, init=False, repr=False)
 
 
 def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
@@ -355,12 +374,26 @@ def _product_table(G: MatrixGroup, a, b) -> np.ndarray:
     return G._indices(prods.reshape(-1, G.n, G.n)).reshape(len(a), len(b))
 
 
+def _class_table(G: MatrixGroup, data: _CosetData) -> tuple:
+    """(j, h): r_i gamma_c = H.elements[h[i, c]] r_{j[i, c]} for every
+    coset i and every class representative gamma_c of G, from one
+    `_product_table`; kept on data."""
+    if data.class_table is None:
+        at = _product_table(G, data.codes,
+                            np.array(G.class_reps(), dtype=np.uint8))
+        data.class_table = (data.coset[at], data.h[at])
+    return data.class_table
+
+
 @dataclass
 class FinRep:
     """Matrix representation: element -> invertible complex matrix."""
     group: MatrixGroup
     mats: dict = field(repr=False)
     dim: int = 0
+    # the invariant form, built on first use
+    _form: np.ndarray = field(default=None, init=False, repr=False,
+                              compare=False)
 
     @classmethod
     def from_character(cls, group: MatrixGroup, char_fn) -> "FinRep":
@@ -374,12 +407,17 @@ class FinRep:
         return complex(np.trace(self.mats[g]))
 
     def invariant_inner_product(self) -> np.ndarray:
-        """Group-averaged Hermitian form M with rho(g)^H M rho(g) = M."""
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        for g in self.group.elements:
-            R = self.mat(g)
-            M += R.conj().T @ R
-        return M / self.group.order
+        """Group-averaged Hermitian form M with rho(g)^H M rho(g) = M,
+        summed once per representation and returned read-only."""
+        if self._form is None:
+            M = np.zeros((self.dim, self.dim), dtype=complex)
+            for g in self.group.elements:
+                R = self.mat(g)
+                M += R.conj().T @ R
+            M = M / self.group.order
+            M.flags.writeable = False
+            self._form = M
+        return self._form
 
     def character_norm(self) -> float:
         return class_norm(self.group, self.char_value)
@@ -436,6 +474,19 @@ class InducedRep:
         for k in h[j == np.arange(self.dim)].tolist():
             acc += self.sigma_values[k]
         return acc
+
+    def class_traces(self, E=None) -> np.ndarray:
+        """Tr(rho(gamma) E) at each class representative gamma of G, in
+        class order, read off the class table (`_class_table`): rho(gamma)
+        has the entry sigma(h_i) at (i, j_i), so the trace is the sum over
+        i of sigma(h_i) E[j_i, i].  E = None is the identity: the induced
+        character, the sum of sigma(h_i) over the cosets that gamma
+        fixes."""
+        j, h = _class_table(self.group, self._cosets)
+        rows = np.arange(self.dim)[:, None]
+        terms = np.asarray(self.sigma_values)[h]
+        return (terms * (j == rows) if E is None
+                else terms * E[j, rows]).sum(axis=0)
 
     def value_at(self, vec: np.ndarray, g) -> complex:
         k = self.group.index(g)
@@ -532,15 +583,15 @@ def conj_avg(T: np.ndarray, rep: FinRep, v: np.ndarray) -> complex:
     Tr(T).
     """
     G = rep.group
-    M = rep.invariant_inner_product()
-    nv = (v.conj() @ M @ v).real
+    vM = v.conj() @ rep.invariant_inner_product()
+    nv = (vM @ v).real
     if abs(nv - 1) > 1e-8:
         raise ValueError("v must be a unit vector for the invariant form")
     acc = 0j
     for x in G.elements:
         Rx = rep.mat(x)
         Rxi = rep.mat(G.inv(x))
-        acc += v.conj() @ M @ (Rx @ T @ Rxi @ v)
+        acc += vM @ (Rx @ T @ Rxi @ v)
     return complex(acc * rep.dim / G.order)
 
 
@@ -556,7 +607,9 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     (character norm), e(x^-1) is the adjoint of e(x), and e(1) is a
     positive scalar lam1.  The first two, and dim pi_e, do not depend on
     gamma: they are computed on the first call for each (e_idem, ind)
-    pair and kept on `ind`.
+    pair and kept on `ind`.  The label positions of the x gamma x^-1 do
+    not depend on e_idem: they are kept per gamma on the coset data, and
+    every e_idem sums its coefficients at them in the same order.
     """
     G, H = e_idem.group, e_idem.sub
     lam1 = e_idem(G.identity)
@@ -564,11 +617,15 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
         raise ValueError("e(1) must be a positive scalar")
     dim_pi = _cut_dimension(e_idem, ind)
     data = _coset_data(G, H)
-    at = G._indices(_mul_pairs(
-        G.field_, _mul_codes(G.field_, gamma, data.codes, left=False),
-        data.inv_codes))
+    labels = data.conjugate_labels.get(gamma)
+    if labels is None:
+        at = G._indices(_mul_pairs(
+            G.field_, _mul_codes(G.field_, gamma, data.codes, left=False),
+            data.inv_codes))
+        labels = G._bruhat[1][at].tolist()
+        data.conjugate_labels[gamma] = labels
     coeffs = e_idem.coefficients()
-    acc = sum(coeffs[k] for k in G._bruhat[1][at].tolist())
+    acc = sum(coeffs[k] for k in labels)
     scale = Fraction(dim_pi) * Fraction(H.order, G.order)
     if isinstance(lam1, Fraction) and isinstance(acc, Fraction):
         return scale / lam1 * acc
@@ -587,7 +644,7 @@ def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
         raise ValueError("e(x^-1) is not the adjoint of e(x)")
     E = ind.hecke_operator(e_idem)
     dim_pi = int(round(np.trace(E).real))
-    norm = class_norm(ind.group, lambda g: np.trace(ind.mat(g) @ E))
+    norm = values_norm(ind.group, ind.class_traces(E))
     if abs(norm - 1) > 1e-6:
         raise ValueError("pi_e is not irreducible")
     ind._cut_dims[key] = (e_idem, dim_pi)
@@ -595,15 +652,27 @@ def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
 
 
 def char_generalized_trivial(gamma, e: int, q: int, chi: MultChar):
-    """Full-group conjugation sum of Tr e_tau, class-bucketed."""
+    """Full-group conjugation sum of Tr e_tau, class-bucketed: the
+    centralizer order times the sum of e_tau over gamma's class, read at
+    the class's label positions (`_class_labels`) in class order."""
     G = gl_group(e, q)
-    et = e_tau(e, q, chi)
-    cls = G.conjugacy_classes()[G.class_index(gamma)]
-    centralizer = G.order // len(cls)
+    coeffs = e_tau(e, q, chi).coefficients()
+    labels = _class_labels(G)[G.class_index(gamma)]
+    centralizer = G.order // len(labels)
     acc = 0
-    for y in cls:
-        acc += et(y)
+    for k in labels:
+        acc += coeffs[k]
     return centralizer * acc
+
+
+def _class_labels(G: MatrixGroup) -> list:
+    """Per class of G, the label positions in `G._bruhat` (set by any
+    `FinHeckeElt` on G) of its members, in class order; kept on G."""
+    if G._class_labels is None:
+        at = G._bruhat[1]
+        G._class_labels = [at[[G.index(y) for y in cls]].tolist()
+                           for cls in G.conjugacy_classes()]
+    return G._class_labels
 
 
 # ---------------------------------------------------------------------------
@@ -623,21 +692,23 @@ def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
     each class representative gamma, the number of cosets P t fixed by
     gamma, P t gamma = P t, which is t gamma t^-1 in P (Carter, *Finite
     Groups of Lie Type*, Ch. 2).  The products t gamma for every
-    representative t and every class representative gamma are one
-    elementwise product on the code arrays, located in G and read off
-    `_coset_data(G, P_T)`."""
+    representative t and every class representative gamma are the class
+    table of `_coset_data(G, P_T)` (`_class_table`).  The full type's
+    P_S is G itself, `gl_group(e, q)`: one coset, not a second
+    enumeration of G."""
     G = gl_group(e, q)
-    P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
+    spec = SubgroupSpec.parahoric_image(frozenset(nodes), e)
+    P = G if spec == G.spec else subgroup(e, q, spec)
     data = _coset_data(G, P)
-    at = _product_table(G, data.codes,
-                        np.array(G.class_reps(), dtype=np.uint8))
-    fixed = data.coset[at] == np.arange(len(data.codes))[:, None]
+    j, _ = _class_table(G, data)
+    fixed = j == np.arange(len(data.codes))[:, None]
     return ClassFunction(G, [Fraction(int(c)) for c in fixed.sum(axis=0)])
 
 
 @lru_cache(maxsize=None)
 def _steinberg_base(e: int, q: int) -> tuple:
-    """Alternating sum over T of the parabolic induction characters."""
+    """(values, dets): the alternating sum over T of the parabolic
+    induction characters, and det, at each class representative."""
     G = gl_group(e, q)
     total = [Fraction(0)] * len(G.conjugacy_classes())
     for r in range(e):
@@ -645,7 +716,8 @@ def _steinberg_base(e: int, q: int) -> tuple:
             sign = (-1) ** len(nodes)
             part = parabolic_induction_character(e, q, nodes)
             total = [t + sign * v for t, v in zip(total, part.values)]
-    return tuple(total)
+    F = get_field(q)
+    return tuple(total), tuple(finglq.mat_det(F, g) for g in G.class_reps())
 
 
 @lru_cache(maxsize=None)
@@ -654,21 +726,17 @@ def steinberg_char(e: int, q: int, chi: MultChar) -> ClassFunction:
     inductions, twisted by chi∘det.  Built once per (e, q, chi), as
     `e_tau` and `induce` are, so the sign identity reads it instead of
     building it again at every class."""
-    G = gl_group(e, q)
-    base = _steinberg_base(e, q)
-    F = get_field(q)
-    values = []
-    for cls, b in zip(G.conjugacy_classes(), base):
-        det = finglq.mat_det(F, cls[0])
-        values.append(chi(det) * b)
-    return ClassFunction(G, values)
+    base, dets = _steinberg_base(e, q)
+    return ClassFunction(gl_group(e, q),
+                         [chi(d) * b for b, d in zip(base, dets)])
 
 
 def sign_identity_deviation(gamma, e: int, q: int, chi: MultChar) -> float:
     """|Tr tau(gamma) - (-1)^(e-1) Tr St(gamma)| at an elliptic regular
     gamma: the finite form of the character formula, written out only
     here."""
-    if not finglq.elliptic_regular(q, gamma):
+    G = gl_group(e, q)
+    if gamma not in G or G.class_index(gamma) not in G.elliptic_classes():
         raise ValueError("gamma is not elliptic regular")
     lhs = char_generalized_trivial(gamma, e, q, chi)
     rhs = (-1) ** (e - 1) * steinberg_char(e, q, chi).at(gamma)
@@ -685,8 +753,8 @@ def alvis_curtis_sign_check(gamma, e: int, q: int, chi: MultChar) -> bool:
 
 def elliptic_regular_class_reps(e: int, q: int) -> list:
     G = gl_group(e, q)
-    return [cls[0] for cls in G.conjugacy_classes()
-            if finglq.elliptic_regular(q, cls[0])]
+    reps = G.class_reps()
+    return [reps[c] for c in sorted(G.elliptic_classes())]
 
 
 # ---------------------------------------------------------------------------
@@ -695,28 +763,33 @@ def elliptic_regular_class_reps(e: int, q: int) -> list:
 
 def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[dict]:
     """Basis of the functions f with f(h1 g h2) = sigma(h1) f(g) sigma(h2):
-    one dict g -> value per double coset where the extension is consistent."""
-    seen: set = set()
+    one dict g -> value per double coset where the extension is consistent.
+
+    The products h1 d h2 of a double coset H d H are one `_product_table`
+    of the h1 d against H, read with h1 outer and h2 inner, so each dict
+    keeps that insertion order."""
+    sig = [sigma(h) for h in H.elements]
+    h_codes = H._code_array()[0]
+    seen = np.zeros(G.order, dtype=bool)
     basis = []
-    for d in G.elements:
-        if d in seen:
+    for k, d in enumerate(G.elements):
+        if seen[k]:
             continue
+        at = _product_table(
+            G, _mul_codes(G.field_, d, h_codes, left=False), h_codes)
         values: dict = {}
         consistent = True
-        for h1 in H.elements:
-            left = G.mul(h1, d)
-            s1 = sigma(h1)
-            for h2 in H.elements:
-                g = G.mul(left, h2)
-                val = s1 * sigma(h2)
+        for s1, row in zip(sig, at.tolist()):
+            for s2, g in zip(sig, row):
+                val = s1 * s2
                 prev = values.get(g)
                 if prev is None:
                     values[g] = val
                 elif abs(complex(prev) - complex(val)) > 1e-12:
                     consistent = False
-        seen.update(values.keys())
+        seen[list(values)] = True
         if consistent:
-            basis.append(values)
+            basis.append({G.elements[g]: v for g, v in values.items()})
     return basis
 
 
@@ -735,16 +808,26 @@ def hom_space(ind: InducedRep) -> np.ndarray:
     return basis
 
 
+def _transport_table(ind: InducedRep) -> list:
+    """at[i][k]: the index in G.elements of r_i h_k^-1, for the cosets of
+    ind and the elements h_k of its H, as int lists; kept on the coset
+    data."""
+    data = ind._cosets
+    if data.transport_table is None:
+        G, H = ind.group, ind.sub
+        data.transport_table = _product_table(G, data.codes, np.array(
+            [G.inv(h) for h in H.elements], dtype=np.uint8)).tolist()
+    return data.transport_table
+
+
 def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
                       f: dict) -> np.ndarray:
     """phi . f computed through the Frobenius maps: Psi(Phi(phi) ∘ f_*)."""
     G, H = ind.group, ind.sub
     # f * T_1 at r_i: the sum over h in H of f(r_i h^-1) sigma(h), with
-    # the products r_i h^-1 formed for every (i, h) at once
-    at = _product_table(G, ind._cosets.codes, np.array(
-        [G.inv(h) for h in H.elements], dtype=np.uint8))
+    # the products r_i h^-1 formed once for every (i, h)
     ft = np.zeros(ind.dim, dtype=complex)
-    for i, row in enumerate(at.tolist()):
+    for i, row in enumerate(_transport_table(ind)):
         acc = 0j
         for k, sig in zip(row, ind.sigma_values):
             v = f.get(G.elements[k], 0)

@@ -483,6 +483,35 @@ def test_ungated_negative_control(check, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# --- the same faults after a clean run has filled every cache ----------------
+
+@pytest.fixture(scope="module")
+def warm_run():
+    """One clean `verify all --max-e 3 --max-q 3` in process, so each
+    per-group table and per-character cache it fills is in place."""
+    records = verify.run_all(3, 3)
+    assert records and all(r.status == "pass" for r in records)
+
+
+@pytest.mark.parametrize("fault", [f"{n:02d}" for n in sorted(FAULTS)]
+                         + sorted(UNGATED_FAULTS))
+def test_negative_control_after_a_warm_run(fault, warm_run, monkeypatch,
+                                           capsys):
+    # nothing kept from the clean run hides a fault injected after it
+    if fault in UNGATED_FAULTS:
+        UNGATED_FAULTS[fault](monkeypatch)
+        records = verify.run_checks(verify.checks_named(fault), 2, 2)
+        assert records
+        assert all(r.status == "fail" and r.params for r in records), records
+    else:
+        FAULTS[int(fault)](monkeypatch)
+        failed = [r for r in _records(int(fault), 2, 2)
+                  if r.status == "fail"]
+        assert failed
+        assert all(r.params for r in failed), failed
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- faults in the builders that the charformula records read ----------------
 
 def _weight_over_d_plus_two(mp):

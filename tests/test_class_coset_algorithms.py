@@ -3,6 +3,7 @@ against their whole-group reference implementations, and against closed
 forms that do not depend on either."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -248,6 +249,25 @@ def ref_parabolic_induction_values(e, q, nodes):
                     if G.mul(G.mul(G.inv(x), gamma), x) in p_set)
         values.append(Fraction(count, P.order))
     return values
+
+
+def ref_one_block_induction(e, q):
+    """Ind_{P_S}^G 1 at every class representative for the full type S,
+    by the route that enumerated P_S = G a second time: the one-block
+    standard parabolic as a group of its own, its cosets from
+    `_coset_data` (dropped again afterwards) and the fixed cosets of each
+    class representative counted."""
+    G = gl_group(e, q)
+    spec = SubgroupSpec.standard_parabolic((e,))
+    P = finglq.MatrixGroup(e, q, spec, enumerate_group(e, q, spec))
+    try:
+        data = repth._coset_data(G, P)
+        at = repth._product_table(G, data.codes, np.array(
+            G.class_reps(), dtype=np.uint8))
+        fixed = data.coset[at] == np.arange(len(data.codes))[:, None]
+    finally:
+        G._cosets.pop(spec, None)
+    return [Fraction(int(c)) for c in fixed.sum(axis=0)]
 
 
 def ref_coset_data(G, H):
@@ -929,6 +949,60 @@ def test_parabolic_induction_matches_fixed_point_scan(n, q):
         assert all(type(v) is Fraction for v in got)
 
 
+@pytest.mark.parametrize("n,q", PARABOLIC_GROUPS + [
+    pytest.param(3, 3, marks=pytest.mark.slow),
+    pytest.param(4, 2, marks=pytest.mark.slow)])
+def test_full_type_induction_matches_one_block_route(n, q):
+    # T = S reads G itself: no second enumeration of G, the same values
+    full = frozenset(range(1, n))
+    assert SubgroupSpec.parahoric_image(full, n) == SubgroupSpec.full()
+    got = repth.parabolic_induction_character(n, q, full).values
+    assert got == ref_one_block_induction(n, q)
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("e,q", [
+    pytest.param(e, q, marks=pytest.mark.slow) if (e, q) == (3, 3)
+    else (e, q) for e, q in verify._gl_pairs(3, 9)])
+def test_class_table_norms_match_class_norm(e, q):
+    # the induced character and Tr(rho E) at every class representative,
+    # from the class table, against rho read class by class
+    G = gl_group(e, q)
+    reps = G.class_reps()
+    for chi in all_characters(q):
+        ind = repth.induce(e, q, chi)
+        E = ind.hecke_operator(repth.e_tau(e, q, chi))
+        for got, old in ((ind.class_traces(), ind.char_value),
+                         (ind.class_traces(E),
+                          lambda g: np.trace(ind.mat(g) @ E))):
+            want = np.array([complex(old(g)) for g in reps])
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert abs(repth.values_norm(G, got)
+                       - repth.class_norm(G, old)) <= 1e-12
+        assert repth.intertwining_dimension(e, q, chi) == round(
+            repth.class_norm(G, ind.char_value))
+
+
+@pytest.mark.parametrize("e,q", SMALL)
+def test_kept_trace_labels_match_uncached_route(e, q):
+    # the label positions kept per gamma give the values of a cold read
+    # and of the element-wise reference, for every chi
+    G, B = gl_group(e, q), repth.borel(e, q)
+    transversal = repth._coset_data(G, B).transversal
+    reps = set(G.class_reps())
+    for chi in all_characters(q):
+        et, ind = repth.e_tau(e, q, chi), repth.induce(e, q, chi)
+        for gamma in G.elements:
+            repth._coset_data(G, B).conjugate_labels.pop(gamma, None)
+            cold = repth.trace_via_coset_sum(gamma, et, ind)
+            assert gamma in repth._coset_data(G, B).conjugate_labels
+            warm = repth.trace_via_coset_sum(gamma, et, ind)
+            assert warm == cold and type(warm) is type(cold)
+            if gamma in reps:
+                want = ref_trace_via_coset_sum(gamma, et, ind, transversal)
+                assert cold == want and type(cold) is type(want)
+
+
 @pytest.mark.parametrize("e,q", [(2, 3), (3, 2)])
 def test_induced_module_matches_coset_scan(e, q):
     # equal matrices, traces, operators, convolutions and coset sums, so
@@ -1072,6 +1146,35 @@ def test_coset_data_fault_fails_trace_records(fault):
 
 
 @pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
+def test_coset_data_fault_fails_after_a_warm_run(fault):
+    # what a clean run keeps on the coset data does not pass to the
+    # faulty copy, and the module built on the copy still refuses it
+    G, B = gl_group(2, 3), repth.borel(2, 3)
+    sig = repth.sigma_tilde(2, 3, MultChar(3, 1))
+    clear_coset_caches()
+    try:
+        assert all(r.status == "pass" for r in verify.run_all(3, 3))
+        data = repth._coset_data(G, B)
+        assert data.class_table is not None and data.conjugate_labels
+        assert data.transport_table is not None
+        faulty = faulty_coset_data(fault)
+        assert faulty.class_table is None and not faulty.conjugate_labels
+        assert faulty.transport_table is None
+        for fn in (repth.induce, repth.e_tau, repth.finite_hecke_basis):
+            fn.cache_clear()
+        G._cosets[B.spec] = faulty
+        with pytest.raises(AssertionError, match="coset data"):
+            repth.InducedRep(G, B, sig)
+        records = verify.run_all(3, 3)
+    finally:
+        clear_coset_caches()
+    failed = {r.name for r in records if r.status == "fail"}
+    assert failed & {"repth.trace_via_coset_sum",
+                     "repth.trace_via_coset_sum_vs_subrep",
+                     "hecke.oracle_equivalence"}, failed
+
+
+@pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
 def test_induced_module_rejects_faulty_coset_data(fault):
     # the class-representative checks pass these faults; the induced
     # module checks the data at every element before it reads any
@@ -1090,7 +1193,7 @@ def test_induced_module_rejects_faulty_coset_data(fault):
 
 # --- mat_mul stays off the per-coset paths ---------------------------------------
 
-MAT_MUL_BUDGET = 1000  # mat_mul calls in verify all --max-e 3 --max-q 3
+MAT_MUL_BUDGET = 0  # mat_mul calls in verify all --max-e 3 --max-q 3
 
 
 def run_fresh(code):
@@ -1109,7 +1212,9 @@ def run_fresh(code):
 def test_verify_all_makes_few_mat_mul_calls():
     # every hecke_forge global bound to mat_mul counts its calls; the
     # count is deterministic, so per-element products coming back onto a
-    # coset path show at once
+    # coset path show at once.  One G.mul after the run is a sentinel
+    # that the counter must see, so a count of 0 is not a counter that
+    # missed every call
     code = """
 import sys
 from hecke_forge import finglq, verify
@@ -1124,10 +1229,43 @@ for name, mod in list(sys.modules.items()):
                 setattr(mod, attr, counted)
 records = verify.run_all(3, 3)
 assert all(r.status == "pass" for r in records)
-print(calls[0])
+count = calls[0]
+G = finglq.gl_group(2, 2)
+G.mul(G.elements[1], G.elements[2])
+print(count, calls[0] - count)
 """
-    count = int(run_fresh(code).strip().splitlines()[-1])
-    assert 0 < count <= MAT_MUL_BUDGET, count
+    count, sentinel = map(
+        int, run_fresh(code).strip().splitlines()[-1].split())
+    assert sentinel == 1
+    assert count <= MAT_MUL_BUDGET, count
+
+
+def test_verify_all_enumerates_no_group_twice():
+    # every enumerate_group call of a fresh `verify all --max-e 4
+    # --max-q 9`, by (n, q, spec): the full type reads gl_group, so no
+    # one-block standard parabolic is enumerated, and full GL(n, q) only
+    # by gl_group and by check_gl_orders' own count
+    code = """
+import collections, json
+from hecke_forge import finglq, verify
+real, calls = finglq.enumerate_group, collections.Counter()
+def counted(n, q, spec):
+    calls[n, q, spec.kind, spec.blocks] += 1
+    return real(n, q, spec)
+finglq.enumerate_group = counted
+records = verify.run_all(4, 9)
+assert records and all(r.status != "fail" for r in records)
+print(json.dumps([[n, q, kind, blocks, c]
+                  for (n, q, kind, blocks), c in calls.items()]))
+"""
+    calls = json.loads(run_fresh(code).strip().splitlines()[-1])
+    assert not [c for c in calls
+                if c[2] == "standard_parabolic" and len(c[3]) == 1], calls
+    full = {(n, q): c for n, q, kind, _, c in calls if kind == "full"}
+    assert max(full.values()) <= 2, full
+    # both counts are seen: gl_group's and check_gl_orders' own
+    assert full[2, 3] == 2, full
+    assert all(c == 1 for _, _, kind, _, c in calls if kind != "full"), calls
 
 
 def test_empty_type_reuses_the_borel():

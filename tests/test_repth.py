@@ -623,6 +623,21 @@ def test_alvis_curtis_all_elliptic_classes_all_chi(e, q):
 def test_alvis_curtis_rejects_split_elements():
     with pytest.raises(ValueError):
         alvis_curtis_sign_check(gl_group(2, 3).identity, 2, 3, trivial(3))
+    # and matrices outside the group: singular, or of another size
+    for gamma in (((1, 1), (1, 1)), ((0, 0, 1), (1, 0, 1), (0, 1, 0))):
+        with pytest.raises(ValueError):
+            sign_identity_deviation(gamma, 2, 2, trivial(2))
+
+
+@pytest.mark.parametrize("e,q", [(1, 5), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_elliptic_classes_match_every_element(e, q):
+    # one test per class stands for every member of it
+    G = gl_group(e, q)
+    ell = G.elliptic_classes()
+    assert [elliptic_regular(q, g) for g in G.elements] \
+        == [G.class_index(g) in ell for g in G.elements]
+    assert elliptic_regular_class_reps(e, q) \
+        == [c[0] for c in G.conjugacy_classes() if elliptic_regular(q, c[0])]
 
 
 def test_sign_identity_deviation_e1():
