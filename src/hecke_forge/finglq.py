@@ -10,17 +10,23 @@ reproducibility:
 Matrices are tuples of row tuples of element codes.  GL(n, q) is built
 row by row, each row outside the span of the rows above it, in the
 row-major lexicographic order of the product of all matrices; no
-determinant is computed.  Enumeration is capped (default 25000 elements,
-override via HECKE_FORGE_MAX_GROUP_ORDER) and every enumerated order is
-checked against the closed-form count.
+determinant is computed.  Enumeration is capped at MAX_GROUP_ORDER
+(25000) elements and every enumerated order is checked against the
+closed-form count.
+
+Every table derived from a group is a cached property of its
+`MatrixGroup`, built and checked on first read: the element index, the
+code array, the classes with each element's class, the elliptic classes,
+the Bruhat label index `bruhat_index` and each class's label positions
+`class_labels`.  Only `_cosets` and `_inverses` grow by entries.
 
 Whole-group scans run on one code array per group
-(`MatrixGroup._code_array`): the |G| x n x n uint8 field codes of
-`elements`, in their order, with int64 row-major keys sorted once, so any
-batch of matrices is located in G by one searchsorted and an equality
-test.  Products s g or g s by one matrix s are formed for every g at once
-(`_mul_codes`), and the products a b of the pairs of two arrays
-(`_mul_pairs`), with the field tables as uint8 arrays.  `elements` stays
+(`MatrixGroup.codes`): the |G| x n x n uint8 field codes of `elements`,
+in their order, with int64 row-major keys sorted once (`sorted_keys`),
+so any batch of matrices is located in G by one searchsorted and an
+equality test.  Products s g or g s by one matrix s are formed for every
+g at once (`_mul_codes`), and the products a b of the pairs of two
+arrays (`_mul_pairs`), with the field tables as uint8 arrays.  `elements` stays
 the one representation: classes, Bruhat labels and coset transversals
 hold its objects.
 
@@ -39,16 +45,15 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
 
-DEFAULT_MAX_GROUP_ORDER = 25000
+MAX_GROUP_ORDER = 25000
 
 # fixed irreducibles, little-endian coefficient tuples (constant first)
 _IRREDUCIBLE = {
@@ -61,12 +66,7 @@ _PRIMES = (2, 3, 5, 7)
 
 
 class GroupSizeError(ValueError):
-    """Requested enumeration exceeds the configured element cap."""
-
-
-def max_group_order() -> int:
-    raw = os.environ.get("HECKE_FORGE_MAX_GROUP_ORDER")
-    return int(raw) if raw else DEFAULT_MAX_GROUP_ORDER
+    """Requested enumeration exceeds MAX_GROUP_ORDER elements."""
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -575,7 +575,7 @@ def is_block_upper(g: Mat, blocks) -> bool:
 
 def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     """Complete duplicate-free element list; order checked against the
-    closed-form count, capped at max_group_order().  n must be positive.
+    closed-form count, capped at MAX_GROUP_ORDER.  n must be positive.
 
     Full GL(n, q), and each diagonal block of the other kinds, is built
     row by row (`_invertible_matrices`): row k runs, in `itertools.product`
@@ -587,10 +587,9 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     if n < 1:
         raise ValueError("n must be positive")
     order = group_order(n, q, spec)
-    cap = max_group_order()
-    if order > cap:
-        raise GroupSizeError(
-            f"{spec.kind} subgroup of GL({n},{q}) has order {order} > cap {cap}")
+    if order > MAX_GROUP_ORDER:
+        raise GroupSizeError(f"{spec.kind} subgroup of GL({n},{q}) has order "
+                             f"{order} > cap {MAX_GROUP_ORDER}")
     if spec.kind == "full":
         out = _invertible_matrices(n, q)
     elif spec.kind in ("borel", "standard_parabolic", "unipotent_radical",
@@ -667,22 +666,10 @@ class MatrixGroup:
     q: int
     spec: SubgroupSpec
     elements: list = field(repr=False)
-    _index: dict = field(default=None, repr=False)
-    _inverses: dict = field(default=None, repr=False)
-    _classes: list = field(default=None, repr=False)
-    _class_of: dict = field(default=None, repr=False)
+    _inverses: dict = field(default_factory=dict, repr=False)
     # subgroup spec -> index arrays of the right cosets of that subgroup,
     # filled by repth._coset_data
     _cosets: dict = field(default_factory=dict, repr=False)
-    # (codes, sorted keys, their argsort), built by _code_array
-    _array: tuple = field(default=None, repr=False, compare=False)
-    # (labels, at), the Bruhat label index set by bruhat_decomposition
-    _bruhat: tuple = field(default=None, repr=False, compare=False)
-    # per class, the positions in _bruhat's labels of its members, in
-    # class order, filled by repth._class_labels
-    _class_labels: list = field(default=None, repr=False, compare=False)
-    # the indices of the elliptic regular classes, set by elliptic_classes
-    _elliptic: frozenset = field(default=None, repr=False, compare=False)
     field_: Fq = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -696,37 +683,39 @@ class MatrixGroup:
     def identity(self) -> Mat:
         return identity_mat(self.n)
 
+    @cached_property
+    def element_index(self) -> dict:
+        """g -> the position of g in `elements`."""
+        return {g: i for i, g in enumerate(self.elements)}
+
     def index(self, g: Mat) -> int:
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.elements)}
-        return self._index[g]
+        return self.element_index[g]
 
     def __contains__(self, g: Mat) -> bool:
-        if self._index is None:
-            self.index(self.identity)
-        return g in self._index
+        return g in self.element_index
 
-    def _code_array(self):
-        """(codes, keys, order): the |G| x n x n uint8 array of `elements`
-        in their order, their `_row_major_keys` sorted, and the argsort
-        that sorts them.  Built once; the order of `elements` is not
-        assumed (Borel and parabolic lists are not sorted)."""
-        if self._array is None:
-            n = self.n
-            codes = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.chain.from_iterable(self.elements)),
-                dtype=np.uint8, count=self.order * n * n
-            ).reshape(self.order, n, n)
-            keys = _row_major_keys(codes, self.q)
-            order = np.argsort(keys, kind="stable")
-            self._array = (codes, keys[order], order)
-        return self._array
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The |G| x n x n uint8 array of `elements`, in their order."""
+        n = self.n
+        return np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.chain.from_iterable(self.elements)),
+            dtype=np.uint8, count=self.order * n * n).reshape(self.order, n, n)
+
+    @cached_property
+    def sorted_keys(self) -> tuple:
+        """(keys, order): the `_row_major_keys` of `codes` sorted, and the
+        argsort that sorts them.  The order of `elements` is not assumed
+        (Borel and parabolic lists are not sorted)."""
+        keys = _row_major_keys(self.codes, self.q)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
 
     def _locate(self, codes):
         """The index in `elements` of each matrix of a code array, -1 for
         a matrix not in the group: one searchsorted and an equality test."""
-        _, keys, order = self._code_array()
+        keys, order = self.sorted_keys
         want = _row_major_keys(codes, self.q)
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[pos] == want, order[pos], -1)
@@ -744,8 +733,6 @@ class MatrixGroup:
         return mat_mul(self.field_, a, b)
 
     def inv(self, a: Mat) -> Mat:
-        if self._inverses is None:
-            self._inverses = {}
         got = self._inverses.get(a)
         if got is None:
             got = mat_inv(self.field_, a)
@@ -793,8 +780,10 @@ class MatrixGroup:
                 for i in range(s, s + b - 1)]
         return self.conjugation_generators()
 
-    def conjugacy_classes(self) -> list[list[Mat]]:
-        """Classes ordered by first appearance in `elements`, each sorted.
+    @cached_property
+    def _class_data(self) -> tuple:
+        """(classes, class_of): the classes ordered by first appearance in
+        `elements`, each sorted, and g -> the index of its class.
 
         Each generator s of `conjugation_generators()` becomes one index
         permutation of G: s g s^-1 for every g at once on the code array
@@ -806,60 +795,71 @@ class MatrixGroup:
         raises.  Sorting each class by key makes the result independent
         of S.  Classes hold the objects of `elements`, not the conjugates.
         """
-        if self._classes is None:
-            F, els = self.field_, self.elements
-            codes, _, order = self._code_array()
-            perms = []
-            for s in self.conjugation_generators():
-                conj = _mul_codes(F, self.inv(s),
-                                  _mul_codes(F, s, codes, left=True),
-                                  left=False)
-                perm = self._locate(conj)
-                if (perm < 0).any():
-                    raise AssertionError(
-                        f"conjugating by {s} leaves the group")
-                perms.append(perm.tolist())
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            rank = rank.tolist()
-            class_ids = [-1] * len(els)
-            classes = []
-            for start in range(len(els)):
-                if class_ids[start] >= 0:
-                    continue
-                idx = len(classes)
-                class_ids[start] = idx
-                orbit = [start]
-                for y in orbit:  # the queue grows while it is read
-                    for perm in perms:
-                        z = perm[y]
-                        if class_ids[z] < 0:
-                            class_ids[z] = idx
-                            orbit.append(z)
-                orbit.sort(key=rank.__getitem__)
-                classes.append([els[i] for i in orbit])
-            # publish the index first: a thread that sees _classes set
-            # must also see _class_of
-            self._class_of = dict(zip(els, class_ids))
-            self._classes = classes
-        return self._classes
+        F, els = self.field_, self.elements
+        order = self.sorted_keys[1]
+        perms = []
+        for s in self.conjugation_generators():
+            conj = _mul_codes(F, self.inv(s),
+                              _mul_codes(F, s, self.codes, left=True),
+                              left=False)
+            perm = self._locate(conj)
+            if (perm < 0).any():
+                raise AssertionError(f"conjugating by {s} leaves the group")
+            perms.append(perm.tolist())
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        rank = rank.tolist()
+        class_ids = [-1] * len(els)
+        classes = []
+        for start in range(len(els)):
+            if class_ids[start] >= 0:
+                continue
+            idx = len(classes)
+            class_ids[start] = idx
+            orbit = [start]
+            for y in orbit:  # the queue grows while it is read
+                for perm in perms:
+                    z = perm[y]
+                    if class_ids[z] < 0:
+                        class_ids[z] = idx
+                        orbit.append(z)
+            orbit.sort(key=rank.__getitem__)
+            classes.append([els[i] for i in orbit])
+        return classes, dict(zip(els, class_ids))
+
+    def conjugacy_classes(self) -> list[list[Mat]]:
+        """The classes of `_class_data`."""
+        return self._class_data[0]
 
     def class_index(self, g: Mat) -> int:
-        self.conjugacy_classes()
-        return self._class_of[g]
+        self.conjugacy_classes()  # so that a first build is timed there
+        return self._class_data[1][g]
 
     def class_reps(self) -> list[Mat]:
         return [cls[0] for cls in self.conjugacy_classes()]
 
+    @cached_property
     def elliptic_classes(self) -> frozenset:
         """The indices of the classes whose characteristic polynomial is
         irreducible: `elliptic_regular`, a class function, tested once at
         each class representative."""
-        if self._elliptic is None:
-            self._elliptic = frozenset(
-                c for c, g in enumerate(self.class_reps())
-                if elliptic_regular(self.q, g))
-        return self._elliptic
+        return frozenset(c for c, g in enumerate(self.class_reps())
+                         if elliptic_regular(self.q, g))
+
+    @cached_property
+    def bruhat_index(self) -> tuple:
+        """(labels, at), GL(n, q) only: the Bruhat labels (w, v) in code
+        order, and the position in labels of each element's label; built
+        and checked by `_bruhat_index`."""
+        return _bruhat_index(self)
+
+    @cached_property
+    def class_labels(self) -> list:
+        """Per class, the positions in `bruhat_index`'s labels of its
+        members, in class order."""
+        at = self.bruhat_index[1]
+        return [at[[self.index(y) for y in cls]].tolist()
+                for cls in self.conjugacy_classes()]
 
 
 @lru_cache(maxsize=None)
@@ -889,7 +889,18 @@ def diag_product(F: Fq, g: Mat) -> int:
 @lru_cache(maxsize=None)
 def bruhat_decomposition(e: int, q: int) -> dict:
     """For every g in GL(e, F_q): (w, v) with g in B w B and v in F_q^x the
-    product diag(b1) * diag(b2) of any decomposition g = b1 w b2.
+    product diag(b1) * diag(b2) of any decomposition g = b1 w b2, read off
+    the checked label index `gl_group(e, q).bruhat_index`
+    (`_bruhat_index`)."""
+    G = gl_group(e, q)
+    labels, at = G.bruhat_index
+    return dict(zip(G.elements, [labels[k] for k in at.tolist()]))
+
+
+def _bruhat_index(G: MatrixGroup) -> tuple:
+    """(labels, at) for G = GL(e, q), kept by `MatrixGroup.bruhat_index`:
+    the labels (w, v) in code order, and the position in labels of each
+    element's label (`np.unique`'s inverse).
 
     v is well defined: stabilizer pairs b1 w b2 = w have diag products
     multiplying to 1, because conjugation by a permutation matrix permutes
@@ -912,17 +923,12 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     holds B w B; both have |B| * q^l(w) elements, so it is B w B, and
     g = b1 w b2 has the label (w, d(b1) d(b2)).  In particular g^-1 has
     the label (w^-1, v^-1), and every label in W x F_q^x occurs.  A
-    function of the label alone, like
-    `repth.e_tau`, is then fixed by its values at the permutation
-    matrices, its hypotheses can be checked once per label, and the
-    convolution of two such functions is |B| times a sum over the cosets
-    of B.  Once the checks pass, the labels are also kept on G as an
-    index, `G._bruhat` = (labels, at): the label tuples in code order and
-    the position of each element's label (`np.unique`'s inverse).
+    function of the label alone, like `repth.e_tau`, is then fixed by its
+    values at the permutation matrices, its hypotheses can be checked once
+    per label, and the convolution of two such functions is |B| times a
+    sum over the cosets of B.
     """
-    F = get_field(q)
-    G = gl_group(e, q)
-    codes = G._code_array()[0]
+    F, e, q, codes = G.field_, G.n, G.q, G.codes
     pivots, v = _bruhat_labels(F, codes)
     # one int per label (the pivot rows as base-e digits, then v), and
     # one tuple per label
@@ -931,8 +937,7 @@ def bruhat_decomposition(e: int, q: int) -> dict:
     _, first, inverse = np.unique(label_codes, return_index=True,
                                   return_inverse=True)
     labels = [(tuple(pivots[i].tolist()), int(v[i])) for i in first]
-    out = dict(zip(G.elements, [labels[k] for k in inverse.tolist()]))
-    sizes = Counter(w for w, _ in out.values())
+    sizes = Counter(labels[k][0] for k in inverse.tolist())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
         if sizes[w] != b_order * q ** _inversions(w):
@@ -946,11 +951,10 @@ def bruhat_decomposition(e: int, q: int) -> dict:
                 raise AssertionError(f"Bruhat label of {G.elements[bad[0]]} "
                                      "is not B-bi-equivariant")
     for w in itertools.permutations(range(e)):
-        if out[perm_matrix(e, w)] != (w, 1):
+        if labels[inverse[G.index(perm_matrix(e, w))]] != (w, 1):
             raise AssertionError(
                 f"permutation matrix of {w} is not labelled ({w}, 1)")
-    G._bruhat = (labels, inverse.astype(np.min_scalar_type(len(labels))))
-    return out
+    return labels, inverse.astype(np.min_scalar_type(len(labels)))
 
 
 def _borel_generators(F: Fq, n: int) -> list[Mat]:

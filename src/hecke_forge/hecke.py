@@ -231,13 +231,13 @@ def convolution_oracle(e: int, q: int) -> dict:
     """
     import numpy as np  # importing hecke does not load numpy
     from . import finglq, repth
-    # the hypothesis check; its basis also sets G's label index
+    # the hypothesis check; its basis also builds G's label index
     repth.finite_hecke_basis(e, q, finglq.MultChar(q, 0))
     G, B = finglq.gl_group(e, q), repth.borel(e, q)
     perms = all_perms(e)
     m = len(perms)
     # the position in perms of the cell of each label of G's label index
-    cell = np.array([perms.index(w) for w, _ in G._bruhat[0]])
+    cell = np.array([perms.index(w) for w, _ in G.bruhat_index[0]])
     counts = {}
     for w3 in perms:
         a, b = repth._label_pairs(G, B, finglq.perm_matrix(e, w3))

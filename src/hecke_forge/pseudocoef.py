@@ -69,6 +69,8 @@ class PseudoCoefParams:
     def __post_init__(self):
         if self.e < 1 or self.e_prime < 1:
             raise ValueError("e and e' must be positive")
+        if self.q <= 0:
+            raise ValueError("q must be positive")
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,8 @@ the idempotent cutting out the one-dimensional constituent chi∘det.  Both
 are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and
 `FinHeckeElt` holds only that form: one coefficient per label (e!(q-1)
 of them), read at one g through the cached `bruhat_decomposition`, and
-in the coset sums through the label index that it keeps on G
-(`G._bruhat`): one array read per sum, not a dict lookup per coset.  The
+in the coset sums through G's label index `G.bruhat_index`: one array
+read per sum, not a dict lookup per coset.  The
 hypotheses the operator and the trace formula rest on, right
 sigma-equivariance and adjointness, are checked once per label; the
 label checks of `bruhat_decomposition` make that as strong as checking
@@ -28,11 +28,11 @@ cosets at once on the group's code array (`finglq._mul_codes`,
 `finglq._mul_pairs`) and located in G, not multiplied one tuple matrix
 at a time.
 
-What does not depend on chi is formed once and kept beside the data it
-comes from: on the coset data, the class table (`_class_table`), which
-the induced character, the cut norm and the parabolic fixed-point counts
-read, the label positions of the x gamma x^-1 per gamma, and the
-transport's r_i h^-1 table; on G, the label positions of each class.
+What does not depend on chi is a cached property of the object it is
+derived from: of the coset data, which holds its G and H, the class
+table and the transport's r_i h^-1 table; of G, each class's label
+positions `class_labels`; of a `FinRep`, its invariant form.  The label
+positions of the x gamma x^-1 are kept per gamma on the coset data.
 
 Convolution uses the counting measure giving every singleton volume 1,
 so the unit is the function (1/|H|) sigma on H.  Values stay exact
@@ -45,7 +45,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,9 +93,10 @@ class FinHeckeElt:
         return self.labels.get(self._dec[g], 0)
 
     def coefficients(self) -> list:
-        """phi at each label of `group._bruhat`, in its order, so that
-        phi(G.elements[k]) is coefficients()[at[k]]."""
-        return [self.labels.get(label, 0) for label in self.group._bruhat[0]]
+        """phi at each label of `group.bruhat_index`, in its order, so
+        that phi(G.elements[k]) is coefficients()[at[k]]."""
+        return [self.labels.get(label, 0)
+                for label in self.group.bruhat_index[0]]
 
     def convolve_at(self, other: "FinHeckeElt", g):
         """(self * other)(g) = |H| * sum over r in H\\G of
@@ -121,11 +122,11 @@ class FinHeckeElt:
 
 def _label_pairs(G: MatrixGroup, H: MatrixGroup, g):
     """(a, b): for each coset H r_i of G's Borel H, in transversal order,
-    the label positions in `G._bruhat` of g r_i^-1 (a) and of r_i (b),
-    the products formed for every i at once.  `convolve_at` and the Hecke
-    oracle's cell count both read them."""
+    the label positions in `G.bruhat_index` of g r_i^-1 (a) and of r_i
+    (b), the products formed for every i at once.  `convolve_at` and the
+    Hecke oracle's cell count both read them."""
     data = _coset_data(G, H)
-    at = G._bruhat[1]
+    at = G.bruhat_index[1]
     return (at[G._indices(_mul_codes(G.field_, g, data.inv_codes, left=True))],
             at[G._indices(data.codes)])
 
@@ -221,14 +222,10 @@ def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
     return out
 
 
-def class_norm(G: MatrixGroup, char_fn) -> float:
-    """<chi, chi> = (1/|G|) sum over classes C of |C| |chi(rep C)|^2."""
-    return values_norm(G, [char_fn(r) for r in G.class_reps()])
-
-
 def values_norm(G: MatrixGroup, values) -> float:
-    """`class_norm` of the class function with these values at the class
-    representatives, in class order."""
+    """<chi, chi> = (1/|G|) sum over classes C of |C| |chi(rep C)|^2 for the
+    class function chi with these values at the class representatives, in
+    class order."""
     acc = 0.0
     for cls, v in zip(G.conjugacy_classes(), values):
         acc += len(cls) * abs(complex(v)) ** 2
@@ -300,17 +297,46 @@ def dim_from_e_tau(e: int, q: int, chi: MultChar) -> Fraction:
 class _CosetData:
     """The right cosets H r_i of G as index arrays: the k-th element of
     `G.elements` is H.elements[h[k]] * transversal[coset[k]].  The tables
-    derived from them alone are filled on first use, each set last; they
-    are no init fields, so a `dataclasses.replace` copy starts empty."""
+    derived from them are cached properties, so a `dataclasses.replace`
+    copy starts without them."""
+    group: MatrixGroup = field(repr=False)
+    sub: MatrixGroup = field(repr=False)
     transversal: list  # the r_i, objects of G.elements, identity first
     codes: np.ndarray  # code array of the r_i
     inv_codes: np.ndarray  # code array of the r_i^-1
     coset: np.ndarray
     h: np.ndarray
-    class_table: tuple = field(default=None, init=False, repr=False)
-    conjugate_labels: dict = field(default_factory=dict, init=False,
-                                   repr=False)
-    transport_table: list = field(default=None, init=False, repr=False)
+    _conjugates: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def class_table(self) -> tuple:
+        """(j, h): r_i gamma_c = H.elements[h[i, c]] r_{j[i, c]} for every
+        coset i and every class representative gamma_c of G, from one
+        `_product_table`."""
+        G = self.group
+        at = _product_table(G, self.codes,
+                            np.array(G.class_reps(), dtype=np.uint8))
+        return self.coset[at], self.h[at]
+
+    @cached_property
+    def transport_table(self) -> list:
+        """at[i][k]: the index in G.elements of r_i h_k^-1, for each coset
+        and each element h_k of H, as int lists."""
+        G, H = self.group, self.sub
+        return _product_table(G, self.codes, np.array(
+            [G.inv(h) for h in H.elements], dtype=np.uint8)).tolist()
+
+    def conjugate_labels(self, gamma) -> list:
+        """The label positions in `G.bruhat_index` of x gamma x^-1 for the
+        r_i^-1 = x in transversal order; kept per gamma."""
+        got = self._conjugates.get(gamma)
+        if got is None:
+            G = self.group
+            at = G._indices(_mul_pairs(
+                G.field_, _mul_codes(G.field_, gamma, self.codes, left=False),
+                self.inv_codes))
+            got = self._conjugates[gamma] = G.bruhat_index[1][at].tolist()
+        return got
 
 
 def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
@@ -330,8 +356,7 @@ def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
     got = G._cosets.get(H.spec)
     if got is not None:
         return got
-    F, count = G.field_, G.order
-    codes = G._code_array()[0]
+    F, count, codes = G.field_, G.order, G.codes
     first = G.index(G.identity)
     # the element at each place of the order, and the place of each element
     seq = np.r_[first, np.delete(np.arange(count), first)]
@@ -362,7 +387,8 @@ def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
     if (h < 0).any() or len(firsts) * H.order != count:
         raise AssertionError(f"the cosets of the {H.spec.kind} subgroup "
                              "do not partition G")
-    data = _CosetData(transversal, codes[seq[firsts]], inv_codes, coset, h)
+    data = _CosetData(G, H, transversal, codes[seq[firsts]], inv_codes,
+                      coset, h)
     G._cosets[H.spec] = data
     return data
 
@@ -374,26 +400,12 @@ def _product_table(G: MatrixGroup, a, b) -> np.ndarray:
     return G._indices(prods.reshape(-1, G.n, G.n)).reshape(len(a), len(b))
 
 
-def _class_table(G: MatrixGroup, data: _CosetData) -> tuple:
-    """(j, h): r_i gamma_c = H.elements[h[i, c]] r_{j[i, c]} for every
-    coset i and every class representative gamma_c of G, from one
-    `_product_table`; kept on data."""
-    if data.class_table is None:
-        at = _product_table(G, data.codes,
-                            np.array(G.class_reps(), dtype=np.uint8))
-        data.class_table = (data.coset[at], data.h[at])
-    return data.class_table
-
-
 @dataclass
 class FinRep:
     """Matrix representation: element -> invertible complex matrix."""
     group: MatrixGroup
     mats: dict = field(repr=False)
     dim: int = 0
-    # the invariant form, built on first use
-    _form: np.ndarray = field(default=None, init=False, repr=False,
-                              compare=False)
 
     @classmethod
     def from_character(cls, group: MatrixGroup, char_fn) -> "FinRep":
@@ -406,21 +418,24 @@ class FinRep:
     def char_value(self, g) -> complex:
         return complex(np.trace(self.mats[g]))
 
-    def invariant_inner_product(self) -> np.ndarray:
+    @cached_property
+    def invariant_form(self) -> np.ndarray:
         """Group-averaged Hermitian form M with rho(g)^H M rho(g) = M,
-        summed once per representation and returned read-only."""
-        if self._form is None:
-            M = np.zeros((self.dim, self.dim), dtype=complex)
-            for g in self.group.elements:
-                R = self.mat(g)
-                M += R.conj().T @ R
-            M = M / self.group.order
-            M.flags.writeable = False
-            self._form = M
-        return self._form
+        read-only."""
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for g in self.group.elements:
+            R = self.mat(g)
+            M += R.conj().T @ R
+        M = M / self.group.order
+        M.flags.writeable = False
+        return M
+
+    def invariant_inner_product(self) -> np.ndarray:
+        return self.invariant_form
 
     def character_norm(self) -> float:
-        return class_norm(self.group, self.char_value)
+        return values_norm(self.group,
+                           [self.char_value(r) for r in self.group.class_reps()])
 
 
 class InducedRep:
@@ -440,17 +455,15 @@ class InducedRep:
         self.sigma = sigma
         self._cosets = data = _coset_data(G, H)
         if not np.array_equal(
-                _mul_pairs(G.field_, H._code_array()[0][data.h],
-                           data.codes[data.coset]), G._code_array()[0]):
+                _mul_pairs(G.field_, H.codes[data.h], data.codes[data.coset]),
+                G.codes):
             raise AssertionError("the coset data does not factor G")
         self.transversal = data.transversal
         self.dim = len(self.transversal)
         # complex(sigma(h)) for each h, in the order of H.elements
         self.sigma_values = [complex(sigma(h)) for h in H.elements]
         self._mats: dict = {}
-        # id(e_idem) -> (e_idem, dim pi_e); holding e_idem keeps its id
-        # from being reused
-        self._cut_dims: dict = {}
+        self._cut_dims: dict = {}  # e_idem -> dim pi_e
 
     def _translates(self, y):
         """(j, h): r_i y = H.elements[h[i]] r_j[i] for every i."""
@@ -477,12 +490,12 @@ class InducedRep:
 
     def class_traces(self, E=None) -> np.ndarray:
         """Tr(rho(gamma) E) at each class representative gamma of G, in
-        class order, read off the class table (`_class_table`): rho(gamma)
+        class order, read off the coset data's `class_table`: rho(gamma)
         has the entry sigma(h_i) at (i, j_i), so the trace is the sum over
         i of sigma(h_i) E[j_i, i].  E = None is the identity: the induced
         character, the sum of sigma(h_i) over the cosets that gamma
         fixes."""
-        j, h = _class_table(self.group, self._cosets)
+        j, h = self._cosets.class_table
         rows = np.arange(self.dim)[:, None]
         terms = np.asarray(self.sigma_values)[h]
         return (terms * (j == rows) if E is None
@@ -510,7 +523,7 @@ class InducedRep:
         at = _product_table(G, data.codes, data.inv_codes)
         coeffs = phi.coefficients()
         return np.array([complex(self.sub.order * coeffs[k])
-                         for k in G._bruhat[1][at].ravel().tolist()],
+                         for k in G.bruhat_index[1][at].ravel().tolist()],
                         dtype=complex).reshape(at.shape)
 
 
@@ -616,14 +629,7 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     if abs(complex(lam1).imag) > 1e-9 or complex(lam1).real <= 0:
         raise ValueError("e(1) must be a positive scalar")
     dim_pi = _cut_dimension(e_idem, ind)
-    data = _coset_data(G, H)
-    labels = data.conjugate_labels.get(gamma)
-    if labels is None:
-        at = G._indices(_mul_pairs(
-            G.field_, _mul_codes(G.field_, gamma, data.codes, left=False),
-            data.inv_codes))
-        labels = G._bruhat[1][at].tolist()
-        data.conjugate_labels[gamma] = labels
+    labels = _coset_data(G, H).conjugate_labels(gamma)
     coeffs = e_idem.coefficients()
     acc = sum(coeffs[k] for k in labels)
     scale = Fraction(dim_pi) * Fraction(H.order, G.order)
@@ -636,10 +642,9 @@ def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
     """dim pi_e after checking adjointness, once per Bruhat label
     (`_adjoint`), and irreducibility; cached on `ind` per e_idem.  e_idem
     must live on ind's group and Borel."""
-    key = id(e_idem)
-    got = ind._cut_dims.get(key)
-    if got is not None and got[0] is e_idem:
-        return got[1]
+    got = ind._cut_dims.get(e_idem)
+    if got is not None:
+        return got
     if not _adjoint(e_idem, ind):
         raise ValueError("e(x^-1) is not the adjoint of e(x)")
     E = ind.hecke_operator(e_idem)
@@ -647,32 +652,22 @@ def _cut_dimension(e_idem: FinHeckeElt, ind: InducedRep) -> int:
     norm = values_norm(ind.group, ind.class_traces(E))
     if abs(norm - 1) > 1e-6:
         raise ValueError("pi_e is not irreducible")
-    ind._cut_dims[key] = (e_idem, dim_pi)
+    ind._cut_dims[e_idem] = dim_pi
     return dim_pi
 
 
 def char_generalized_trivial(gamma, e: int, q: int, chi: MultChar):
     """Full-group conjugation sum of Tr e_tau, class-bucketed: the
     centralizer order times the sum of e_tau over gamma's class, read at
-    the class's label positions (`_class_labels`) in class order."""
+    the class's label positions (`G.class_labels`) in class order."""
     G = gl_group(e, q)
     coeffs = e_tau(e, q, chi).coefficients()
-    labels = _class_labels(G)[G.class_index(gamma)]
+    labels = G.class_labels[G.class_index(gamma)]
     centralizer = G.order // len(labels)
     acc = 0
     for k in labels:
         acc += coeffs[k]
     return centralizer * acc
-
-
-def _class_labels(G: MatrixGroup) -> list:
-    """Per class of G, the label positions in `G._bruhat` (set by any
-    `FinHeckeElt` on G) of its members, in class order; kept on G."""
-    if G._class_labels is None:
-        at = G._bruhat[1]
-        G._class_labels = [at[[G.index(y) for y in cls]].tolist()
-                           for cls in G.conjugacy_classes()]
-    return G._class_labels
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +688,14 @@ def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
     gamma, P t gamma = P t, which is t gamma t^-1 in P (Carter, *Finite
     Groups of Lie Type*, Ch. 2).  The products t gamma for every
     representative t and every class representative gamma are the class
-    table of `_coset_data(G, P_T)` (`_class_table`).  The full type's
+    table of `_coset_data(G, P_T)`.  The full type's
     P_S is G itself, `gl_group(e, q)`: one coset, not a second
     enumeration of G."""
     G = gl_group(e, q)
     spec = SubgroupSpec.parahoric_image(frozenset(nodes), e)
     P = G if spec == G.spec else subgroup(e, q, spec)
     data = _coset_data(G, P)
-    j, _ = _class_table(G, data)
+    j, _ = data.class_table
     fixed = j == np.arange(len(data.codes))[:, None]
     return ClassFunction(G, [Fraction(int(c)) for c in fixed.sum(axis=0)])
 
@@ -736,7 +731,7 @@ def sign_identity_deviation(gamma, e: int, q: int, chi: MultChar) -> float:
     gamma: the finite form of the character formula, written out only
     here."""
     G = gl_group(e, q)
-    if gamma not in G or G.class_index(gamma) not in G.elliptic_classes():
+    if gamma not in G or G.class_index(gamma) not in G.elliptic_classes:
         raise ValueError("gamma is not elliptic regular")
     lhs = char_generalized_trivial(gamma, e, q, chi)
     rhs = (-1) ** (e - 1) * steinberg_char(e, q, chi).at(gamma)
@@ -754,7 +749,7 @@ def alvis_curtis_sign_check(gamma, e: int, q: int, chi: MultChar) -> bool:
 def elliptic_regular_class_reps(e: int, q: int) -> list:
     G = gl_group(e, q)
     reps = G.class_reps()
-    return [reps[c] for c in sorted(G.elliptic_classes())]
+    return [reps[c] for c in sorted(G.elliptic_classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +764,7 @@ def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[dict]:
     of the h1 d against H, read with h1 outer and h2 inner, so each dict
     keeps that insertion order."""
     sig = [sigma(h) for h in H.elements]
-    h_codes = H._code_array()[0]
+    h_codes = H.codes
     seen = np.zeros(G.order, dtype=bool)
     basis = []
     for k, d in enumerate(G.elements):
@@ -808,18 +803,6 @@ def hom_space(ind: InducedRep) -> np.ndarray:
     return basis
 
 
-def _transport_table(ind: InducedRep) -> list:
-    """at[i][k]: the index in G.elements of r_i h_k^-1, for the cosets of
-    ind and the elements h_k of its H, as int lists; kept on the coset
-    data."""
-    data = ind._cosets
-    if data.transport_table is None:
-        G, H = ind.group, ind.sub
-        data.transport_table = _product_table(G, data.codes, np.array(
-            [G.inv(h) for h in H.elements], dtype=np.uint8)).tolist()
-    return data.transport_table
-
-
 def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
                       f: dict) -> np.ndarray:
     """phi . f computed through the Frobenius maps: Psi(Phi(phi) ∘ f_*)."""
@@ -827,7 +810,7 @@ def _transport_action(ind: InducedRep, phi_vec: np.ndarray,
     # f * T_1 at r_i: the sum over h in H of f(r_i h^-1) sigma(h), with
     # the products r_i h^-1 formed once for every (i, h)
     ft = np.zeros(ind.dim, dtype=complex)
-    for i, row in enumerate(_transport_table(ind)):
+    for i, row in enumerate(ind._cosets.transport_table):
         acc = 0j
         for k, sig in zip(row, ind.sigma_values):
             v = f.get(G.elements[k], 0)

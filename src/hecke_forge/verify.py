@@ -40,7 +40,7 @@ PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 def _gl_pairs(max_e, max_q, max_order=math.inf):
     """Every (e, q) with 2 <= e <= max_e, q in PRIME_POWERS, q <= max_q and
     |GL(e, q)| <= min(max_order, the enumeration cap), in (e, q) order."""
-    limit = min(max_order, finglq.max_group_order())
+    limit = min(max_order, finglq.MAX_GROUP_ORDER)
     return [(e, q) for e in range(2, max_e + 1) for q in PRIME_POWERS
             if q <= max_q and finglq.gl_order(e, q) <= limit]
 
@@ -423,7 +423,7 @@ def _steinberg_rep(e, q):
 def check_matrix_coefficient_sum(e, q):
     st = _steinberg_rep(e, q)
     G = st.group
-    F, codes = G.field_, G._code_array()[0]
+    F, codes = G.field_, G.codes
     inv_codes = np.array([G.inv(x) for x in G.elements], dtype=np.uint8)
     M = st.invariant_inner_product()
     rng = np.random.default_rng(29)

@@ -16,7 +16,7 @@ import pytest
 from hecke_forge import finglq, hecke, repth, verify
 from hecke_forge.finglq import (
     MultChar, SubgroupSpec, all_characters, enumerate_group, get_field,
-    gl_group, gl_order, max_group_order, mat_mul, perm_matrix, subgroup,
+    gl_group, gl_order, MAX_GROUP_ORDER, mat_mul, perm_matrix, subgroup,
 )
 from hecke_forge.weyl import all_perms, poincare_poly
 from test_finglq import ENUMERABLE
@@ -672,7 +672,7 @@ def test_label_index_reads_match_dict_reads(e, q):
     # through it, agree with the dict of `bruhat_decomposition` at every g
     G = gl_group(e, q)
     dec = finglq.bruhat_decomposition(e, q)
-    labels, at = G._bruhat
+    labels, at = G.bruhat_index
     assert len(labels) == len(set(dec.values()))
     assert all(labels[k] is dec[g] for g, k in zip(G.elements, at.tolist()))
     phi = repth.FinHeckeElt(e, q, {label: Fraction(i + 1, 7)
@@ -729,7 +729,7 @@ def test_label_tables_match_reference(e, q):
 
 def under_cap():
     return [(n, q) for n in range(1, 5) for q in SUPPORTED_Q
-            if gl_order(n, q) <= max_group_order()]
+            if gl_order(n, q) <= MAX_GROUP_ORDER]
 
 
 def class_number(n, q):
@@ -855,11 +855,11 @@ def slow_from_33(pairs):
 def assert_same_classes(G, want_classes, want_class_of):
     classes = G.conjugacy_classes()
     assert classes == want_classes
-    assert G._class_of == want_class_of
-    assert list(G._class_of) == list(G.elements)
+    assert G._class_data[1] == want_class_of
+    assert list(G._class_data[1]) == list(G.elements)
     els = G.elements
     assert all(g is els[G.index(g)] for cls in classes for g in cls)
-    assert all(g is els[G.index(g)] for g in G._class_of)
+    assert all(g is els[G.index(g)] for g in G._class_data[1])
 
 
 @pytest.mark.parametrize("n,q", slow_from_33(ENUMERABLE))
@@ -899,7 +899,7 @@ def test_subgroup_classes_past_int64_keys():
     # keys fall back on Python ints.  The radical of the (7, 1) parabolic
     # is abelian, so every class is one element
     H = subgroup(8, 2, SubgroupSpec.unipotent_radical((7, 1)))
-    assert H._code_array()[1].dtype == object
+    assert H.sorted_keys[0].dtype == object
     assert_same_classes(H, *ref_elementwise_classes(H))
     assert [len(c) for c in H.conjugacy_classes()] == [1] * H.order
 
@@ -978,9 +978,9 @@ def test_class_table_norms_match_class_norm(e, q):
             want = np.array([complex(old(g)) for g in reps])
             assert np.max(np.abs(got - want)) <= 1e-12
             assert abs(repth.values_norm(G, got)
-                       - repth.class_norm(G, old)) <= 1e-12
+                       - repth.values_norm(G, want)) <= 1e-12
         assert repth.intertwining_dimension(e, q, chi) == round(
-            repth.class_norm(G, ind.char_value))
+            repth.values_norm(G, [ind.char_value(g) for g in reps]))
 
 
 @pytest.mark.parametrize("e,q", SMALL)
@@ -993,9 +993,9 @@ def test_kept_trace_labels_match_uncached_route(e, q):
     for chi in all_characters(q):
         et, ind = repth.e_tau(e, q, chi), repth.induce(e, q, chi)
         for gamma in G.elements:
-            repth._coset_data(G, B).conjugate_labels.pop(gamma, None)
+            repth._coset_data(G, B)._conjugates.pop(gamma, None)
             cold = repth.trace_via_coset_sum(gamma, et, ind)
-            assert gamma in repth._coset_data(G, B).conjugate_labels
+            assert gamma in repth._coset_data(G, B)._conjugates
             warm = repth.trace_via_coset_sum(gamma, et, ind)
             assert warm == cold and type(warm) is type(cold)
             if gamma in reps:
@@ -1093,7 +1093,7 @@ def clear_coset_caches():
 def hidden_fault_elements(G, data):
     """The indices k of G.elements whose translates r_i^-1 g_k are no class
     representative, in order.  The hypothesis checks read rho only at class
-    representatives (`class_norm`), so a fault at such an element leaves
+    representatives (`values_norm`), so a fault at such an element leaves
     them passing; the factorisation check of `InducedRep` catches it."""
     reps = {G.index(g) for g in G.class_reps()}
     return [k for k, g in enumerate(G.elements)
@@ -1130,6 +1130,18 @@ def faulty_coset_data(fault):
     return dataclasses.replace(data, coset=coset, h=h)
 
 
+def test_a_replaced_copy_of_coset_data_starts_without_tables():
+    import dataclasses
+    G, B = gl_group(2, 3), repth.borel(2, 3)
+    data = repth._coset_data(G, B)
+    assert data.class_table and data.transport_table
+    assert data.conjugate_labels(G.identity)
+    copy = dataclasses.replace(data)
+    assert copy.group is G and copy.sub is B
+    assert not {"class_table", "transport_table"} & set(vars(copy))
+    assert not copy._conjugates
+
+
 @pytest.mark.parametrize("fault", ["shift_h", "swap_cosets"])
 def test_coset_data_fault_fails_trace_records(fault):
     G, B = gl_group(2, 3), repth.borel(2, 3)
@@ -1155,11 +1167,12 @@ def test_coset_data_fault_fails_after_a_warm_run(fault):
     try:
         assert all(r.status == "pass" for r in verify.run_all(3, 3))
         data = repth._coset_data(G, B)
-        assert data.class_table is not None and data.conjugate_labels
-        assert data.transport_table is not None
+        kept = vars(data)
+        assert {"class_table", "transport_table"} <= set(kept)
+        assert kept["_conjugates"]
         faulty = faulty_coset_data(fault)
-        assert faulty.class_table is None and not faulty.conjugate_labels
-        assert faulty.transport_table is None
+        assert not {"class_table", "transport_table"} & set(vars(faulty))
+        assert not vars(faulty)["_conjugates"]
         for fn in (repth.induce, repth.e_tau, repth.finite_hecke_basis):
             fn.cache_clear()
         G._cosets[B.spec] = faulty

@@ -108,6 +108,16 @@ def test_pseudocoef_assemble(capsys):
     assert len(payload["terms"]) == 3
 
 
+@pytest.mark.parametrize("q", ["-1", "0"])
+def test_pseudocoef_assemble_rejects_nonpositive_q(capsys, q):
+    # vol P_{1} = 1 + q is 0 at q = -1, and q = 0 is no field size
+    code, out, err = run(capsys, "pseudocoef", "assemble", "--e", "2",
+                         "--q", q)
+    assert code == 1
+    assert err == "error: q must be positive\n"
+    assert out == ""
+
+
 def test_pseudocoef_filter(capsys):
     code, out, _ = run(capsys, "pseudocoef", "filter", "--N", "4", "--nu", "1")
     assert code == 0
@@ -262,16 +272,14 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_size_cap_env_override():
-    # fresh process: enumeration caches must not outlive the env contract
-    import os
+def test_size_cap_skips_a_pair_over_the_cap():
+    # |GL(4, 3)| = 24261120 is over the enumeration cap
     import subprocess
     import sys
-    env = dict(os.environ, HECKE_FORGE_MAX_GROUP_ORDER="10")
     proc = subprocess.run(
         [sys.executable, "-m", "hecke_forge.cli", "rep", "etau",
-         "--e", "2", "--q", "3"],
-        capture_output=True, text=True, env=env)
+         "--e", "4", "--q", "3"],
+        capture_output=True, text=True)
     assert proc.returncode == 0
     assert "skipped" in proc.stdout
 

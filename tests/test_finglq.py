@@ -1,5 +1,4 @@
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -114,15 +113,12 @@ def test_gl_order_formula(n, q):
     assert len(set(els)) == len(els)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     with pytest.raises(GroupSizeError):
         enumerate_group(3, 4, SubgroupSpec.full())
-    os.environ["HECKE_FORGE_MAX_GROUP_ORDER"] = "5"
-    try:
-        with pytest.raises(GroupSizeError):
-            enumerate_group(2, 2, SubgroupSpec.full())
-    finally:
-        del os.environ["HECKE_FORGE_MAX_GROUP_ORDER"]
+    monkeypatch.setattr(finglq, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(GroupSizeError):
+        enumerate_group(2, 2, SubgroupSpec.full())
 
 
 def test_subgroup_orders_and_membership():
@@ -254,10 +250,10 @@ def test_locate_finds_members_in_unsorted_lists():
     # anything else to -1
     B = finglq.subgroup(3, 3, SubgroupSpec.borel())
     assert B.elements != sorted(B.elements)
-    codes = B._code_array()[0]
+    codes = B.codes
     assert B._locate(codes).tolist() == list(range(B.order))
     G = gl_group(3, 3)
-    at = B._locate(G._code_array()[0])
+    at = B._locate(G.codes)
     assert [G.elements[i] for i in np.flatnonzero(at >= 0)] \
         == sorted(B.elements)
     assert all(B.elements[i] == g for i, g in zip(at.tolist(), G.elements)
@@ -403,7 +399,7 @@ def test_classes_and_labels_keep_the_enumerated_objects(n, q):
 
     classes = G.conjugacy_classes()
     assert all(enumerated(g) for cls in classes for g in cls)
-    assert all(enumerated(g) for g in G._class_of)
+    assert all(enumerated(g) for g in G._class_data[1])
     dec = finglq.bruhat_decomposition(n, q)
     assert all(enumerated(g) for g in dec)
     # one tuple per label (w, v): e! (q - 1) of them
@@ -411,21 +407,33 @@ def test_classes_and_labels_keep_the_enumerated_objects(n, q):
         == len(set(dec.values())) == math.factorial(n) * (q - 1)
 
 
-def test_class_index_readable_once_classes_are_published():
-    # a reader in another thread may run right after `_classes` is set;
-    # the class index must already be there
-    seen = []
+def test_classes_and_class_index_are_one_cached_value():
+    # the classes and the class of each element are formed together and
+    # kept as one value, so neither can be read without the other
+    G = finglq.MatrixGroup(2, 3, SubgroupSpec.full(),
+                           enumerate_group(2, 3, SubgroupSpec.full()))
+    assert "_class_data" not in vars(G)
+    G.class_index(G.identity)
+    classes, class_of = vars(G)["_class_data"]
+    assert G.conjugacy_classes() is classes
+    assert all(class_of[g] == i for i, cls in enumerate(classes) for g in cls)
+    assert [G.class_index(g) for g in G.elements] == list(class_of.values())
 
-    class ReadsOnPublish(finglq.MatrixGroup):
-        def __setattr__(self, name, value):
-            super().__setattr__(name, value)
-            if name == "_classes" and value is not None:
-                seen.append(self.class_index(self.identity))
 
-    G = ReadsOnPublish(2, 3, SubgroupSpec.full(),
-                       enumerate_group(2, 3, SubgroupSpec.full()))
-    G.conjugacy_classes()
-    assert seen == [G.class_index(G.identity)]
+def test_a_group_built_directly_derives_its_tables_on_first_read():
+    # no `gl_group` and no `bruhat_decomposition` call fills them in first
+    def fresh():
+        return finglq.MatrixGroup(2, 3, SubgroupSpec.full(),
+                                  enumerate_group(2, 3, SubgroupSpec.full()))
+
+    ref = gl_group(2, 3)
+    labels, at = fresh().bruhat_index
+    assert labels == ref.bruhat_index[0]
+    assert np.array_equal(at, ref.bruhat_index[1])
+    assert fresh().class_labels == ref.class_labels
+    G = fresh()
+    assert [G.class_index(g) for g in G.elements] \
+        == [ref.class_index(g) for g in ref.elements]
 
 
 def test_precompute_inverses_only_computes_missing_ones(monkeypatch):
@@ -481,7 +489,7 @@ def test_bruhat_rejects_a_wrong_unit_at_one_element(monkeypatch, e, q):
     _mislabel(monkeypatch, e, q, lambda g, wv: (
         (wv[0], F.mul(F.generator, wv[1])) if g == target else wv))
     with pytest.raises(AssertionError, match="bi-equivariant"):
-        finglq.bruhat_decomposition.__wrapped__(e, q)
+        finglq._bruhat_index(gl_group(e, q))
 
 
 @pytest.mark.parametrize("e,q", [
@@ -494,7 +502,7 @@ def test_bruhat_rejects_two_swapped_labels(monkeypatch, e, q):
     swap = {g1: dec[g2], g2: dec[g1]}
     _mislabel(monkeypatch, e, q, lambda g, wv: swap.get(g, wv))
     with pytest.raises(AssertionError, match="bi-equivariant"):
-        finglq.bruhat_decomposition.__wrapped__(e, q)
+        finglq._bruhat_index(gl_group(e, q))
 
 
 @pytest.mark.parametrize("e,q", [(2, 3), (3, 3)])
@@ -506,7 +514,7 @@ def test_bruhat_rejects_a_unit_at_a_permutation_matrix(monkeypatch, e, q):
     _mislabel(monkeypatch, e, q, lambda g, wv: (
         (w0, F.generator) if g == target else wv))
     with pytest.raises(AssertionError):
-        finglq.bruhat_decomposition.__wrapped__(e, q)
+        finglq._bruhat_index(gl_group(e, q))
 
 
 @pytest.mark.parametrize("e,q", [(2, 3), (3, 3)])
@@ -519,7 +527,7 @@ def test_bruhat_rejects_a_unit_on_a_whole_cell(monkeypatch, e, q):
     _mislabel(monkeypatch, e, q, lambda g, wv: (
         (w0, F.mul(F.generator, wv[1])) if wv[0] == w0 else wv))
     with pytest.raises(AssertionError, match="permutation matrix"):
-        finglq.bruhat_decomposition.__wrapped__(e, q)
+        finglq._bruhat_index(gl_group(e, q))
 
 
 def test_bruhat_rejects_two_cells_trading_labels(monkeypatch):
@@ -531,7 +539,7 @@ def test_bruhat_rejects_two_cells_trading_labels(monkeypatch):
     _mislabel(monkeypatch, 3, 2, lambda g, wv: (trade.get(wv[0], wv[0]),
                                                 wv[1]))
     with pytest.raises(AssertionError, match="permutation matrix"):
-        finglq.bruhat_decomposition.__wrapped__(3, 2)
+        finglq._bruhat_index(gl_group(3, 2))
 
 
 def _changed_line(s, left):
@@ -573,7 +581,7 @@ def test_bruhat_rejects_an_operation_on_the_wrong_line(monkeypatch, e, q,
     # products are not
     _misplace(monkeypatch, left)
     with pytest.raises(AssertionError, match="bi-equivariant"):
-        finglq.bruhat_decomposition.__wrapped__(e, q)
+        finglq._bruhat_index(gl_group(e, q))
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 5), (3, 2)])

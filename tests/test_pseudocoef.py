@@ -27,6 +27,18 @@ def kottwitz_pseudocoef(theta, p):
     return kottwitz_ep(theta, p).scale(QPoly.const((-1) ** (p.e - 1)))
 
 
+@pytest.mark.parametrize("q", [-1, 0])
+def test_params_reject_nonpositive_q(q):
+    with pytest.raises(ValueError, match="q must be positive"):
+        params(2, q)
+
+
+def test_params_accept_a_rational_q():
+    p = params(2, Fraction(5, 2))
+    assert p.q == Fraction(5, 2)
+    assert assemble_F0(p).terms
+
+
 def test_kottwitz_ep_e1():
     p = params(1, 2)
     elt = kottwitz_ep(orbit_reps(1), p)

@@ -115,6 +115,24 @@ def class_function_to_csv(f, path):
 
 # --- bruhat data and the basis ----------------------------------------------
 
+def test_label_index_survives_a_group_cache_clear():
+    # the label index belongs to the group that reads it: a group built
+    # after `gl_group.cache_clear()` builds its own, though the cached
+    # `bruhat_decomposition` does not run again (fresh interpreter)
+    import subprocess
+    import sys
+    code = "\n".join([
+        "from hecke_forge import finglq, repth",
+        "finglq.bruhat_decomposition(2, 3)",
+        "finglq.gl_group.cache_clear()",
+        "assert len(repth.FinHeckeElt(2, 3, {}).coefficients()) == 4",
+        "repth.e_tau.__wrapped__(2, 3, finglq.MultChar(3, 0))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bruhat_value_well_defined_gl23():
     # recompute the unit invariant from every decomposition: must agree
     F = get_field(3)
@@ -633,7 +651,7 @@ def test_alvis_curtis_rejects_split_elements():
 def test_elliptic_classes_match_every_element(e, q):
     # one test per class stands for every member of it
     G = gl_group(e, q)
-    ell = G.elliptic_classes()
+    ell = G.elliptic_classes
     assert [elliptic_regular(q, g) for g in G.elements] \
         == [G.class_index(g) in ell for g in G.elements]
     assert elliptic_regular_class_reps(e, q) \

@@ -54,13 +54,13 @@ def test_pairs_are_the_old_table_plus_what_the_limit_adds(max_e, max_q):
 
 
 def test_rule_at_the_cap_is_every_enumerable_pair():
-    cap = finglq.max_group_order()
+    cap = finglq.MAX_GROUP_ORDER
     assert verify._gl_pairs(4, 9, cap) \
         == [(n, q) for n, q in ENUMERABLE if n >= 2]
 
 
 def test_rule_follows_the_cap(monkeypatch):
-    monkeypatch.setenv("HECKE_FORGE_MAX_GROUP_ORDER", "48")
+    monkeypatch.setattr(finglq, "MAX_GROUP_ORDER", 48)
     assert verify._gl_pairs(3, 9) == [(2, 2), (2, 3)]
 
 
