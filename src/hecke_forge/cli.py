@@ -106,10 +106,9 @@ def cmd_rep_etau(args) -> int:
     except finglq.GroupSizeError as exc:
         print(f"skipped: {exc}")
         return 0
-    G = finglq.gl_group(args.e, args.q)
-    lam1 = et(G.identity)
+    lam1 = et.at_identity()
     dim = repth.dim_from_e_tau(args.e, args.q, chi)
-    print(f"e_tau for e={args.e} q={args.q} chi_k={args.chi}")
+    print(f"e_tau for e={args.e} q={args.q} chi_k={chi.k}")
     print(f"lambda1 = e_tau(1) = {lam1}")
     print(f"dim tau = Tr(e_tau(1)) * |G| = {dim}")
     print("idempotent: yes")  # e_tau raises otherwise

@@ -39,6 +39,16 @@ forming all |B|^2 * n! products b1 w b2, and checks its labels against
 the generators of B on both sides with one row and one column operation
 per generator over the whole array: every g, every generator, both sides,
 so the check is as strong as a loop over the elements.
+
+The Borel-side computations need no enumeration of GL(n, q): the
+p_n(q) = |G/B| normal forms w u of B\\G (`borel_flags`) are built as
+row permutations of unitriangular matrices, with their inverses, and
+the labels of any array of matrices are read by the same elimination
+(`label_positions`), which checks B-bi-equivariance at every matrix it
+reads.  The oracle's structure constants, e_tau's idempotency and the
+commutant dimension in `repth` and `hecke` are a count over the normal
+forms.  Labels, read either way, are positions in one list of every
+label in code order (`bruhat_labels`).
 """
 
 from __future__ import annotations
@@ -584,12 +594,7 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
     so this only prunes the product of all q^(n^2) matrices at the first
     dependent row: the list keeps that product's row-major lexicographic
     order, and no determinant is computed."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = group_order(n, q, spec)
-    if order > MAX_GROUP_ORDER:
-        raise GroupSizeError(f"{spec.kind} subgroup of GL({n},{q}) has order "
-                             f"{order} > cap {MAX_GROUP_ORDER}")
+    order = _capped_order(n, q, spec)
     if spec.kind == "full":
         out = _invertible_matrices(n, q)
     elif spec.kind in ("borel", "standard_parabolic", "unipotent_radical",
@@ -608,6 +613,18 @@ def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
         raise AssertionError(
             f"enumeration bug: got {len(out)} elements, expected {order}")
     return out
+
+
+def _capped_order(n: int, q: int, spec: SubgroupSpec) -> int:
+    """The order of the group, after checking n >= 1 (ValueError) and the
+    order against MAX_GROUP_ORDER (GroupSizeError)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    order = group_order(n, q, spec)
+    if order > MAX_GROUP_ORDER:
+        raise GroupSizeError(f"{spec.kind} subgroup of GL({n},{q}) has order "
+                             f"{order} > cap {MAX_GROUP_ORDER}")
+    return order
 
 
 def _invertible_matrices(n: int, q: int) -> list[Mat]:
@@ -899,8 +916,8 @@ def bruhat_decomposition(e: int, q: int) -> dict:
 
 def _bruhat_index(G: MatrixGroup) -> tuple:
     """(labels, at) for G = GL(e, q), kept by `MatrixGroup.bruhat_index`:
-    the labels (w, v) in code order, and the position in labels of each
-    element's label (`np.unique`'s inverse).
+    the labels (w, v) in code order (`bruhat_labels`), and the position in
+    labels of each element's label.
 
     v is well defined: stabilizer pairs b1 w b2 = w have diag products
     multiplying to 1, because conjugation by a permutation matrix permutes
@@ -930,20 +947,16 @@ def _bruhat_index(G: MatrixGroup) -> tuple:
     """
     F, e, q, codes = G.field_, G.n, G.q, G.codes
     pivots, v = _bruhat_labels(F, codes)
-    # one int per label (the pivot rows as base-e digits, then v), and
-    # one tuple per label
-    w_codes = pivots.astype(np.int64) @ (e ** np.arange(e))
-    label_codes = w_codes * q + v
-    _, first, inverse = np.unique(label_codes, return_index=True,
-                                  return_inverse=True)
-    labels = [(tuple(pivots[i].tolist()), int(v[i])) for i in first]
+    label_codes = _label_codes(e, q, pivots, v)
+    labels = bruhat_labels(e, q)[0]
+    inverse = _label_positions(e, q, label_codes)
     sizes = Counter(labels[k][0] for k in inverse.tolist())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
         if sizes[w] != b_order * q ** _inversions(w):
             raise AssertionError(f"Bruhat cell of {w} has the wrong size")
     for s in _borel_generators(F, e):
-        want = w_codes * q + F.mul_arr[diag_product(F, s)][v]
+        want = _label_codes(e, q, pivots, F.mul_arr[diag_product(F, s)][v])
         for left in (True, False):
             at = G._locate(_mul_codes(F, s, codes, left))
             bad = np.flatnonzero((at < 0) | (label_codes[at] != want))
@@ -955,6 +968,145 @@ def _bruhat_index(G: MatrixGroup) -> tuple:
             raise AssertionError(
                 f"permutation matrix of {w} is not labelled ({w}, 1)")
     return labels, inverse.astype(np.min_scalar_type(len(labels)))
+
+
+@lru_cache(maxsize=None)
+def bruhat_labels(e: int, q: int) -> tuple:
+    """(labels, codes): every Bruhat label (w, v) of GL(e, q), w in S_e and
+    v in F_q^x, in the order of its code, and the codes, sorted.  The
+    code of (w, v) is the integer with the base-e digits w(0), ..., w(e-1)
+    (w(0) least significant), times q, plus v (`_label_codes`).  The
+    positions that `MatrixGroup.bruhat_index` and `label_positions` give
+    are positions in this list."""
+    perms = list(itertools.permutations(range(e)))
+    w = np.repeat(np.array(perms, dtype=np.int64).reshape(len(perms), e),
+                  q - 1, axis=0)
+    v = np.tile(np.arange(1, q), len(perms))
+    codes = _label_codes(e, q, w, v)
+    order = np.argsort(codes)
+    return ([(perms[k // (q - 1)], int(v[k])) for k in order.tolist()],
+            codes[order])
+
+
+def _label_codes(e: int, q: int, w, v):
+    """The int64 code of each label (w[k], v[k]): w as base-e digits, then
+    v (`bruhat_labels`)."""
+    return (w.astype(np.int64) @ (e ** np.arange(e))) * q + v
+
+
+def _label_positions(e: int, q: int, codes):
+    """The position in `bruhat_labels(e, q)` of each label code;
+    AssertionError for a code of no label (w no permutation, or v = 0)."""
+    known = bruhat_labels(e, q)[1]
+    at = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+    if (known[at] != codes).any():
+        raise AssertionError(f"a Bruhat label outside S_{e} x F_{q}^x")
+    return at
+
+
+def label_positions(q: int, codes):
+    """The position in `bruhat_labels(e, q)` of the Bruhat label of each
+    matrix of a code array, by the `_bruhat_labels` elimination, with no
+    group enumerated.
+
+    The hypotheses of a label read are checked at every matrix x read:
+    x is invertible (KeyError otherwise), and its label is
+    B-bi-equivariant, L(s x) = L(x s) = (w, d(s) v) when L(x) = (w, v),
+    for every s in `_borel_generators` (AssertionError otherwise).  The
+    products s x and x s are reduced in the same elimination as the x:
+    one elimination of 2|S| + 1 times as many matrices."""
+    F, (count, e, _) = get_field(q), codes.shape
+    gens = _borel_generators(F, e)
+    pivots, v = _bruhat_labels(F, np.concatenate(
+        [codes] + [_mul_codes(F, s, codes, left)
+                   for s in gens for left in (True, False)]))
+    if not v.all():
+        raise KeyError(f"a matrix outside GL({e},{q})")
+    label_codes = _label_codes(e, q, pivots, v).reshape(-1, count)
+    w, v = pivots[:count], v[:count]
+    for k, s in enumerate(gens):
+        want = _label_codes(e, q, w, F.mul_arr[diag_product(F, s)][v])
+        bad = np.flatnonzero((label_codes[2 * k + 1:2 * k + 3] != want)
+                             .any(axis=0))
+        if len(bad):
+            raise AssertionError(f"Bruhat label of {codes[bad[0]].tolist()} "
+                                 "is not B-bi-equivariant")
+    return _label_positions(e, q, label_codes[0])
+
+
+@dataclass(frozen=True)
+class BorelFlags:
+    """The normal forms r = w u of the right cosets B r of GL(e, q)
+    (`borel_flags`), in order: w in `itertools.permutations` order, then
+    the free entries of u in `itertools.product` order."""
+    cells: list  # the w of each form
+    codes: np.ndarray  # the forms, p_e(q) x e x e field codes
+    inv_codes: np.ndarray  # their inverses u^-1 w^-1
+    at: np.ndarray  # the position in `bruhat_labels` of each label (w, 1)
+
+
+def _free_entries(w) -> list:
+    """The entries (i, j), i < j, of u that are free in the normal form
+    w u: those with w(i) > w(j), the inversions of w."""
+    return [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))
+            if w[i] > w[j]]
+
+
+@lru_cache(maxsize=None)
+def borel_flags(e: int, q: int) -> BorelFlags:
+    """The p_e(q) = |G/B| normal forms r = w u of B\\G, G = GL(e, q): u is
+    upper unitriangular with free entries at the inversions of w, so
+    there are q^l(w) forms per w (Carter, *Finite Groups of Lie Type*,
+    Ch. 2).  G is not enumerated and no tuple matrix is multiplied: w u
+    is u with its rows permuted (row w(j) of w u is row j of u), and
+    (w u)^-1 = u^-1 w^-1, with u^-1 = sum over k < e of (1 - u)^k.
+
+    Checked here: each r w^-1 = w u w^-1 is lower unitriangular, so two
+    forms r, r' of one cell have r r'^-1 lower unitriangular, in B only
+    when r = r'; the forms are distinct and |G|/|B| in number; r r^-1 = 1;
+    and each form has the label (w, 1), read by `label_positions`, which
+    checks B-bi-equivariance at every form.  So the forms lie in
+    distinct cosets, one per coset.  GroupSizeError above
+    MAX_GROUP_ORDER, as for enumerating G."""
+    order = _capped_order(e, q, SubgroupSpec.full())
+    F = get_field(q)
+    cells, forms, inverses = [], [], []
+    for w in itertools.permutations(range(e)):
+        free = _free_entries(w)
+        u = np.zeros((q ** len(free), e, e), dtype=np.uint8)
+        u[:, range(e), range(e)] = 1
+        for k, vals in enumerate(zip(*itertools.product(range(q),
+                                                         repeat=len(free)))):
+            u[:, free[k][0], free[k][1]] = vals
+        # 1 - u is nilpotent: its e-th power is 0
+        step = F.neg_arr[u - np.eye(e, dtype=np.uint8)]
+        power = u_inv = np.broadcast_to(np.eye(e, dtype=np.uint8), u.shape)
+        for _ in range(1, e):
+            power = _mul_pairs(F, power, step)
+            u_inv = F.add_arr[u_inv, power]
+        w_inv = np.argsort(w)
+        r = u[:, w_inv]
+        conj = r[:, :, w_inv]  # w u w^-1
+        if np.triu(conj, 1).any() or (conj[:, range(e), range(e)] != 1).any():
+            raise AssertionError(f"a normal form of the cell of {w} is not "
+                                 f"a lower unitriangular matrix times {w}")
+        cells.extend([w] * len(r))
+        forms.append(r)
+        inverses.append(u_inv[:, :, w_inv])
+    codes, inv_codes = np.concatenate(forms), np.concatenate(inverses)
+    count = order // group_order(e, q, SubgroupSpec.borel())
+    if (len(codes) != count
+            or len(np.unique(_row_major_keys(codes, q))) != count):
+        raise AssertionError(f"the normal forms of GL({e},{q}) are not "
+                             f"{count} distinct matrices")
+    if (_mul_pairs(F, codes, inv_codes) != np.eye(e, dtype=np.uint8)).any():
+        raise AssertionError("a normal form times its inverse is not 1")
+    labels, at = bruhat_labels(e, q)[0], label_positions(q, codes)
+    for k, w in zip(at.tolist(), cells):
+        if labels[k] != (w, 1):
+            raise AssertionError(f"a normal form of the cell of {w} is not "
+                                 f"labelled ({w}, 1)")
+    return BorelFlags(cells, codes, inv_codes, at)
 
 
 def _borel_generators(F: Fq, n: int) -> list[Mat]:

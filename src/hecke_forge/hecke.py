@@ -19,8 +19,9 @@ l(x s_i) > l(x) is read off x = (lam, w) in O(1), not from two lengths
 The ground truth for the relations is the double-coset convolution
 algebra of GL(e, F_q) over the Borel (`convolution_oracle`): the
 normalized cell indicators fbar_w of `repth.finite_hecke_basis`,
-convolved over the cosets B\\G: each structure constant is a count of
-cosets by the Bruhat cells of w3 r_i^-1 and r_i.
+convolved over the cosets B\\G: each structure constant is a count over
+the normal forms r_i of B\\G (`finglq.borel_flags`) by the Bruhat cells
+of w3 r_i^-1 and r_i, with no enumeration of GL(e, F_q).
 
 Central-character reduction collapses the basis along central
 translations (lam, w) ~ (lam + n*(1..1), w), weighting by omega^n.
@@ -225,22 +226,22 @@ def convolution_oracle(e: int, q: int) -> dict:
     fbar_{w3} there, 1/|B|.  The value is |B| times the sum over cosets
     B r_i of fbar_{w1}(w3 r_i^-1) fbar_{w2}(r_i), each term 1/|B|^2 or 0,
     so the coefficient is the count #{i : w3 r_i^-1 in B w1 B, r_i in
-    B w2 B}: one histogram of the cells of `repth._label_pairs` per w3.
+    B w2 B}: one histogram of the cells of `repth._flag_label_pairs` per
+    w3, a count over the normal forms r_i of B\\G
+    (`finglq.borel_flags`), so GL(e, q) is not enumerated.
     `finite_hecke_basis` checks the hypothesis (the fbar_w span the
     commutant).  Constants are exact Fractions, indexed by (w1, w2, w3).
     """
     import numpy as np  # importing hecke does not load numpy
     from . import finglq, repth
-    # the hypothesis check; its basis also builds G's label index
     repth.finite_hecke_basis(e, q, finglq.MultChar(q, 0))
-    G, B = finglq.gl_group(e, q), repth.borel(e, q)
     perms = all_perms(e)
     m = len(perms)
-    # the position in perms of the cell of each label of G's label index
-    cell = np.array([perms.index(w) for w, _ in G.bruhat_index[0]])
+    # the position in perms of the cell of each label
+    cell = np.array([perms.index(w) for w, _ in finglq.bruhat_labels(e, q)[0]])
     counts = {}
     for w3 in perms:
-        a, b = repth._label_pairs(G, B, finglq.perm_matrix(e, w3))
+        a, b = repth._flag_label_pairs(e, q, finglq.perm_matrix(e, w3))
         counts[w3] = np.bincount(cell[a] * m + cell[b],
                                  minlength=m * m).reshape(m, m).tolist()
     return {(w1, w2, w3): Fraction(counts[w3][i][j])

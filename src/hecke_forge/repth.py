@@ -12,7 +12,12 @@ are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and
 `FinHeckeElt` holds only that form: one coefficient per label (e!(q-1)
 of them), read at one g through the cached `bruhat_decomposition`, and
 in the coset sums through G's label index `G.bruhat_index`: one array
-read per sum, not a dict lookup per coset.  The
+read per sum, not a dict lookup per coset.  The Borel-side computations,
+the convolution behind e_tau's idempotency check, the commutant
+dimension and the Hecke oracle's cell count, are sums over the normal
+forms of B\\G (`finglq.borel_flags`), their labels read by elimination,
+so they enumerate no GL(e, q); G, B and the label dict of a
+`FinHeckeElt` are built only when it is read at an element.  The
 hypotheses the operator and the trace formula rest on, right
 sigma-equivariance and adjointness, are checked once per label; the
 label checks of `bruhat_decomposition` make that as strong as checking
@@ -77,66 +82,96 @@ def sigma_tilde(e: int, q: int, chi: MultChar):
 # bi-equivariant End(X)-valued functions (X is 1-dimensional for f = 1)
 
 class FinHeckeElt:
-    """Function on G = `gl_group(e, q)` with scalar values (Fraction or
-    complex) of the Bruhat label alone, with B = `borel(e, q)`: a dict
-    from labels (w, v) to scalars, missing labels zero, read at g through
-    `bruhat_decomposition(e, q)`; e!(q-1) coefficients, not |G| values.
+    """Function on G = GL(e, q) with scalar values (Fraction or complex)
+    of the Bruhat label alone, with B its Borel: a dict `labels` from
+    labels (w, v) to scalars, missing labels zero; e!(q-1) coefficients,
+    not |G| values.  G = `gl_group(e, q)`, B = `borel(e, q)` and the label
+    dict `bruhat_decomposition(e, q)` are built on first read, when phi is
+    read at an element of G; `convolve_at` and `at_identity` read neither.
     The module it acts on holds sigma and checks equivariance.
     """
 
     def __init__(self, e: int, q: int, labels: dict):
-        self.group, self.sub = gl_group(e, q), borel(e, q)
+        self.e, self.q = e, q
         self.labels = labels
-        self._dec = bruhat_decomposition(e, q)
+
+    @cached_property
+    def group(self) -> MatrixGroup:
+        return gl_group(self.e, self.q)
+
+    @cached_property
+    def sub(self) -> MatrixGroup:
+        return borel(self.e, self.q)
+
+    @cached_property
+    def _dec(self) -> dict:
+        """`bruhat_decomposition(e, q)`.  Every reader of G's labels reads
+        this first, so that a first build of G's label index is timed in
+        `bruhat_decomposition`."""
+        return bruhat_decomposition(self.e, self.q)
 
     def __call__(self, g):
         return self.labels.get(self._dec[g], 0)
 
+    def at_identity(self):
+        """phi(1), the coefficient of the identity's label (1, 1)."""
+        return self.labels.get((tuple(range(self.e)), 1), 0)
+
     def coefficients(self) -> list:
         """phi at each label of `group.bruhat_index`, in its order, so
         that phi(G.elements[k]) is coefficients()[at[k]]."""
+        self._dec
         return [self.labels.get(label, 0)
                 for label in self.group.bruhat_index[0]]
 
     def convolve_at(self, other: "FinHeckeElt", g):
-        """(self * other)(g) = |H| * sum over r in H\\G of
+        """(self * other)(g) = |B| * sum over r in B\\G of
         self(g r^-1) * other(r).
 
-        Hypothesis: self is right-(H, sigma)-equivariant and other is
-        left-(H, sigma)-equivariant.  Then y = h r turns the full sum over
-        y in G into |H| times the sum over the right transversal, since
-        sigma(h^-1) sigma(h) = 1.  For fbar_w and e_tau the label check in
-        `bruhat_decomposition` guarantees it.  Both factors are read by
-        label index at every coset (`_label_pairs`); terms with
+        Hypothesis: self is right-(B, sigma)-equivariant and other is
+        left-(B, sigma)-equivariant.  Then y = b r turns the full sum over
+        y in G into |B| times the sum over a transversal, since
+        sigma(b^-1) sigma(b) = 1.  For fbar_w and e_tau, functions of the
+        label, the label reads check it.  The sum runs over the normal
+        forms r of `finglq.borel_flags`, both factors read by label
+        (`_flag_label_pairs`), so G is not enumerated; terms with
         other(r) = 0 are skipped.
         """
-        a, b = _label_pairs(self.group, self.sub, g)
-        mine, theirs = self.coefficients(), other.coefficients()
+        a, b = _flag_label_pairs(self.e, self.q, g)
+        labels = finglq.bruhat_labels(self.e, self.q)[0]
+        mine, theirs = self.labels, other.labels
         acc = Fraction(0)
         for i, j in zip(a.tolist(), b.tolist()):
-            vr = theirs[j]
+            vr = theirs.get(labels[j], 0)
             if vr != 0:
-                acc += mine[i] * vr
-        return self.sub.order * acc
+                acc += mine.get(labels[i], 0) * vr
+        b_order = finglq.group_order(self.e, self.q, SubgroupSpec.borel())
+        return b_order * acc
 
 
-def _label_pairs(G: MatrixGroup, H: MatrixGroup, g):
-    """(a, b): for each coset H r_i of G's Borel H, in transversal order,
-    the label positions in `G.bruhat_index` of g r_i^-1 (a) and of r_i
-    (b), the products formed for every i at once.  `convolve_at` and the
-    Hecke oracle's cell count both read them."""
-    data = _coset_data(G, H)
-    at = G.bruhat_index[1]
-    return (at[G._indices(_mul_codes(G.field_, g, data.inv_codes, left=True))],
-            at[G._indices(data.codes)])
+def _flag_label_pairs(e: int, q: int, g):
+    """(a, b): for each normal form r_i of `finglq.borel_flags(e, q)`, in
+    order, the positions in `finglq.bruhat_labels(e, q)` of the labels of
+    g r_i^-1 (a), the products formed for every i at once and their
+    labels read by elimination (`finglq.label_positions`), and of r_i
+    (b), which `borel_flags` checked to be (w_i, 1).  `convolve_at` and
+    the Hecke oracle's cell count both read them."""
+    flags = finglq.borel_flags(e, q)
+    return (finglq.label_positions(q, _mul_codes(
+        get_field(q), g, flags.inv_codes, left=True)), flags.at)
+
+
+def _wrong_group(e: int, q: int) -> ValueError:
+    return ValueError("expected a function of the Bruhat label on "
+                      f"GL({e},{q}) and its Borel")
 
 
 def _labels_of(phi: FinHeckeElt, G: MatrixGroup, H: MatrixGroup) -> dict:
     """phi's label coefficients; raises ValueError unless phi lives on G
     and its Borel H."""
+    phi._dec
     if phi.group is not G or phi.sub is not H:
-        raise ValueError("expected a function of the Bruhat label on "
-                         f"GL({G.n},{G.q}) and its Borel")
+        raise _wrong_group(G.n, G.q)
     return phi.labels
 
 
@@ -197,28 +232,51 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
     """The e! basis functions fbar_w, ordered by one-line permutation, held
     by label: fbar_w(w, v) = chi(v)/|B|, one value per v shared by every w.
 
-    Verifies that the commutant of the induced module has dimension e!,
-    so the (visibly independent) basis spans it.
+    Verifies first that the commutant of the induced module has dimension
+    e!, so the (visibly independent) basis spans it.
     """
-    norm = Fraction(1, borel(e, q).order)
-    value = {v: norm * chi(v) for v in range(1, q)}
-    basis = [FinHeckeElt(e, q, {(w, v): x for v, x in value.items()})
-             for w in all_perms(e)]
+    perms = all_perms(e)
     dim = intertwining_dimension(e, q, chi)
-    if dim != len(basis):
+    if dim != len(perms):
         raise ValueError(
-            f"intertwining dimension {dim} != expected {len(basis)}")
-    return basis
+            f"intertwining dimension {dim} != expected {len(perms)}")
+    norm = Fraction(1, finglq.group_order(e, q, SubgroupSpec.borel()))
+    value = {v: norm * chi(v) for v in range(1, q)}
+    return [FinHeckeElt(e, q, {(w, v): x for v, x in value.items()})
+            for w in perms]
 
 
 def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
-    """dim End_G(Ind_B sigma) = <chi_Ind, chi_Ind>, the class norm of the
-    induced character, read off the class table (`InducedRep.class_traces`)."""
-    ind = induce(e, q, chi)
-    val = values_norm(ind.group, ind.class_traces())
-    out = round(val)
+    """dim End_G(Ind_B sigma) = <Ind sigma, Ind sigma>_G, sigma = chi
+    inflated to B, which Frobenius reciprocity makes
+    <sigma, Res_B Ind sigma>_B = (1/|B|) sum over b in B of
+    conj sigma(b) Ind sigma(b).  Ind sigma(b) is the sum of
+    sigma(r b r^-1) over the normal forms r of `finglq.borel_flags` with
+    r b r^-1 in B, the cosets B r that b fixes.  The |B| p_e(q) products
+    r b r^-1 are formed at once; G is not enumerated.  GroupSizeError
+    above the enumeration cap, from `borel_flags`."""
+    flags = finglq.borel_flags(e, q)
+    B = borel(e, q)
+    F = B.field_
+    conj = _mul_pairs(F, _mul_pairs(F, flags.codes[:, None], B.codes[None]),
+                      flags.inv_codes[:, None])
+    chi_at = np.array([0] + [complex(chi(v)) for v in range(1, q)])
+    fixed = ~np.tril(conj, -1).any(axis=(2, 3))  # r b r^-1 in B
+    terms = (chi_at[_diag_products(F, conj)] * fixed).sum(axis=0)
+    val = complex((np.conj(chi_at[_diag_products(F, B.codes)]) * terms).sum()
+                  / B.order)
+    out = round(val.real)
     if abs(val - out) > 1e-6:
         raise ValueError(f"non-integral character norm {val}")
+    return out
+
+
+def _diag_products(F, codes):
+    """The product of the diagonal entries of each matrix of a code
+    array."""
+    out = codes[..., 0, 0]
+    for k in range(1, codes.shape[-1]):
+        out = F.mul_arr[out, codes[..., k, k]]
     return out
 
 
@@ -265,29 +323,33 @@ def e_tau(e: int, q: int, chi: MultChar) -> FinHeckeElt:
 
 def _idempotency_holds(elt: FinHeckeElt, e: int, q: int) -> bool:
     """Check elt * elt = elt for an elt of GL(e, q): exactly when every
-    coefficient is a Fraction, else within 1e-10.
+    coefficient is a Fraction, else within 1e-10; ValueError for an elt
+    of another group.
 
-    elt is a function of the Bruhat label (w, v), whose bi-equivariance
-    `bruhat_decomposition` checks, so elt and elt * elt are
+    elt is a function of the Bruhat label (w, v), bi-equivariant where
+    its labels are read, so elt and elt * elt are
     (B, sigma)-bi-equivariant and one point per cell is enough: the
-    permutation matrix of w, where `FinHeckeElt.convolve_at` sums over the
-    transversal of B\\G.
+    permutation matrix of w, the normal form of its cell with u = 1,
+    which `finglq.borel_flags` checks to have the label (w, 1), and where
+    `FinHeckeElt.convolve_at` sums over the normal forms of B\\G.
     """
-    labels = _labels_of(elt, gl_group(e, q), borel(e, q))
+    if (elt.e, elt.q) != (e, q):
+        raise _wrong_group(e, q)
+    labels = elt.labels
     exact = all(isinstance(v, Fraction) for v in labels.values())
     for w in all_perms(e):
         pt = perm_matrix(e, w)
-        lhs = elt.convolve_at(elt, pt)
-        if (lhs != elt(pt) if exact
-                else abs(complex(lhs) - complex(elt(pt))) > 1e-10):
+        lhs, rhs = elt.convolve_at(elt, pt), labels.get((w, 1), 0)
+        if (lhs != rhs if exact
+                else abs(complex(lhs) - complex(rhs)) > 1e-10):
             return False
     return True
 
 
 def dim_from_e_tau(e: int, q: int, chi: MultChar) -> Fraction:
-    """Tr(e_tau(1)) * |G|; the dimension of the cut-out constituent."""
-    G = gl_group(e, q)
-    return e_tau(e, q, chi)(G.identity) * G.order
+    """Tr(e_tau(1)) * |G|; the dimension of the cut-out constituent, read
+    at the identity's label, with |G| = `finglq.gl_order`."""
+    return e_tau(e, q, chi).at_identity() * finglq.gl_order(e, q)
 
 
 # ---------------------------------------------------------------------------

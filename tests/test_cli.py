@@ -79,6 +79,48 @@ def test_rep_etau(capsys):
     assert "dim tau" in out
 
 
+ETAU_23_CHI1 = """e_tau for e=2 q=3 chi_k=1
+lambda1 = e_tau(1) = 1/48
+dim tau = Tr(e_tau(1)) * |G| = 1
+idempotent: yes
+"""
+
+
+def test_rep_etau_prints_the_character_it_computes(capsys):
+    # k is read mod q - 1: --chi 5 computes chi_1 at q = 3 and says so,
+    # with the same output as --chi 1
+    for k in ("1", "5"):
+        code, out, _ = run(capsys, "rep", "etau", "--e", "2", "--q", "3",
+                           "--chi", k)
+        assert code == 0
+        assert out == ETAU_23_CHI1
+
+
+def test_rep_etau_builds_no_group():
+    # lambda1 is the coefficient of the identity's label: no gl_group
+    # call, nor any other element of G (fresh interpreter)
+    import subprocess
+    import sys
+    code = "\n".join([
+        "import contextlib, io",
+        "from hecke_forge import cli, finglq, repth",
+        "def refused(n, q):",
+        "    raise AssertionError('gl_group called')",
+        "finglq.gl_group = repth.gl_group = refused",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        "    assert cli.main(['rep', 'etau', '--e', '3', '--q', '3']) == 0",
+        "print(out.getvalue(), end='')",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("e_tau for e=3 q=3 chi_k=0\n"
+                           "lambda1 = e_tau(1) = 1/11232\n"
+                           "dim tau = Tr(e_tau(1)) * |G| = 1\n"
+                           "idempotent: yes\n")
+
+
 def test_rep_alvis_curtis(capsys):
     code, out, _ = run(capsys, "rep", "alvis-curtis", "--e", "2", "--q", "2")
     assert code == 0
