@@ -46,7 +46,7 @@ row permutations of unitriangular matrices, with their inverses, and
 the labels of any array of matrices are read by the same elimination
 (`label_positions`), which checks B-bi-equivariance at every matrix it
 reads.  The oracle's structure constants, e_tau's idempotency and the
-commutant dimension in `repth` and `hecke` are a count over the normal
+commutant dimension in `repth` and `hecke` are sums over the normal
 forms.  Labels, read either way, are positions in one list of every
 label in code order (`bruhat_labels`).
 """
@@ -949,8 +949,8 @@ def _bruhat_index(G: MatrixGroup) -> tuple:
     pivots, v = _bruhat_labels(F, codes)
     label_codes = _label_codes(e, q, pivots, v)
     labels = bruhat_labels(e, q)[0]
-    inverse = _label_positions(e, q, label_codes)
-    sizes = Counter(labels[k][0] for k in inverse.tolist())
+    positions = _label_positions(e, q, label_codes)
+    sizes = Counter(labels[k][0] for k in positions.tolist())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
         if sizes[w] != b_order * q ** _inversions(w):
@@ -964,10 +964,10 @@ def _bruhat_index(G: MatrixGroup) -> tuple:
                 raise AssertionError(f"Bruhat label of {G.elements[bad[0]]} "
                                      "is not B-bi-equivariant")
     for w in itertools.permutations(range(e)):
-        if labels[inverse[G.index(perm_matrix(e, w))]] != (w, 1):
+        if labels[positions[G.index(perm_matrix(e, w))]] != (w, 1):
             raise AssertionError(
                 f"permutation matrix of {w} is not labelled ({w}, 1)")
-    return labels, inverse.astype(np.min_scalar_type(len(labels)))
+    return labels, positions.astype(np.min_scalar_type(len(labels)))
 
 
 @lru_cache(maxsize=None)
@@ -1095,8 +1095,8 @@ def borel_flags(e: int, q: int) -> BorelFlags:
         inverses.append(u_inv[:, :, w_inv])
     codes, inv_codes = np.concatenate(forms), np.concatenate(inverses)
     count = order // group_order(e, q, SubgroupSpec.borel())
-    if (len(codes) != count
-            or len(np.unique(_row_major_keys(codes, q))) != count):
+    keys = np.sort(_row_major_keys(codes, q))
+    if len(codes) != count or (keys[1:] == keys[:-1]).any():
         raise AssertionError(f"the normal forms of GL({e},{q}) are not "
                              f"{count} distinct matrices")
     if (_mul_pairs(F, codes, inv_codes) != np.eye(e, dtype=np.uint8)).any():
