@@ -1013,24 +1013,25 @@ def label_positions(q: int, codes):
     x is invertible (KeyError otherwise), and its label is
     B-bi-equivariant, L(s x) = L(x s) = (w, d(s) v) when L(x) = (w, v),
     for every s in `_borel_generators` (AssertionError otherwise).  The
-    products s x and x s are reduced in the same elimination as the x:
-    one elimination of 2|S| + 1 times as many matrices."""
+    products s x and x s, formed for every s and x at once, are reduced
+    in the same elimination as the x."""
     F, (count, e, _) = get_field(q), codes.shape
     gens = _borel_generators(F, e)
+    s = np.array(gens, dtype=np.uint8).reshape(len(gens), 1, e, e)
     pivots, v = _bruhat_labels(F, np.concatenate(
-        [codes] + [_mul_codes(F, s, codes, left)
-                   for s in gens for left in (True, False)]))
-    if not v.all():
+        [codes, _mul_pairs(F, s, codes).reshape(-1, e, e),
+         _mul_pairs(F, codes, s).reshape(-1, e, e)]))
+    if not v[:count].all():
         raise KeyError(f"a matrix outside GL({e},{q})")
     label_codes = _label_codes(e, q, pivots, v).reshape(-1, count)
-    w, v = pivots[:count], v[:count]
-    for k, s in enumerate(gens):
-        want = _label_codes(e, q, w, F.mul_arr[diag_product(F, s)][v])
-        bad = np.flatnonzero((label_codes[2 * k + 1:2 * k + 3] != want)
-                             .any(axis=0))
-        if len(bad):
-            raise AssertionError(f"Bruhat label of {codes[bad[0]].tolist()} "
-                                 "is not B-bi-equivariant")
+    d = np.array([diag_product(F, g) for g in gens], dtype=np.uint8)
+    want = _label_codes(e, q, pivots[:count],
+                        F.mul_arr[d[:, None], v[:count]])
+    bad = np.flatnonzero((label_codes[1:] != np.concatenate([want, want]))
+                         .any(axis=0))
+    if len(bad):
+        raise AssertionError(f"Bruhat label of {codes[bad[0]].tolist()} "
+                             "is not B-bi-equivariant")
     return _label_positions(e, q, label_codes[0])
 
 

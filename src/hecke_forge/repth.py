@@ -252,23 +252,37 @@ def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
     <sigma, Res_B Ind sigma>_B = (1/|B|) sum over b in B of
     conj sigma(b) Ind sigma(b).  Ind sigma(b) is the sum of
     sigma(r b r^-1) over the normal forms r of `finglq.borel_flags` with
-    r b r^-1 in B, the cosets B r that b fixes.  The |B| p_e(q) products
-    r b r^-1 are formed at once; G is not enumerated.  GroupSizeError
-    above the enumeration cap, from `borel_flags`."""
+    r b r^-1 in B, the cosets B r that b fixes.  So the norm is
+    (1/|B|) sum over (a, c) of N[a, c] conj chi(a) chi(c), with the counts
+    N of `_fixed_diagonals`; G is not enumerated.  GroupSizeError above
+    the enumeration cap, from `borel_flags`."""
+    counts = _fixed_diagonals(e, q)
+    chi_at = np.array([0] + [complex(chi(v)) for v in range(1, q)])
+    val = complex(np.conj(chi_at) @ counts @ chi_at
+                  / finglq.group_order(e, q, SubgroupSpec.borel()))
+    out = round(val.real)
+    if abs(val - out) > 1e-6:
+        raise ValueError(f"non-integral character norm {val}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _fixed_diagonals(e: int, q: int) -> np.ndarray:
+    """N[a, c]: the number of pairs (b, r) of b in B = `borel(e, q)` and a
+    normal form r of `finglq.borel_flags(e, q)` with r b r^-1 in B,
+    d(b) = a and d(r b r^-1) = c, d the diagonal product; the part of
+    `intertwining_dimension` that does not depend on chi.  The |B| p_e(q)
+    products r b r^-1 are formed at once."""
     flags = finglq.borel_flags(e, q)
     B = borel(e, q)
     F = B.field_
     conj = _mul_pairs(F, _mul_pairs(F, flags.codes[:, None], B.codes[None]),
                       flags.inv_codes[:, None])
-    chi_at = np.array([0] + [complex(chi(v)) for v in range(1, q)])
     fixed = ~np.tril(conj, -1).any(axis=(2, 3))  # r b r^-1 in B
-    terms = (chi_at[_diag_products(F, conj)] * fixed).sum(axis=0)
-    val = complex((np.conj(chi_at[_diag_products(F, B.codes)]) * terms).sum()
-                  / B.order)
-    out = round(val.real)
-    if abs(val - out) > 1e-6:
-        raise ValueError(f"non-integral character norm {val}")
-    return out
+    a = np.broadcast_to(_diag_products(F, B.codes), fixed.shape)[fixed]
+    c = _diag_products(F, conj)[fixed]
+    return np.bincount(a.astype(np.int64) * q + c,
+                       minlength=q * q).reshape(q, q)
 
 
 def _diag_products(F, codes):
