@@ -949,7 +949,7 @@ def _bruhat_index(G: MatrixGroup) -> tuple:
     pivots, v = _bruhat_labels(F, codes)
     label_codes = _label_codes(e, q, pivots, v)
     labels = bruhat_labels(e, q)[0]
-    positions = _label_positions(e, q, label_codes)
+    positions = _code_positions(e, q, label_codes)
     sizes = Counter(labels[k][0] for k in positions.tolist())
     b_order = group_order(e, q, SubgroupSpec.borel())
     for w in itertools.permutations(range(e)):
@@ -983,7 +983,7 @@ def bruhat_labels(e: int, q: int) -> tuple:
                   q - 1, axis=0)
     v = np.tile(np.arange(1, q), len(perms))
     codes = _label_codes(e, q, w, v)
-    order = np.argsort(codes)
+    order = np.argsort(codes, kind="stable")
     return ([(perms[k // (q - 1)], int(v[k])) for k in order.tolist()],
             codes[order])
 
@@ -994,7 +994,7 @@ def _label_codes(e: int, q: int, w, v):
     return (w.astype(np.int64) @ (e ** np.arange(e))) * q + v
 
 
-def _label_positions(e: int, q: int, codes):
+def _code_positions(e: int, q: int, codes):
     """The position in `bruhat_labels(e, q)` of each label code;
     AssertionError for a code of no label (w no permutation, or v = 0)."""
     known = bruhat_labels(e, q)[1]
@@ -1032,7 +1032,7 @@ def label_positions(q: int, codes):
     if len(bad):
         raise AssertionError(f"Bruhat label of {codes[bad[0]].tolist()} "
                              "is not B-bi-equivariant")
-    return _label_positions(e, q, label_codes[0])
+    return _code_positions(e, q, label_codes[0])
 
 
 @dataclass(frozen=True)
@@ -1096,7 +1096,8 @@ def borel_flags(e: int, q: int) -> BorelFlags:
         inverses.append(u_inv[:, :, w_inv])
     codes, inv_codes = np.concatenate(forms), np.concatenate(inverses)
     count = order // group_order(e, q, SubgroupSpec.borel())
-    keys = np.sort(_row_major_keys(codes, q))
+    keys = _row_major_keys(codes, q)
+    keys = keys[np.argsort(keys, kind="stable")]
     if len(codes) != count or (keys[1:] == keys[:-1]).any():
         raise AssertionError(f"the normal forms of GL({e},{q}) are not "
                              f"{count} distinct matrices")

@@ -258,7 +258,7 @@ def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
     the enumeration cap, from `borel_flags`."""
     counts = _fixed_diagonals(e, q)
     chi_at = np.array([0] + [complex(chi(v)) for v in range(1, q)])
-    val = complex(np.conj(chi_at) @ counts @ chi_at
+    val = complex((np.conj(chi_at)[:, None] * counts * chi_at).sum()
                   / finglq.group_order(e, q, SubgroupSpec.borel()))
     out = round(val.real)
     if abs(val - out) > 1e-6:
