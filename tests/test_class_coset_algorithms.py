@@ -682,191 +682,6 @@ def test_label_index_reads_match_dict_reads(e, q):
     assert [coeffs[k] for k in at.tolist()] == [phi(g) for g in G.elements]
 
 
-# --- the normal forms of B\G against the enumerated group ----------------------
-
-def ref_label_pairs(G, H, g):
-    """(a, b): for each coset H r_i of G's Borel H, in the transversal
-    order of `_coset_data`, the label positions in `G.bruhat_index` of
-    g r_i^-1 (a) and of r_i (b), each product located in the enumerated
-    G."""
-    data = repth._coset_data(G, H)
-    at = G.bruhat_index[1]
-    return (at[G._indices(finglq._mul_codes(G.field_, g, data.inv_codes,
-                                            left=True))],
-            at[G._indices(data.codes)])
-
-
-def ref_label_pair_oracle(e, q):
-    """The oracle's constants as a count of cosets by the cells of the
-    enumerated label pairs (`ref_label_pairs`)."""
-    G, B = gl_group(e, q), repth.borel(e, q)
-    perms = all_perms(e)
-    m = len(perms)
-    cell = np.array([perms.index(w) for w, _ in G.bruhat_index[0]])
-    consts = {}
-    for w3 in perms:
-        a, b = ref_label_pairs(G, B, perm_matrix(e, w3))
-        counts = np.bincount(cell[a] * m + cell[b], minlength=m * m)
-        for i, w1 in enumerate(perms):
-            for j, w2 in enumerate(perms):
-                consts[(w1, w2, w3)] = Fraction(int(counts[i * m + j]))
-    return consts
-
-
-def ref_class_norm_dimension(e, q, chi):
-    """<chi_Ind, chi_Ind> as the class norm of the induced character, read
-    off the class table of the enumerated G."""
-    ind = repth.induce(e, q, chi)
-    val = repth.values_norm(ind.group, ind.class_traces())
-    assert abs(val - round(val)) <= 1e-6
-    return round(val)
-
-
-def slow_42(pairs):
-    return [pytest.param(n, q, marks=pytest.mark.slow) if (n, q) == (4, 2)
-            else (n, q) for n, q in pairs]
-
-
-@pytest.mark.parametrize("e,q", slow_42(ENUMERABLE))
-def test_normal_forms_are_one_per_coset(e, q):
-    # every coset of the enumerated `_coset_data` holds one normal form,
-    # whose label (w, 1) and inverse agree with the enumerated group's
-    G, B = gl_group(e, q), repth.borel(e, q)
-    flags = finglq.borel_flags(e, q)
-    at = G._indices(flags.codes)
-    assert sorted(repth._coset_data(G, B).coset[at].tolist()) \
-        == list(range(G.order // B.order))
-    labels, label_at = G.bruhat_index
-    assert labels == finglq.bruhat_labels(e, q)[0]
-    assert np.array_equal(label_at[at], flags.at)
-    assert [labels[k] for k in flags.at.tolist()] \
-        == [(w, 1) for w in flags.cells]
-    assert G._indices(flags.inv_codes).tolist() \
-        == [G.index(G.inv(G.elements[k])) for k in at.tolist()]
-    # a label read by elimination at every element of G is the index's
-    assert np.array_equal(finglq.label_positions(q, G.codes), label_at)
-
-
-@pytest.mark.parametrize("e,q", slow_42(ENUMERABLE))
-def test_flag_routes_match_enumerated_routes(e, q):
-    # the oracle, convolve_at and the intertwining dimension on the
-    # normal forms against their enumerated references
-    G, B = gl_group(e, q), repth.borel(e, q)
-    if e >= 2:
-        assert hecke.convolution_oracle(e, q) == ref_label_pair_oracle(e, q)
-    transversal = repth._coset_data(G, B).transversal
-    pts = [perm_matrix(e, w) for w in all_perms(e)]
-    pts += G.elements[::max(1, G.order // 7)]
-    for chi in all_characters(q):
-        assert (repth.intertwining_dimension(e, q, chi)
-                == ref_intertwining_dimension(e, q, chi)
-                == ref_class_norm_dimension(e, q, chi))
-        basis = repth.finite_hecke_basis(e, q, chi)
-        elts = [repth.e_tau(e, q, chi), basis[0], basis[-1]]
-        for a in elts:
-            for b in elts:
-                for g in pts:
-                    got = a.convolve_at(b, g)
-                    want = ref_convolve_at(a, b, transversal, g)
-                    assert type(got) is type(want)
-                    if chi.is_rational:
-                        assert got == want
-                    else:
-                        assert abs(complex(got) - complex(want)) <= 1e-12
-
-
-def test_flag_reads_build_no_group(monkeypatch):
-    # e_tau, its dimension and the oracle read the normal forms only:
-    # no gl_group call, and the elements read only where a G-side reader
-    # asks for them
-    def refused(n, q):
-        raise AssertionError(f"gl_group({n}, {q}) called")
-
-    for fn in (repth.e_tau, repth.finite_hecke_basis):
-        monkeypatch.setattr(repth, fn.__name__, fn.__wrapped__)
-    monkeypatch.setattr(finglq, "gl_group", refused)
-    monkeypatch.setattr(repth, "gl_group", refused)
-    chi = MultChar(3, 1)
-    et = repth.e_tau(3, 3, chi)
-    assert repth.dim_from_e_tau(3, 3, chi) == 1
-    assert et.at_identity() == Fraction(1, gl_order(3, 3))
-    assert not {"group", "sub", "_dec"} & set(vars(et))
-    assert hecke.oracle_matches_t_mul(3, 3)
-
-
-@pytest.mark.parametrize("fault", ["moved", "dropped"])
-def test_normal_forms_reject_a_wrong_free_entry(monkeypatch, fault):
-    # a free entry of u moved to a non-inversion of w puts two forms in
-    # one coset; a dropped one leaves cosets without a form
-    real = finglq._free_entries
-
-    def wrong(w):
-        free = real(w)
-        others = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))
-                  if (i, j) not in free]
-        if not free or (fault == "moved" and not others):
-            return free
-        return free[:-1] + (others[:1] if fault == "moved" else [])
-
-    monkeypatch.setattr(finglq, "_free_entries", wrong)
-    for e, q in [(3, 2), (3, 3), (4, 2)]:
-        with pytest.raises(AssertionError, match=(
-                "lower unitriangular" if fault == "moved" else "distinct")):
-            finglq.borel_flags.__wrapped__(e, q)
-
-
-def test_normal_forms_respect_the_cap(monkeypatch):
-    # above the cap the flags raise as enumerating G does, before the
-    # Borel is enumerated
-    with pytest.raises(GroupSizeError,
-                       match=r"full subgroup of GL\(3,5\) has order 1488000"):
-        finglq.borel_flags(3, 5)
-    with pytest.raises(ValueError, match="n must be positive"):
-        finglq.borel_flags(0, 2)
-    monkeypatch.setattr(finglq, "MAX_GROUP_ORDER", 5)
-    with pytest.raises(GroupSizeError):
-        finglq.borel_flags.__wrapped__(2, 2)
-
-
-def highest_pivot_labels(F, codes):
-    """`finglq._bruhat_labels` pivoting on the highest nonzero entry of
-    each column instead of the lowest."""
-    m = codes.copy()
-    count, n, _ = m.shape
-    at = np.arange(count)
-    w = np.empty((count, n), dtype=np.uint8)
-    v = np.ones(count, dtype=np.uint8)
-    for j in range(n):
-        r = np.argmax(m[:, :, j] != 0, axis=1)
-        p = m[at, r, j]
-        w[:, j] = r
-        v = F.mul_arr[v, p]
-        pivot_row = m[at, r]
-        for k in range(j + 1, n):
-            f = F.mul_arr[pivot_row[:, k], F.inv_arr[p]]
-            step = F.mul_arr[f[:, None], m[:, :, j]]
-            m[:, :, k] = F.add_arr[m[:, :, k], F.neg_arr[step]]
-    return w, v
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_highest_pivot_fails_oracle_and_e_tau(monkeypatch, warm):
-    # the elimination pivoting on the wrong entry: the oracle and e_tau
-    # report `fail` records at (2, 2), each under its own name, also when
-    # the normal forms were built and checked before the fault
-    checks = verify.checks_named("check_hecke_oracle", "check_e_tau")
-    if warm:
-        assert all(r.status == "pass" for r in verify.run_checks(checks, 2, 2))
-    monkeypatch.setattr(finglq, "_bruhat_labels", highest_pivot_labels)
-    # bypass the cache so e_tau runs its idempotency check again
-    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
-    records = verify.run_checks(checks, 2, 2)
-    assert {r.name for r in records} == {"hecke.oracle_equivalence",
-                                         "repth.e_tau_idempotent_dim"}
-    assert all(r.status == "fail" and r.params == {"e": 2, "q": 2}
-               for r in records), records
-
-
 @pytest.mark.parametrize("n,q", ENUMERABLE)
 def test_enumeration_matches_reference(n, q):
     # the same list, order included: G.elements fixes every later order
@@ -1029,6 +844,186 @@ def test_steinberg_degree(e, q):
     G = gl_group(e, q)
     st = repth.steinberg_char(e, q, MultChar(q, 0))
     assert st.at(G.identity) == q ** (e * (e - 1) // 2)
+
+
+# --- the normal forms of B\G against the enumerated group ----------------------
+
+def ref_label_pairs(G, H, g):
+    """(a, b): for each coset H r_i of G's Borel H, in the transversal
+    order of `_coset_data`, the label positions in `G.bruhat_index` of
+    g r_i^-1 (a) and of r_i (b), each product located in the enumerated
+    G."""
+    data = repth._coset_data(G, H)
+    at = G.bruhat_index[1]
+    return (at[G._indices(finglq._mul_codes(G.field_, g, data.inv_codes,
+                                            left=True))],
+            at[G._indices(data.codes)])
+
+
+def ref_label_pair_oracle(e, q):
+    """The oracle's constants as a count of cosets by the cells of the
+    enumerated label pairs (`ref_label_pairs`)."""
+    G, B = gl_group(e, q), repth.borel(e, q)
+    perms = all_perms(e)
+    m = len(perms)
+    cell = np.array([perms.index(w) for w, _ in G.bruhat_index[0]])
+    consts = {}
+    for w3 in perms:
+        a, b = ref_label_pairs(G, B, perm_matrix(e, w3))
+        counts = np.bincount(cell[a] * m + cell[b], minlength=m * m)
+        for i, w1 in enumerate(perms):
+            for j, w2 in enumerate(perms):
+                consts[(w1, w2, w3)] = Fraction(int(counts[i * m + j]))
+    return consts
+
+
+def ref_class_norm_dimension(e, q, chi):
+    """<chi_Ind, chi_Ind> as the class norm of the induced character, read
+    off the class table of the enumerated G."""
+    ind = repth.induce(e, q, chi)
+    val = repth.values_norm(ind.group, ind.class_traces())
+    assert abs(val - round(val)) <= 1e-6
+    return round(val)
+
+
+@pytest.mark.parametrize("e,q", slow_if_large(ENUMERABLE))
+def test_normal_forms_are_one_per_coset(e, q):
+    # every coset of the enumerated `_coset_data` holds one normal form,
+    # whose label (w, 1) and inverse agree with the enumerated group's
+    G, B = gl_group(e, q), repth.borel(e, q)
+    flags = finglq.borel_flags(e, q)
+    at = G._indices(flags.codes)
+    assert sorted(repth._coset_data(G, B).coset[at].tolist()) \
+        == list(range(G.order // B.order))
+    labels, label_at = G.bruhat_index
+    assert labels == finglq.bruhat_labels(e, q)[0]
+    assert np.array_equal(label_at[at], flags.at)
+    assert [labels[k] for k in flags.at.tolist()] \
+        == [(w, 1) for w in flags.cells]
+    assert G._indices(flags.inv_codes).tolist() \
+        == [G.index(G.inv(G.elements[k])) for k in at.tolist()]
+    # a label read by elimination at every element of G is the index's
+    assert np.array_equal(finglq.label_positions(q, G.codes), label_at)
+
+
+@pytest.mark.parametrize("e,q", slow_if_large(ENUMERABLE))
+def test_flag_routes_match_enumerated_routes(e, q):
+    # the oracle, convolve_at and the intertwining dimension on the
+    # normal forms against their enumerated references
+    G, B = gl_group(e, q), repth.borel(e, q)
+    if e >= 2:
+        assert hecke.convolution_oracle(e, q) == ref_label_pair_oracle(e, q)
+    transversal = repth._coset_data(G, B).transversal
+    pts = [perm_matrix(e, w) for w in all_perms(e)]
+    pts += G.elements[::max(1, G.order // 7)]
+    for chi in all_characters(q):
+        assert (repth.intertwining_dimension(e, q, chi)
+                == ref_intertwining_dimension(e, q, chi)
+                == ref_class_norm_dimension(e, q, chi))
+        basis = repth.finite_hecke_basis(e, q, chi)
+        elts = [repth.e_tau(e, q, chi), basis[0], basis[-1]]
+        for a in elts:
+            for b in elts:
+                for g in pts:
+                    got = a.convolve_at(b, g)
+                    want = ref_convolve_at(a, b, transversal, g)
+                    assert type(got) is type(want)
+                    if chi.is_rational:
+                        assert got == want
+                    else:
+                        assert abs(complex(got) - complex(want)) <= 1e-12
+
+
+def test_flag_reads_build_no_group(monkeypatch):
+    # e_tau, its dimension and the oracle read the normal forms only:
+    # no gl_group call, and the elements read only where a G-side reader
+    # asks for them
+    def refused(n, q):
+        raise AssertionError(f"gl_group({n}, {q}) called")
+
+    for fn in (repth.e_tau, repth.finite_hecke_basis):
+        monkeypatch.setattr(repth, fn.__name__, fn.__wrapped__)
+    monkeypatch.setattr(finglq, "gl_group", refused)
+    monkeypatch.setattr(repth, "gl_group", refused)
+    chi = MultChar(3, 1)
+    et = repth.e_tau(3, 3, chi)
+    assert repth.dim_from_e_tau(3, 3, chi) == 1
+    assert et.at_identity() == Fraction(1, gl_order(3, 3))
+    assert not {"group", "sub", "_dec"} & set(vars(et))
+    assert hecke.oracle_matches_t_mul(3, 3)
+
+
+@pytest.mark.parametrize("fault", ["moved", "dropped"])
+def test_normal_forms_reject_a_wrong_free_entry(monkeypatch, fault):
+    # a free entry of u moved to a non-inversion of w puts two forms in
+    # one coset; a dropped one leaves cosets without a form
+    real = finglq._free_entries
+
+    def wrong(w):
+        free = real(w)
+        others = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))
+                  if (i, j) not in free]
+        if not free or (fault == "moved" and not others):
+            return free
+        return free[:-1] + (others[:1] if fault == "moved" else [])
+
+    monkeypatch.setattr(finglq, "_free_entries", wrong)
+    for e, q in [(3, 2), (3, 3), (4, 2)]:
+        with pytest.raises(AssertionError, match=(
+                "lower unitriangular" if fault == "moved" else "distinct")):
+            finglq.borel_flags.__wrapped__(e, q)
+
+
+def test_normal_forms_respect_the_cap(monkeypatch):
+    # above the cap the flags raise as enumerating G does, before the
+    # Borel is enumerated
+    with pytest.raises(GroupSizeError,
+                       match=r"full subgroup of GL\(3,5\) has order 1488000"):
+        finglq.borel_flags(3, 5)
+    with pytest.raises(ValueError, match="n must be positive"):
+        finglq.borel_flags(0, 2)
+    monkeypatch.setattr(finglq, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(GroupSizeError):
+        finglq.borel_flags.__wrapped__(2, 2)
+
+
+def highest_pivot_labels(F, codes):
+    """`finglq._bruhat_labels` pivoting on the highest nonzero entry of
+    each column instead of the lowest."""
+    m = codes.copy()
+    count, n, _ = m.shape
+    at = np.arange(count)
+    w = np.empty((count, n), dtype=np.uint8)
+    v = np.ones(count, dtype=np.uint8)
+    for j in range(n):
+        r = np.argmax(m[:, :, j] != 0, axis=1)
+        p = m[at, r, j]
+        w[:, j] = r
+        v = F.mul_arr[v, p]
+        pivot_row = m[at, r]
+        for k in range(j + 1, n):
+            f = F.mul_arr[pivot_row[:, k], F.inv_arr[p]]
+            step = F.mul_arr[f[:, None], m[:, :, j]]
+            m[:, :, k] = F.add_arr[m[:, :, k], F.neg_arr[step]]
+    return w, v
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_highest_pivot_fails_oracle_and_e_tau(monkeypatch, warm):
+    # the elimination pivoting on the wrong entry: the oracle and e_tau
+    # report `fail` records at (2, 2), each under its own name, also when
+    # the normal forms were built and checked before the fault
+    checks = verify.checks_named("check_hecke_oracle", "check_e_tau")
+    if warm:
+        assert all(r.status == "pass" for r in verify.run_checks(checks, 2, 2))
+    monkeypatch.setattr(finglq, "_bruhat_labels", highest_pivot_labels)
+    # bypass the cache so e_tau runs its idempotency check again
+    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+    records = verify.run_checks(checks, 2, 2)
+    assert {r.name for r in records} == {"hecke.oracle_equivalence",
+                                         "repth.e_tau_idempotent_dim"}
+    assert all(r.status == "fail" and r.params == {"e": 2, "q": 2}
+               for r in records), records
 
 
 # --- the array kernels against their per-element references ---------------------
