@@ -239,13 +239,16 @@ class MultChar:
     """Character chi_k of F_q^x: the generator g maps to exp(2*pi*i*k/(q-1)).
 
     Values are exact Fractions (+-1) when k is 0 or (q-1)/2, complex
-    otherwise.
+    otherwise.  The q-1 values are computed once, at construction, and a
+    call reads one: `_values[c]` is the value at the unit with code c.
     """
 
     def __init__(self, q: int, k: int):
         self.field = get_field(q)
         self.q = q
         self.k = k % (q - 1) if q > 2 else 0
+        self._values = {c: self._formula(self.field.log(c))
+                        for c in range(1, q)}
 
     @property
     def is_rational(self) -> bool:
@@ -253,7 +256,12 @@ class MultChar:
         return self.k == 0 or 2 * self.k == n
 
     def __call__(self, unit_code: int):
-        m = self.field.log(unit_code)
+        if unit_code == 0:
+            raise ZeroDivisionError("log of 0")
+        return self._values[unit_code]
+
+    def _formula(self, m: int):
+        """chi at the m-th power of the field's generator."""
         n = self.q - 1
         if self.k == 0:
             return Fraction(1)
@@ -358,23 +366,30 @@ def _row_major_keys(codes, q: int):
 
 
 def mat_det(F: Fq, a: Mat) -> int:
+    """det a by elimination, each field operation one lookup in F's
+    tables."""
     n = len(a)
     m = [list(row) for row in a]
+    add, mul_, neg, inv = F._add, F._mul, F._neg, F._inv
     det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
+        pivot = col
+        while not m[pivot][col]:
+            pivot += 1
+            if pivot == n:
+                return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = F.mul(det, F.neg(1))
-        det = F.mul(det, m[col][col])
-        inv_p = F.inv(m[col][col])
+            det = neg[det]
+        top = m[col]
+        det = mul_[det][top[col]]
+        inv_p = inv[top[col]]
         for r in range(col + 1, n):
-            if m[r][col]:
-                factor = F.mul(m[r][col], inv_p)
+            row = m[r]
+            if row[col]:
+                scaled = mul_[mul_[row[col]][inv_p]]
                 for c in range(col, n):
-                    m[r][c] = F.sub(m[r][c], F.mul(factor, m[col][c]))
+                    row[c] = add[row[c]][neg[scaled[top[c]]]]
     return det
 
 
@@ -629,26 +644,32 @@ def _capped_order(n: int, q: int, spec: SubgroupSpec) -> int:
 
 def _invertible_matrices(n: int, q: int) -> list[Mat]:
     """GL(n, q) row by row, in the order `enumerate_group` describes.
-    Matrices share their row tuples."""
-    F = get_field(q)
-    add, mul_ = F._add, F._mul
+    Matrices share their row tuples.  The recursion is the module-level
+    `_extend_rows`, not a closure that refers to itself: such a closure
+    is a reference cycle that would keep the list alive after the caller
+    drops it, until the cyclic garbage collector next runs."""
     vectors = list(itertools.product(range(q), repeat=n))
     out: list[Mat] = []
-
-    def extend(rows: tuple, span: set) -> None:
-        last = len(rows) == n - 1
-        for v in vectors:
-            if v in span:
-                continue
-            if last:
-                out.append(rows + (v,))
-                continue
-            extend(rows + (v,),
-                   {tuple([add[a][mul_[c][b]] for a, b in zip(s, v)])
-                    for s in span for c in range(q)})
-
-    extend((), {vectors[0]})
+    _extend_rows(get_field(q), vectors, n, (), {vectors[0]}, out)
     return out
+
+
+def _extend_rows(F: Fq, vectors, n: int, rows: tuple, span: set,
+                 out: list) -> None:
+    """Append to `out`, in `vectors` order, every completion of `rows` to
+    n rows whose each row lies outside the span of the rows above it;
+    `span` is the span of `rows`."""
+    add, mul_ = F._add, F._mul
+    last = len(rows) == n - 1
+    for v in vectors:
+        if v in span:
+            continue
+        if last:
+            out.append(rows + (v,))
+            continue
+        _extend_rows(F, vectors, n, rows + (v,),
+                     {tuple([add[a][mul_[c][b]] for a, b in zip(s, v)])
+                      for s in span for c in range(F.q)}, out)
 
 
 def _enumerate_block_upper(n: int, q: int, blocks, diag, free_above: bool):

@@ -35,9 +35,14 @@ at a time.
 
 What does not depend on chi is a cached property of the object it is
 derived from: of the coset data, which holds its G and H, the class
-table and the transport's r_i h^-1 table; of G, each class's label
-positions `class_labels`; of a `FinRep`, its invariant form.  The label
-positions of the x gamma x^-1 are kept per gamma on the coset data.
+table, the translate table (the coset and H-part of r_i g for every i
+and every g) and the transport's r_i h^-1 table; of G, each class's
+label positions `class_labels`; of a `FinRep`, its invariant form.  The
+label positions of the x gamma x^-1 are kept per gamma on the coset
+data, and the label reads at the permutation matrices per (e, q).  No
+dense rho(g) of an induced module is kept: `InducedRep.mat` builds it
+from one row of the translate table at each read, so a pass over G
+holds one rho(g) at a time.
 
 Convolution uses the counting measure giving every singleton volume 1,
 so the unit is the function (1/|H|) sigma on H.  Values stay exact
@@ -149,13 +154,17 @@ class FinHeckeElt:
         return b_order * acc
 
 
+@lru_cache(maxsize=None)
 def _flag_label_pairs(e: int, q: int, g):
     """(a, b): for each normal form r_i of `finglq.borel_flags(e, q)`, in
     order, the positions in `finglq.bruhat_labels(e, q)` of the labels of
     g r_i^-1 (a), the products formed for every i at once and their
     labels read by elimination (`finglq.label_positions`), and of r_i
     (b), which `borel_flags` checked to be (w_i, 1).  `convolve_at` and
-    the Hecke oracle's cell count both read them."""
+    the Hecke oracle's cell count both read them, at the permutation
+    matrices, for every chi: so they are kept per (e, q, g), and
+    `verify.run_checks` empties the cache before and after its checks,
+    so that each run reads the labels again."""
     flags = finglq.borel_flags(e, q)
     return (finglq.label_positions(q, _mul_codes(
         get_field(q), g, flags.inv_codes, left=True)), flags.at)
@@ -395,6 +404,19 @@ class _CosetData:
         return self.coset[at], self.h[at]
 
     @cached_property
+    def translate_table(self) -> tuple:
+        """(j, h): r_i g = H.elements[h[k, i]] r_{j[k, i]} for every
+        element g = G.elements[k] and every coset i.  The products r_i g
+        are formed for all g at once, one coset at a time, so building
+        the table never holds more than one |G|-sized product array.
+        `InducedRep.mat` builds rho(g) from row k at each read, so no
+        rho(g) is kept."""
+        G = self.group
+        at = np.stack([G._indices(_mul_codes(G.field_, r, G.codes, left=True))
+                       for r in self.transversal], axis=1)
+        return self.coset[at], self.h[at]
+
+    @cached_property
     def transport_table(self) -> list:
         """at[i][k]: the index in G.elements of r_i h_k^-1, for each coset
         and each element h_k of H, as int lists."""
@@ -519,11 +541,13 @@ class InducedRep:
     right translation action, coordinates = values on a right transversal.
 
     Reads the index arrays of `_coset_data(G, H)`: rho(y) and its trace
-    take the products r_i y for every i at once, located in G, and sigma
-    is evaluated once per element of H (`sigma_values`).  Those arrays
-    are checked here, at every g, as g = H.elements[h[g]] r_{coset[g]}
-    (the checks downstream read rho only at class representatives);
-    AssertionError if they do not hold."""
+    read the products r_i y for every i, row y of the coset data's
+    `translate_table`, and sigma is evaluated once per element of H
+    (`sigma_values`).  rho(y) is built at each read and not kept, so a
+    pass over G holds one rho(y) at a time.  The index arrays are checked
+    here, at every g, as g = H.elements[h[g]] r_{coset[g]} (the checks
+    downstream read rho only at class representatives); AssertionError if
+    they do not hold."""
 
     def __init__(self, G: MatrixGroup, H: MatrixGroup, sigma):
         self.group = G
@@ -538,29 +562,29 @@ class InducedRep:
         self.dim = len(self.transversal)
         # complex(sigma(h)) for each h, in the order of H.elements
         self.sigma_values = [complex(sigma(h)) for h in H.elements]
-        self._mats: dict = {}
+        self._sigma_arr = np.array(self.sigma_values, dtype=complex)
+        self._rows = np.arange(self.dim)
         self._cut_dims: dict = {}  # e_idem -> dim pi_e
 
     def _translates(self, y):
-        """(j, h): r_i y = H.elements[h[i]] r_j[i] for every i."""
-        data, G = self._cosets, self.group
-        at = G._indices(_mul_codes(G.field_, y, data.codes, left=False))
-        return data.coset[at], data.h[at]
+        """(j, h): r_i y = H.elements[h[i]] r_j[i] for every i, read off
+        the `translate_table`; KeyError for y outside G."""
+        j, h = self._cosets.translate_table
+        k = self.group.index(y)
+        return j[k], h[k]
 
     def mat(self, y) -> np.ndarray:
-        got = self._mats.get(y)
-        if got is None:
-            j, h = self._translates(y)
-            got = np.zeros((self.dim, self.dim), dtype=complex)
-            got[np.arange(self.dim), j] = [self.sigma_values[k]
-                                           for k in h.tolist()]
-            self._mats[y] = got
+        """rho(y), a new array at each read: the entry sigma(h_i) at
+        (i, j_i) for each coset i."""
+        j, h = self._translates(y)
+        got = np.zeros((self.dim, self.dim), dtype=complex)
+        got[self._rows, j] = self._sigma_arr[h]
         return got
 
     def char_value(self, y) -> complex:
         j, h = self._translates(y)
         acc = 0j
-        for k in h[j == np.arange(self.dim)].tolist():
+        for k in h[j == self._rows].tolist():
             acc += self.sigma_values[k]
         return acc
 
@@ -572,8 +596,8 @@ class InducedRep:
         character, the sum of sigma(h_i) over the cosets that gamma
         fixes."""
         j, h = self._cosets.class_table
-        rows = np.arange(self.dim)[:, None]
-        terms = np.asarray(self.sigma_values)[h]
+        rows = self._rows[:, None]
+        terms = self._sigma_arr[h]
         return (terms * (j == rows) if E is None
                 else terms * E[j, rows]).sum(axis=0)
 
@@ -606,7 +630,8 @@ class InducedRep:
 @lru_cache(maxsize=None)
 def induce(e: int, q: int, chi: MultChar) -> InducedRep:
     """Ind_B^G of the inflated chi, built once per (e, q, chi), as
-    `e_tau` is, so its matrices rho(g) are shared by every caller."""
+    `e_tau` is, so its sigma values and cut dimensions are shared by every
+    caller."""
     return InducedRep(gl_group(e, q), borel(e, q), sigma_tilde(e, q, chi))
 
 
@@ -866,11 +891,11 @@ def double_coset_basis(G: MatrixGroup, H: MatrixGroup, sigma) -> list[dict]:
 
 def hom_space(ind: InducedRep) -> np.ndarray:
     """Basis (columns) of Hom_H(sigma, Ind sigma) = the sigma-eigenvectors."""
-    G, H = ind.group, ind.sub
-    rows = []
-    for h in H.elements:
-        rows.append(ind.mat(h) - complex(ind.sigma(h)) * np.eye(ind.dim))
-    A = np.vstack(rows)
+    H, d = ind.sub, ind.dim
+    # the blocks rho(h) - sigma(h) 1 stacked, rho(h) built one at a time
+    A = np.empty((H.order * d, d), dtype=complex)
+    for k, h in enumerate(H.elements):
+        A[k * d:(k + 1) * d] = ind.mat(h) - complex(ind.sigma(h)) * np.eye(d)
     _, s, vh = np.linalg.svd(A)
     null_mask = s < 1e-9  # len(s) = ind.dim since A has >= dim rows
     basis = vh.conj().T[:, null_mask]
@@ -921,6 +946,9 @@ def frobenius_transport_check(G: MatrixGroup, H: MatrixGroup, sigma) -> float:
     over TRANSPORT_TRIALS random (phi, f) pairs, and of both actions of the
     unit from the identity; the caller compares it with its tolerance."""
     ind = InducedRep(G, H, sigma)
+    # every trial reads rho(x) at all of G; this module is the check's
+    # own, so it reads them from one dict, freed when the check returns
+    ind.mat = {x: ind.mat(x) for x in G.elements}.__getitem__
     homs = hom_space(ind)
     basis = double_coset_basis(G, H, sigma)
     rng = random.Random(0)

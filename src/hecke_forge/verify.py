@@ -410,7 +410,12 @@ def check_group_averaged_trace(e, q):
         "averaged form", "Tr T", worst, 1e-7)
 
 
+@lru_cache(maxsize=None)
 def _steinberg_rep(e, q):
+    """The Steinberg module cut from Ind_B^G 1 by its isotypic projector.
+    `check_group_averaged_trace` and `check_matrix_coefficient_sum` both
+    read it, so it is built once per `run_checks` call, which empties the
+    cache before and after its checks."""
     chi = MultChar(q, 0)
     ind = repth.induce(e, q, chi)
     st = repth.steinberg_char(e, q, chi)
@@ -610,6 +615,21 @@ def checks_named(*names):
     return [by_name[name] for name in names]
 
 
+# bound at import, so that it empties the library's cache also while a
+# test has put a wrapper in its place
+_clear_label_reads = repth._flag_label_pairs.cache_clear
+
+
+def _clear_run_caches():
+    """Empty what one `run_checks` call shares between its checks: the
+    sign deviations, the Steinberg module, and the label reads behind
+    e_tau's idempotency check and the Hecke oracle
+    (`repth._flag_label_pairs`)."""
+    _sign_deviations.cache_clear()
+    _steinberg_rep.cache_clear()
+    _clear_label_reads()
+
+
 def run_checks(checks, max_e: int, max_q: int):
     """Run the given checks; reports come back in canonical order.
 
@@ -618,14 +638,14 @@ def run_checks(checks, max_e: int, max_q: int):
     stderr), and the other checks still run.
     """
     reports = []
-    # the shared deviations hold for this run's library functions only
-    _sign_deviations.cache_clear()
+    # what the checks share holds for this run's library functions only
+    _clear_run_caches()
     for fn in checks:
         try:
             reports.extend(_timed(lambda: fn(max_e, max_q)))
         except Exception as exc:  # one raising check must not hide the rest
             reports.append(_raised(fn.__name__, {}, exc))
-    _sign_deviations.cache_clear()
+    _clear_run_caches()
     reports.sort(key=lambda r: r.sort_key())
     return reports
 

@@ -297,34 +297,50 @@ def epsilon(T: ParahoricType) -> int:
     return perm_sign(perm)
 
 
-@lru_cache(maxsize=None)
 def canonical_rep(T: ParahoricType) -> ParahoricType:
     """Canonical orbit representative: lex-minimal rotation avoiding node 0.
 
     Every proper subset has a rotation avoiding node 0 (rotate by -c for
-    any node c outside T), so the preference is always satisfiable.
+    any node c outside T), so the preference is always satisfiable.  Read
+    from the table `_canonical_types(e)` at T's node bitmask, so no type
+    is built or kept per call.
     """
-    best = None
-    for j in range(T.e):
-        R = rotate(T, j)
-        if 0 in R.nodes:
-            continue
-        key = R.sorted_nodes()
-        if best is None or key < best:
-            best = key
-    return ParahoricType(frozenset(best), T.e)
+    return _canonical_types(T.e)[sum(1 << t for t in T.nodes)]
+
+
+@lru_cache(maxsize=None)
+def _canonical_types(e: int) -> tuple:
+    """`canonical_rep` at every node bitmask below 2^e (bit t set iff node
+    t is in the type), None at the full set, built once per e.  Each
+    rotation orbit is ranked once, and its lex-least rotation with bit 0
+    clear is one type shared by every mask of the orbit, the object that
+    `orbit_reps(e)` holds.  Rotating by j is a cyclic shift of the
+    bitmask."""
+    full = (1 << e) - 1
+    out = [None] * (1 << e)
+    for mask in range(full):
+        if out[mask] is None:
+            orbit = [(mask << j) & full | mask >> (e - j) for j in range(e)]
+            best = min((r for r in orbit if not r & 1), key=_mask_nodes)
+            rep = ParahoricType(frozenset(_mask_nodes(best)), e)
+            for r in orbit:
+                out[r] = rep
+    return tuple(out)
+
+
+def _mask_nodes(mask: int) -> tuple:
+    """The nodes of a bitmask, ascending."""
+    return tuple(t for t in range(mask.bit_length()) if mask >> t & 1)
 
 
 @lru_cache(maxsize=None)
 def orbit_reps(e: int) -> tuple[ParahoricType, ...]:
     """One canonical representative per Pi-rotation orbit of proper subsets,
-    sorted by size, then nodes; a tuple, since every caller shares it."""
+    sorted by size, then nodes; a tuple, since every caller shares it.
+    The representatives are the types of `_canonical_types(e)`."""
     if e < 1:
         raise ValueError("e must be positive")
-    reps = set()
-    for r in range(e):
-        for nodes in itertools.combinations(range(e), r):
-            reps.add(canonical_rep(parahoric_type(nodes, e)))
+    reps = {T for T in _canonical_types(e) if T is not None}
     return tuple(sorted(reps, key=lambda T: (len(T.nodes), T.sorted_nodes())))
 
 

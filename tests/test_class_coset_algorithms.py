@@ -315,6 +315,24 @@ def ref_induced_mat(ind, ref, y):
     return m
 
 
+def ref_translates(ind, y):
+    """(j, h): r_i y = H.elements[h[i]] r_j[i] for every i, the products
+    r_i y of this one y formed on the code array of the r_i (`_mul_codes`)
+    and located in G: the per-element route the translate table
+    replaced."""
+    data, G = ind._cosets, ind.group
+    at = G._indices(finglq._mul_codes(G.field_, y, data.codes, left=False))
+    return data.coset[at], data.h[at]
+
+
+def ref_translates_mat(ind, y):
+    """rho(y) from `ref_translates`, filled as the module filled it."""
+    j, h = ref_translates(ind, y)
+    m = np.zeros((ind.dim, ind.dim), dtype=complex)
+    m[np.arange(ind.dim), j] = [ind.sigma_values[k] for k in h.tolist()]
+    return m
+
+
 def ref_induced_char_value(ind, ref, y):
     G, (transversal, coset_of) = ind.group, ref
     acc = 0j
@@ -663,6 +681,68 @@ def test_label_pair_fault_fails_oracle_and_idempotency(monkeypatch):
     names = {r.name for r in records}
     assert names == {"hecke.oracle_equivalence", "repth.e_tau_idempotent_dim"}
     assert all(r.status == "fail" and r.params for r in records), records
+
+
+def shifted_convolve_at(monkeypatch):
+    real = repth.FinHeckeElt.convolve_at
+
+    def wrong(self, other, g):
+        got = real(self, other, g)
+        if g == self.group.identity:
+            got += Fraction(1, self.sub.order)
+        return got
+
+    monkeypatch.setattr(repth.FinHeckeElt, "convolve_at", wrong)
+
+
+def dropped_label_pair(monkeypatch):
+    real = repth._flag_label_pairs
+    monkeypatch.setattr(repth, "_flag_label_pairs",
+                        lambda e, q, g: tuple(x[:-1] for x in real(e, q, g)))
+
+
+@pytest.mark.parametrize("fault", [shifted_convolve_at, dropped_label_pair],
+                         ids=["convolve_at", "label_pairs"])
+def test_e_tau_faults_fail_after_a_warm_run(monkeypatch, fault):
+    # the label reads kept from a clean run do not hide a later fault:
+    # run_checks reads them again
+    checks = verify.checks_named("check_hecke_oracle", "check_e_tau")
+    assert all(r.status == "pass" for r in verify.run_checks(checks, 2, 2))
+    # the oracle does not call convolve_at, so that fault leaves it passing
+    oracle = "pass" if fault is shifted_convolve_at else "fail"
+    fault(monkeypatch)
+    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+    records = verify.run_checks(checks, 2, 2)
+    assert {r.name for r in records} == {"hecke.oracle_equivalence",
+                                         "repth.e_tau_idempotent_dim"}
+    assert all(r.params and r.status == (
+        oracle if r.name == "hecke.oracle_equivalence" else "fail")
+        for r in records), records
+
+
+def test_e_tau_reads_the_cell_labels_once_per_pair(monkeypatch):
+    # every chi's idempotency check reads the labels at the same e!
+    # permutation matrices: one elimination per matrix and (e, q), and
+    # the oracle reads the same ones
+    calls = []
+    real = finglq.label_positions
+
+    def counted(q, codes):
+        calls.append(len(codes))
+        return real(q, codes)
+
+    finglq.borel_flags(2, 5)  # its own label check is one more read
+    monkeypatch.setattr(finglq, "label_positions", counted)
+    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+    verify._clear_run_caches()
+    try:
+        for chi in all_characters(5):
+            repth.e_tau(2, 5, chi)
+        assert calls == [finglq.borel_flags(2, 5).codes.shape[0]] * 2
+        assert hecke.oracle_matches_t_mul(2, 5)
+        assert len(calls) == 2
+    finally:
+        verify._clear_run_caches()
 
 
 @pytest.mark.parametrize("e,q", [
@@ -1215,6 +1295,46 @@ def test_induced_module_matches_coset_scan(e, q):
             assert got == want and type(got) is type(want)
 
 
+@pytest.mark.parametrize("e,q", [(2, 2), (2, 3), (3, 2)])
+def test_table_built_rho_matches_per_element_route(e, q):
+    # every rho(g), for every chi and, at GL(2,3), for both torus
+    # characters of the transport check, read off the translate table
+    # and formed per element: equal arrays, a new one at each read
+    G, B = gl_group(e, q), repth.borel(e, q)
+    mods = [repth.induce(e, q, chi) for chi in all_characters(q)]
+    mods += [repth.InducedRep(G, B, sigma())
+             for _, sigma in verify.TRANSPORT_CONFIGS.get((e, q), ())]
+    assert len(mods) == {(2, 2): 2, (2, 3): 4, (3, 2): 1}[e, q]
+    for ind in mods:
+        for y in G.elements:
+            got = ind.mat(y)
+            assert np.array_equal(got, ref_translates_mat(ind, y))
+            assert got.dtype == complex and got is not ind.mat(y)
+            assert ind.char_value(y) == complex(np.trace(got))
+
+
+def test_restricted_module_keeps_no_per_element_matrix():
+    # the module reads rho(g) at every g to restrict it, and keeps none
+    e, q = 3, 2
+    chi = MultChar(q, 0)
+    G, ind = gl_group(e, q), repth.induce(e, q, chi)
+    E = ind.hecke_operator(repth.e_tau(e, q, chi))
+    rep = repth.restrict_to_image(ind, E)
+    assert rep.dim == 1 and len(rep.mats) == G.order
+    kept = {name: len(v) for name, v in vars(ind).items()
+            if isinstance(v, (dict, list, np.ndarray))}
+    assert kept and max(kept.values()) < G.order, kept
+
+
+def test_a_replaced_copy_starts_without_the_translate_table():
+    import dataclasses
+    G, B = gl_group(2, 3), repth.borel(2, 3)
+    data = repth._coset_data(G, B)
+    j, h = data.translate_table
+    assert j.shape == h.shape == (G.order, len(data.transversal))
+    assert "translate_table" not in vars(dataclasses.replace(data))
+
+
 def test_induced_module_rejects_matrices_outside_the_group():
     ind = repth.induce(2, 3, MultChar(3, 1))
     singular = ((1, 1), (1, 1))
@@ -1432,6 +1552,31 @@ print(count, calls[0] - count)
         int, run_fresh(code).strip().splitlines()[-1].split())
     assert sentinel == 1
     assert count <= MAT_MUL_BUDGET, count
+
+
+PEAK_BUDGET_MB = 3.0  # tracemalloc peak of verify all --max-e 3 --max-q 3
+
+
+def test_verify_all_stays_within_its_memory_budget():
+    # the traced peak of a fresh run, imports excluded: a per-element
+    # cache coming back (every rho(g) of a module, every canonical type,
+    # a list held by a reference cycle) shows at once.  A 4 MiB sentinel
+    # allocated after the run must raise the peak by that much, so a low
+    # peak is not a tracer that saw nothing
+    code = """
+import tracemalloc
+from hecke_forge import verify
+tracemalloc.start()
+records = verify.run_all(3, 3)
+assert all(r.status == "pass" for r in records)
+current, peak = tracemalloc.get_traced_memory()
+tracemalloc.reset_peak()
+sentinel = bytearray(4 << 20)
+print(peak, tracemalloc.get_traced_memory()[1] - current)
+"""
+    peak, seen = map(int, run_fresh(code).strip().splitlines()[-1].split())
+    assert seen >= 4 << 20
+    assert peak < PEAK_BUDGET_MB * 1e6, peak
 
 
 def test_verify_all_enumerates_no_group_twice():

@@ -153,6 +153,31 @@ def test_orbit_reps_partition_exhaustive(e):
     assert seen == 2 ** e - 1
 
 
+def rotation_loop_rep(T):
+    """The lex-least rotation of T avoiding node 0, by trying every
+    rotation: the reference for the table `canonical_rep` reads."""
+    best = None
+    for j in range(T.e):
+        R = rotate(T, j)
+        if 0 not in R.nodes and (best is None
+                                 or R.sorted_nodes() < best):
+            best = R.sorted_nodes()
+    return parahoric_type(best, T.e)
+
+
+@pytest.mark.parametrize("e", range(1, 11))
+def test_canonical_rep_table_matches_rotation_loop(e):
+    # equal to the reference, and the very object orbit_reps holds, so
+    # comparing a system's types with orbit_reps stays an identity test
+    import itertools
+    reps = {id(R) for R in orbit_reps(e)}
+    for r in range(e):
+        for nodes in itertools.combinations(range(e), r):
+            T = parahoric_type(nodes, e)
+            assert canonical_rep(T) == rotation_loop_rep(T), T
+            assert id(canonical_rep(T)) in reps, T
+
+
 def test_period_and_n_examples():
     assert period_and_n(parahoric_type((), 3)) == (1, 3)
     assert period_and_n(parahoric_type({1, 3}, 4)) == (2, 2)
