@@ -30,10 +30,11 @@ arrays (`_mul_pairs`), with the field tables as uint8 arrays.  `elements` stays
 the one representation: classes, Bruhat labels and coset transversals
 hold its objects.
 
-Conjugacy classes are orbits under conjugation by at most three
-generators of GL(n, q), each turned into one index permutation of G, and
-the parabolic-avoidance oracle reads the class of g instead of
-conjugating g by every x in G.  The Bruhat decomposition reduces every
+Conjugacy classes and the right cosets of `repth._coset_data` are the
+`_orbits` of G under conjugation and left multiplication by one
+generating set per group (`generators()`, three for GL(n, q)), and the
+parabolic-avoidance oracle reads the class of g instead of conjugating
+g by every x in G.  The Bruhat decomposition reduces every
 element to a monomial matrix by one vectorised elimination instead of
 forming all |B|^2 * n! products b1 w b2, and checks its labels against
 the generators of B on both sides with one row and one column operation
@@ -780,8 +781,9 @@ class MatrixGroup:
     def det(self, a: Mat) -> int:
         return mat_det(self.field_, a)
 
-    def conjugation_generators(self) -> list[Mat]:
-        """A generating set S for conjugacy-class orbits.
+    def generators(self) -> list[Mat]:
+        """A generating set, by which the classes conjugate and the cosets
+        of `repth._coset_data` multiply.
 
         For full GL(n, q): E_{01}(1) and the cyclic permutation matrix
         P (P e_j = e_{j+1 mod n}) when n >= 2, and diag(zeta, 1, ..., 1),
@@ -789,81 +791,61 @@ class MatrixGroup:
         They generate GL(n, q): conjugating E_{01}(1) by powers of P gives
         every E_{i,i+1 mod n}(1), and by the diagonal E_{01}(zeta^k);
         commutators and sums of those give every E_{ij}(a), so SL(n, q),
-        and the diagonal adds the determinant.  Any other subgroup kind
-        uses all of its elements.
-        """
-        if self.spec.kind != "full":
-            return self.elements
-        n, zeta = self.n, self.field_.generator
-        gens = [elementary_mat(n, 0, 1, 1),
-                perm_matrix(n, [(j + 1) % n for j in range(n)])] \
-            if n >= 2 else []
-        return gens + ([elementary_mat(n, 0, 0, zeta)] if zeta != 1 else [])
-
-    def generators(self) -> list[Mat]:
-        """A generating set: `conjugation_generators()` for full GL(n, q),
-        the elementary and diagonal `_borel_generators` for the Borel,
-        those and E_{i+1,i}(1) for each i, i+1 in one block for a standard
-        parabolic, and every element for the Levi and unipotent kinds.
-        With B, E_{i+1,i}(1) gives the simple reflection s_i, since
+        and the diagonal adds the determinant.  For the Borel, the
+        elementary and diagonal `_borel_generators`; for a standard
+        parabolic, those and E_{i+1,i}(1) for each i, i+1 in one block:
+        with B, E_{i+1,i}(1) gives the simple reflection s_i, since
         E_{i,i+1}(1) E_{i+1,i}(-1) E_{i,i+1}(1) is s_i times a diagonal
-        matrix, and P_T = B W_T B."""
-        if self.spec.kind == "borel":
-            return _borel_generators(self.field_, self.n)
-        if self.spec.kind == "standard_parabolic":
-            return _borel_generators(self.field_, self.n) + [
-                elementary_mat(self.n, i + 1, i, 1)
+        matrix, and P_T = B W_T B.  The Levi and unipotent kinds use all
+        of their elements.
+        """
+        n, kind = self.n, self.spec.kind
+        if kind == "full":
+            zeta = self.field_.generator
+            gens = [elementary_mat(n, 0, 1, 1),
+                    perm_matrix(n, [(j + 1) % n for j in range(n)])] \
+                if n >= 2 else []
+            return gens + ([elementary_mat(n, 0, 0, zeta)]
+                           if zeta != 1 else [])
+        if kind == "borel":
+            return _borel_generators(self.field_, n)
+        if kind == "standard_parabolic":
+            return _borel_generators(self.field_, n) + [
+                elementary_mat(n, i + 1, i, 1)
                 for s, b in zip(_block_starts(self.spec.blocks),
                                 self.spec.blocks)
                 for i in range(s, s + b - 1)]
-        return self.conjugation_generators()
+        return self.elements
 
     @cached_property
     def _class_data(self) -> tuple:
-        """(classes, class_of): the classes ordered by first appearance in
-        `elements`, each sorted, and g -> the index of its class.
+        """(classes, class_of): the classes ordered by their first element
+        in `elements`, each sorted by key and holding the objects of
+        `elements`, and class_of[k] the class of elements[k], an int list.
 
-        Each generator s of `conjugation_generators()` becomes one index
-        permutation of G: s g s^-1 for every g at once on the code array
-        (`_mul_codes`, a row and a column operation, or a reordering, for
-        full GL(n, q)), located by `_locate`.  Each class is the orbit of
-        its first element under those permutations, found by
-        breadth-first search over int lists, so every element is reached
-        once: |G| * |S| steps in all.  A conjugate outside the group
-        raises.  Sorting each class by key makes the result independent
-        of S.  Classes hold the objects of `elements`, not the conjugates.
+        The classes are the `_orbits` of the index permutations
+        g -> s g s^-1, one for each s of `generators()`, formed for every
+        g at once on the code array (`_mul_codes`) and located by
+        `_locate`; a conjugate outside the group raises.  Sorting each
+        class by key makes the result independent of the generating set.
         """
-        F, els = self.field_, self.elements
-        order = self.sorted_keys[1]
-        perms = []
-        for s in self.conjugation_generators():
+        F = self.field_
+        steps = []
+        for s in self.generators():
             conj = _mul_codes(F, self.inv(s),
                               _mul_codes(F, s, self.codes, left=True),
                               left=False)
             perm = self._locate(conj)
             if (perm < 0).any():
                 raise AssertionError(f"conjugating by {s} leaves the group")
-            perms.append(perm.tolist())
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        rank = rank.tolist()
-        class_ids = [-1] * len(els)
-        classes = []
-        for start in range(len(els)):
-            if class_ids[start] >= 0:
-                continue
-            idx = len(classes)
-            class_ids[start] = idx
-            orbit = [start]
-            for y in orbit:  # the queue grows while it is read
-                for perm in perms:
-                    z = perm[y]
-                    if class_ids[z] < 0:
-                        class_ids[z] = idx
-                        orbit.append(z)
-            orbit.sort(key=rank.__getitem__)
-            classes.append([els[i] for i in orbit])
-        return classes, dict(zip(els, class_ids))
+            steps.append(perm)
+        class_of, _ = _orbits(steps, self.order)
+        # the elements in key order, then stably by class
+        order = self.sorted_keys[1]
+        members = order[np.argsort(class_of[order], kind="stable")]
+        parts = np.split(members, np.cumsum(np.bincount(class_of))[:-1])
+        return ([[self.elements[i] for i in part.tolist()] for part in parts],
+                class_of.tolist())
 
     def conjugacy_classes(self) -> list[list[Mat]]:
         """The classes of `_class_data`."""
@@ -871,7 +853,7 @@ class MatrixGroup:
 
     def class_index(self, g: Mat) -> int:
         self.conjugacy_classes()  # so that a first build is timed there
-        return self._class_data[1][g]
+        return self._class_data[1][self.element_index[g]]
 
     def class_reps(self) -> list[Mat]:
         return [cls[0] for cls in self.conjugacy_classes()]
@@ -1130,6 +1112,27 @@ def borel_flags(e: int, q: int) -> BorelFlags:
             raise AssertionError(f"a normal form of the cell of {w} is not "
                                  f"labelled ({w}, 1)")
     return BorelFlags(cells, codes, inv_codes, at)
+
+
+def _orbits(steps, count: int) -> tuple:
+    """(orbit, firsts): the orbit of each index 0..count-1 under the index
+    permutations `steps`, numbered in the order of the orbits' least
+    members, and those members.  Each index starts labelled by itself;
+    each pass takes the smaller label across every step, both ways, then
+    each label's own label, until a pass changes nothing: labels only
+    fall and stay in their orbit, so each ends at its least member."""
+    label = np.arange(count)
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])
+            new[step] = np.minimum(new[step], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    firsts = np.flatnonzero(label == np.arange(count))
+    return np.searchsorted(firsts, label), firsts
 
 
 def _borel_generators(F: Fq, n: int) -> list[Mat]:

@@ -425,8 +425,9 @@ class _CosetData:
             [G.inv(h) for h in H.elements], dtype=np.uint8)).tolist()
 
     def conjugate_labels(self, gamma) -> list:
-        """The label positions in `G.bruhat_index` of x gamma x^-1 for the
-        r_i^-1 = x in transversal order; kept per gamma."""
+        """The label positions in `G.bruhat_index` of r_i gamma r_i^-1 for
+        each representative r_i, in transversal order, the form that is
+        well defined on the right cosets H r_i; kept per gamma."""
         got = self._conjugates.get(gamma)
         if got is None:
             G = self.group
@@ -440,16 +441,14 @@ class _CosetData:
 def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
     """Right cosets H g of G, kept on G in `G._cosets` by H.spec.
 
-    The cosets are the orbits of G under left multiplication by
-    `H.generators()`, each generator one index permutation of G.  Each
-    coset's representative is its first element in the order [identity] +
-    `G.elements`, so the transversal starts with the identity: every
-    element starts labelled by its place in that order, and each pass
-    takes the smaller label across every permutation, both ways, then
-    each label's own label, until a pass changes nothing.  Each h = g r^-1
-    is one elementwise product over the code array, located in H.  A
-    product outside G or H, or other than |G|/|H| cosets (generators that
-    miss part of H), raises AssertionError.
+    The cosets are the `finglq._orbits` of G under left multiplication by
+    `H.generators()`, on the places of the order [identity] +
+    `G.elements`, so each coset's representative is its first element in
+    that order and the transversal starts with the identity.  Each
+    h = g r^-1 is one elementwise product over the code array, located in
+    H.  A product outside G or H, or other than |G|/|H| cosets
+    (generators that miss part of H), raises AssertionError.  The coset
+    and H-part indices are kept in the smallest type that holds them.
     """
     got = G._cosets.get(H.spec)
     if got is not None:
@@ -466,27 +465,18 @@ def _coset_data(G: MatrixGroup, H: MatrixGroup) -> _CosetData:
         if (perm < 0).any():
             raise AssertionError(f"{s} times an element of G leaves G")
         steps.append(place[perm[seq]])
-    label = np.arange(count)
-    while True:
-        new = label
-        for step in steps:
-            new = np.minimum(new, new[step])
-            new[step] = np.minimum(new[step], new)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    firsts = np.flatnonzero(label == np.arange(count))
-    coset = np.empty_like(seq)
-    coset[seq] = np.searchsorted(firsts, label)
+    at_place, firsts = finglq._orbits(steps, count)
+    coset = at_place[place]
     transversal = [G.elements[k] for k in seq[firsts].tolist()]
     inv_codes = np.array([G.inv(r) for r in transversal], dtype=np.uint8)
     h = H._locate(_mul_pairs(F, codes, inv_codes[coset]))
     if (h < 0).any() or len(firsts) * H.order != count:
         raise AssertionError(f"the cosets of the {H.spec.kind} subgroup "
                              "do not partition G")
-    data = _CosetData(G, H, transversal, codes[seq[firsts]], inv_codes,
-                      coset, h)
+    data = _CosetData(
+        G, H, transversal, codes[seq[firsts]], inv_codes,
+        coset.astype(np.min_scalar_type(len(transversal))),
+        h.astype(np.min_scalar_type(H.order)))
     G._cosets[H.spec] = data
     return data
 

@@ -179,13 +179,13 @@ def ref_elementwise_bruhat(e, q):
 
 def ref_elementwise_classes(G):
     """Classes by breadth-first search under conjugation by
-    `G.conjugation_generators()`, one `multiplier` pair per generator
-    applied to one tuple matrix at a time; each class sorted, holding the
-    objects of `elements`.  Returns the classes and g -> class index."""
+    `G.generators()`, one `multiplier` pair per generator applied to one
+    tuple matrix at a time; each class sorted, holding the objects of
+    `elements`.  Returns the classes and g -> class index."""
     F = G.field_
     pairs = [(multiplier(F, s, left=True),
               multiplier(F, G.inv(s), left=False))
-             for s in G.conjugation_generators()]
+             for s in G.generators()]
     classes, class_of = [], {}
     for g in G.elements:
         if g in class_of:
@@ -582,10 +582,10 @@ def test_hypothesis_checks_take_only_elements_of_their_group():
 
 
 def test_subgroup_classes_match_reference():
-    # other subgroup kinds conjugate by all of their own elements
+    # the Borel conjugates by its `_borel_generators`, the Levi by all of
+    # its elements; both against conjugation by every element
     for spec in (SubgroupSpec.borel(), SubgroupSpec.levi((1, 2))):
         H = subgroup(3, 2, spec)
-        assert H.conjugation_generators() == H.elements
         assert H.conjugacy_classes() == ref_conjugacy_classes(H)
 
 
@@ -835,8 +835,9 @@ def test_class_number_closed_form(n, q):
 
 @pytest.mark.parametrize("n,q", slow_if_large(under_cap()))
 def test_conjugation_generators_generate(n, q):
+    # the generating set of full GL(n, q), by which its classes conjugate
     G = gl_group(n, q)
-    gens = G.conjugation_generators()
+    gens = G.generators()
     assert len(gens) == 2 * (n >= 2) + (q > 2)
     reached = {G.identity}
     queue = [G.identity]
@@ -1114,13 +1115,15 @@ def slow_from_33(pairs):
 
 
 def assert_same_classes(G, want_classes, want_class_of):
+    # the class-id list holds one int per element, in `elements` order
     classes = G.conjugacy_classes()
     assert classes == want_classes
-    assert G._class_data[1] == want_class_of
-    assert list(G._class_data[1]) == list(G.elements)
+    class_of = G._class_data[1]
+    assert type(class_of) is list
+    assert class_of == [want_class_of[g] for g in G.elements]
+    assert all(type(c) is int for c in class_of)
     els = G.elements
     assert all(g is els[G.index(g)] for cls in classes for g in cls)
-    assert all(g is els[G.index(g)] for g in G._class_data[1])
 
 
 @pytest.mark.parametrize("n,q", slow_from_33(ENUMERABLE))
@@ -1136,6 +1139,61 @@ def test_bruhat_kernel_matches_per_element_elimination(n, q):
                for w, v in got.values())
 
 
+def ref_orbits(steps, count):
+    """Union-find over the edges i -- step[i]: each index's orbit, numbered
+    in the order of the orbits' least members, and those members."""
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for step in steps:
+        for i, j in enumerate(step.tolist()):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[a] = b
+    members = {}
+    for i in range(count):
+        members.setdefault(find(i), []).append(i)
+    firsts = sorted(min(m) for m in members.values())
+    orbit = [None] * count
+    for m in members.values():
+        k = firsts.index(min(m))
+        for i in m:
+            orbit[i] = k
+    return orbit, firsts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_orbits_match_union_find(seed):
+    rng = np.random.default_rng(seed)
+    count = 500
+
+    def partial(size):
+        # moves only `size` random indices, so the orbits are many and of
+        # many sizes, with most indices fixed
+        perm = np.arange(count)
+        moved = rng.choice(count, size=size, replace=False)
+        perm[moved] = rng.permutation(moved)
+        return perm
+
+    full = rng.permutation(count)
+    small, large = partial(40), partial(300)
+    for steps in ([full], [small], [large], [small, large],
+                  [full, small], [small, small[small]]):
+        orbit, firsts = finglq._orbits(steps, count)
+        want_orbit, want_firsts = ref_orbits(steps, count)
+        assert orbit.tolist() == want_orbit
+        assert firsts.tolist() == want_firsts
+
+
+def test_orbits_without_steps_keep_every_index_apart():
+    orbit, firsts = finglq._orbits([], 500)
+    assert orbit.tolist() == firsts.tolist() == list(range(500))
+
+
 @pytest.mark.parametrize("n,q", slow_from_33(ENUMERABLE))
 def test_class_kernel_matches_per_element_orbits(n, q):
     G = gl_group(n, q)
@@ -1149,8 +1207,10 @@ def test_class_kernel_matches_per_element_orbits(n, q):
     (3, 3, SubgroupSpec.borel()),
 ], ids=["borel-2-3", "parabolic21-3-2", "parabolic12-3-2", "borel-3-3"])
 def test_subgroup_class_kernel_matches_per_element_orbits(n, q, spec):
-    # element lists in block order, not sorted; every element a generator
+    # element lists in block order, not sorted; the small generating sets
+    # of `generators()`, not every element
     H = subgroup(n, q, spec)
+    assert len(H.generators()) < H.order
     assert H.elements != sorted(H.elements)
     assert_same_classes(H, *ref_elementwise_classes(H))
 
@@ -1324,6 +1384,18 @@ def test_restricted_module_keeps_no_per_element_matrix():
     kept = {name: len(v) for name, v in vars(ind).items()
             if isinstance(v, (dict, list, np.ndarray))}
     assert kept and max(kept.values()) < G.order, kept
+
+
+def test_coset_indices_are_kept_in_their_smallest_type():
+    # at GL(3, 2) mod B, 21 cosets and |B| = 8: one byte per entry, so the
+    # translate table is two (168, 21) uint8 arrays
+    G, B = gl_group(3, 2), repth.borel(3, 2)
+    data = repth._coset_data(G, B)
+    assert data.coset.dtype == data.h.dtype == np.uint8
+    j, h = data.translate_table
+    assert j.dtype == h.dtype == np.uint8
+    assert j.nbytes + h.nbytes == 2 * 168 * 21
+    assert data.coset.max() == 20 and data.h.max() == 7
 
 
 def test_a_replaced_copy_starts_without_the_translate_table():

@@ -40,3 +40,14 @@ def test_every_tracer_target_resolves():
         else:
             assert callable(found), f"{module_name}.{path}"
     assert missing <= DELETED, sorted(missing - DELETED)
+
+
+def test_verify_checks_match_the_registry_one_to_one():
+    # each `verify.<name>_s` metric times `verify.check_<name>`; a check
+    # renamed or added on one side only would leave its metric at 0
+    from hecke_forge import verify
+    names = [fn.__name__ for fn in verify.ALL_CHECKS]
+    wanted = [f"check_{name}" for name in load_tracer().VERIFY_CHECKS]
+    assert len(set(names)) == len(names)
+    assert len(set(wanted)) == len(wanted)
+    assert sorted(wanted) == sorted(names)
