@@ -200,9 +200,6 @@ class Fq:
             raise ZeroDivisionError("log of 0")
         return self._log[a]
 
-    def units(self) -> list[int]:
-        return list(range(1, self.q))
-
     def __repr__(self):
         return f"Fq({self.q})"
 
@@ -429,7 +426,7 @@ def char_poly(F: Fq, a: Mat) -> tuple[int, ...]:
 
     acc = [0] * (n + 1)
     for perm in itertools.permutations(range(n)):
-        sign_neg = _perm_parity(perm)
+        sign_neg = _inversions(perm) % 2 == 1
         term = [1]
         for i in range(n):
             term = poly_mul(term, entries[i][perm[i]])
@@ -442,10 +439,6 @@ def char_poly(F: Fq, a: Mat) -> tuple[int, ...]:
 def _inversions(perm) -> int:
     return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                if perm[i] > perm[j])
-
-
-def _perm_parity(perm) -> bool:
-    return _inversions(perm) % 2 == 1
 
 
 def poly_is_irreducible(F: Fq, coeffs: tuple[int, ...]) -> bool:
@@ -777,9 +770,6 @@ class MatrixGroup:
             got = mat_inv(self.field_, a)
             self._inverses[a] = got
         return got
-
-    def det(self, a: Mat) -> int:
-        return mat_det(self.field_, a)
 
     def generators(self) -> list[Mat]:
         """A generating set, by which the classes conjugate and the cosets

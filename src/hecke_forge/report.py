@@ -22,18 +22,16 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     @classmethod
-    def passfail(cls, name, params, lhs, rhs, abs_error, tolerance,
-                 elapsed_ms=0) -> "VerificationReport":
+    def passfail(cls, name, params, lhs, rhs, abs_error,
+                 tolerance) -> "VerificationReport":
         status = "pass" if abs_error <= tolerance else "fail"
         return cls(name, params, str(lhs), str(rhs), float(abs_error),
-                   float(tolerance), status, elapsed_ms)
+                   float(tolerance), status)
 
     @classmethod
-    def exact(cls, name, params, lhs, rhs, equal: bool,
-              elapsed_ms=0) -> "VerificationReport":
+    def exact(cls, name, params, lhs, rhs, equal: bool) -> "VerificationReport":
         return cls(name, params, str(lhs), str(rhs),
-                   0.0 if equal else 1.0, 0.0,
-                   "pass" if equal else "fail", elapsed_ms)
+                   0.0 if equal else 1.0, 0.0, "pass" if equal else "fail")
 
     @classmethod
     def skipped(cls, name, params, reason: str) -> "VerificationReport":

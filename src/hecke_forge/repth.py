@@ -10,18 +10,18 @@ supported on the Bruhat cell of w, and the normalized sum of the basis is
 the idempotent cutting out the one-dimensional constituent chi∘det.  Both
 are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and
 `FinHeckeElt` holds only that form: one coefficient per label (e!(q-1)
-of them), read at one g through the cached `bruhat_decomposition`, and
-in the coset sums through G's label index `G.bruhat_index`: one array
-read per sum, not a dict lookup per coset.  The Borel-side computations,
-the convolution behind e_tau's idempotency check, the commutant
-dimension and the Hecke oracle's cell count, are sums over the normal
-forms of B\\G (`finglq.borel_flags`), their labels read by elimination,
-so they enumerate no GL(e, q); G, B and the label dict of a
-`FinHeckeElt` are built only when it is read at an element.  The
-hypotheses the operator and the trace formula rest on, right
-sigma-equivariance and adjointness, are checked once per label; the
-label checks of `bruhat_decomposition` make that as strong as checking
-them at every element.  The trace formulas, the Steinberg alternating
+of them), read in the coset sums through G's label index
+`G.bruhat_index`: one array read per sum, not a dict lookup per coset.
+No library path builds the |G|-entry dict of `bruhat_decomposition`;
+only a read of a `FinHeckeElt` at one element g does.  The Borel-side
+computations, the convolution behind e_tau's idempotency check, the
+commutant dimension and the Hecke oracle's cell count, are sums over the
+normal forms of B\\G (`finglq.borel_flags`), their labels read by
+elimination, so they enumerate no GL(e, q).  The hypotheses the
+operator and the trace formula rest on, right sigma-equivariance and
+adjointness, are checked once per label; the label checks of
+`G.bruhat_index`, which the operator reads, make that as strong as
+checking them at every element.  The trace formulas, the Steinberg alternating
 sum, the sign identity on elliptic regular classes, and the module-action
 transport identity (for any torus character sigma, on g -> value dicts)
 are all implemented against explicit sums.  Sums of class functions run
@@ -68,7 +68,6 @@ from .finglq import (
 from .weyl import all_perms, from_perm, length, poincare_poly
 
 
-@lru_cache(maxsize=None)
 def borel(e: int, q: int) -> MatrixGroup:
     return subgroup(e, q, SubgroupSpec.borel())
 
@@ -90,10 +89,11 @@ class FinHeckeElt:
     """Function on G = GL(e, q) with scalar values (Fraction or complex)
     of the Bruhat label alone, with B its Borel: a dict `labels` from
     labels (w, v) to scalars, missing labels zero; e!(q-1) coefficients,
-    not |G| values.  G = `gl_group(e, q)`, B = `borel(e, q)` and the label
-    dict `bruhat_decomposition(e, q)` are built on first read, when phi is
-    read at an element of G; `convolve_at` and `at_identity` read neither.
-    The module it acts on holds sigma and checks equivariance.
+    not |G| values.  G = `gl_group(e, q)` and B = `borel(e, q)` are built
+    on first read; `convolve_at`, `at_identity` and `coefficients` read
+    neither, and only a read phi(g) at one element builds the label dict
+    `bruhat_decomposition(e, q)`.  The module it acts on holds sigma and
+    checks equivariance.
     """
 
     def __init__(self, e: int, q: int, labels: dict):
@@ -110,9 +110,8 @@ class FinHeckeElt:
 
     @cached_property
     def _dec(self) -> dict:
-        """`bruhat_decomposition(e, q)`.  Every reader of G's labels reads
-        this first, so that a first build of G's label index is timed in
-        `bruhat_decomposition`."""
+        """`bruhat_decomposition(e, q)`, the label of each element, read
+        by `__call__` alone."""
         return bruhat_decomposition(self.e, self.q)
 
     def __call__(self, g):
@@ -123,11 +122,11 @@ class FinHeckeElt:
         return self.labels.get((tuple(range(self.e)), 1), 0)
 
     def coefficients(self) -> list:
-        """phi at each label of `group.bruhat_index`, in its order, so
-        that phi(G.elements[k]) is coefficients()[at[k]]."""
-        self._dec
+        """phi at each label of `finglq.bruhat_labels(e, q)`, the labels of
+        `group.bruhat_index` in its order, so that phi(G.elements[k]) is
+        coefficients()[at[k]]."""
         return [self.labels.get(label, 0)
-                for label in self.group.bruhat_index[0]]
+                for label in finglq.bruhat_labels(self.e, self.q)[0]]
 
     def convolve_at(self, other: "FinHeckeElt", g):
         """(self * other)(g) = |B| * sum over r in B\\G of
@@ -178,7 +177,6 @@ def _wrong_group(e: int, q: int) -> ValueError:
 def _labels_of(phi: FinHeckeElt, G: MatrixGroup, H: MatrixGroup) -> dict:
     """phi's label coefficients; raises ValueError unless phi lives on G
     and its Borel H."""
-    phi._dec
     if phi.group is not G or phi.sub is not H:
         raise _wrong_group(G.n, G.q)
     return phi.labels
@@ -190,7 +188,7 @@ def _right_equivariant(phi: FinHeckeElt, ind: "InducedRep") -> bool:
     Fraction values, else within 1e-10.
 
     Checked on labels, with the same strength: phi(g) = Phi(L(g)), and
-    `bruhat_decomposition` checks L(g s) = (w, d(s) v) for every g and
+    `G.bruhat_index` checks L(g s) = (w, d(s) v) for every g and
     every s in `_borel_generators`, which is `H.generators()`, and that
     every label (w, v) in W x F_q^x occurs.  So the element-wise identity
     holds exactly when Phi(w, d(s) v) = Phi(w, v) sigma(s) for every label
@@ -217,7 +215,7 @@ def _adjoint(phi: FinHeckeElt, ind: "InducedRep") -> bool:
     """phi(x^-1) = conj phi(x) for every x in G, within 1e-9: with scalar
     sigma, the adjoint of phi(x) is its conjugate.
 
-    Checked on labels, with the same strength: `bruhat_decomposition`
+    Checked on labels, with the same strength: `G.bruhat_index`
     checks that the label set of w is B w B with L(b1 w b2) =
     (w, d(b1) d(b2)), so L(x^-1) = (w^-1, v^-1) when L(x) = (w, v), and
     every label occurs.  So the identity holds for every x exactly when
@@ -521,10 +519,6 @@ class FinRep:
     def invariant_inner_product(self) -> np.ndarray:
         return self.invariant_form
 
-    def character_norm(self) -> float:
-        return values_norm(self.group,
-                           [self.char_value(r) for r in self.group.class_reps()])
-
 
 class InducedRep:
     """Ind_H^G of a scalar sigma: functions f with f(hg) = sigma(h) f(g),
@@ -635,7 +629,8 @@ def subrep_from_idempotent(e_idem: FinHeckeElt, ind: InducedRep) -> FinRep:
     if np.max(np.abs(E @ E - E)) > 1e-8:
         raise ValueError("operator is not idempotent")
     rep = restrict_to_image(ind, E)
-    norm = rep.character_norm()
+    norm = values_norm(rep.group, [rep.char_value(r)
+                                   for r in rep.group.class_reps()])
     if abs(norm - 1) > 1e-6:
         raise ValueError(f"cut-out module is not irreducible: <chi,chi>={norm}")
     return rep
@@ -716,7 +711,7 @@ def trace_via_coset_sum(gamma, e_idem: FinHeckeElt,
     every e_idem sums its coefficients at them in the same order.
     """
     G, H = e_idem.group, e_idem.sub
-    lam1 = e_idem(G.identity)
+    lam1 = e_idem.at_identity()
     if abs(complex(lam1).imag) > 1e-9 or complex(lam1).real <= 0:
         raise ValueError("e(1) must be a positive scalar")
     dim_pi = _cut_dimension(e_idem, ind)

@@ -157,11 +157,6 @@ def central_index(x: AffineElt) -> int:
     return sum(x.trans)
 
 
-def pi_normal_form(x: AffineElt) -> tuple[int, AffineElt]:
-    k = central_index(x)
-    return k, mul(pi_power(x.rank, -k), x)
-
-
 def length(x: AffineElt) -> int:
     """Extended length: number of positive affine roots made negative.
 
@@ -206,8 +201,9 @@ def bfs_ball(e: int, radius: int) -> dict[AffineElt, int]:
 
 
 def length_bfs(x: AffineElt, radius: int = 12) -> int:
-    """Oracle length: the distance of the affine part of x in bfs_ball."""
-    k, y = pi_normal_form(x)
+    """Oracle length: the distance in bfs_ball of the affine part
+    y = Pi^-k x, k = central_index(x)."""
+    y = mul(pi_power(x.rank, -central_index(x)), x)
     if y == affine_identity(x.rank):
         return 0
     if x.rank == 1:
@@ -378,27 +374,19 @@ def poincare_sum(elements, q) -> Fraction:
                Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _length_profile(T: ParahoricType) -> tuple[tuple[int, int], ...]:
-    """(l, number of w in W_T of length l), W_T built once per T by BFS."""
-    return tuple(sorted(Counter(map(length, parahoric_weyl_group(T))).items()))
-
-
 def parahoric_volume(T: ParahoricType, q) -> Fraction:
     """Sum of q^l(w) over the subgroup of W_0 generated by T ⊆ {1..e-1}.
 
     Equals the index [P_T : I] counted with q-powers, i.e. the Haar volume
-    of P_T when the Iwahori has volume 1.  Read off the length profile of
-    W_T, which is built once per T.
+    of P_T when the Iwahori has volume 1: `poincare_sum` over W_T as
+    `parahoric_weyl_group` builds it, the one route to vol P_T.
     """
     if not T.is_standard():
         raise ValueError("only standard types (node 0 excluded) have a "
                          "spherical volume; rotate first")
     if q <= 0:
         raise ValueError("q must be positive")
-    q = Fraction(q)
-    return sum((count * q ** l for l, count in _length_profile(T)),
-               Fraction(0))
+    return poincare_sum(parahoric_weyl_group(T), q)
 
 
 def poincare_poly(e: int) -> QPoly:

@@ -1738,3 +1738,24 @@ print(built, calls["gl_group"][3, 3] - built, full)
     assert sentinel == 1
     assert built == 0
     assert full == 1
+
+
+def test_verify_all_builds_no_label_dict():
+    # every library reader takes G's labels from `G.bruhat_index` or the
+    # flags, so a fresh `verify all` at (3, 3) and (3, 5) builds no
+    # |G|-entry dict of `bruhat_decomposition`.  A call after the runs, at
+    # a group neither run reaches, is a sentinel the cache must count
+    code = """
+from hecke_forge import finglq, verify
+finglq.bruhat_decomposition.cache_clear()
+for max_q in (3, 5):
+    records = verify.run_all(3, max_q)
+    assert records and all(r.status != "fail" for r in records)
+misses = finglq.bruhat_decomposition.cache_info().misses
+finglq.bruhat_decomposition(2, 7)
+print(misses, finglq.bruhat_decomposition.cache_info().misses - misses)
+"""
+    misses, sentinel = map(
+        int, run_fresh(code).strip().splitlines()[-1].split())
+    assert sentinel == 1
+    assert misses == 0

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -8,6 +11,8 @@ from hecke_forge import verify
 from hecke_forge.cli import main
 
 DATA = Path(__file__).parent / "data"
+ORACLE_42_SHA256 = (
+    "84b36d08fc654916c0ea81e9370008430cccffd517b1df064497ccc30ddc97b2")
 
 
 def run(capsys, *argv):
@@ -265,6 +270,37 @@ def test_verify_all_keeps_golden_records(golden, argv, tmp_path, capsys):
     got = _serialized_records(out_path.read_text())
     missing = want - got
     assert not missing, "\n".join(missing)
+
+
+def test_verify_all_csv_keeps_golden_rows(tmp_path, capsys):
+    # every checked-in CSV row appears in a fresh run, after the same
+    # header; a fresh run may add rows
+    out_path = tmp_path / "run.csv"
+    code, _, _ = run(capsys, "verify", "all", "--max-e", "3", "--max-q", "3",
+                     "--format", "csv", "--no-timestamps",
+                     "--out", str(out_path))
+    assert code == 0
+    want = list(csv.reader(io.StringIO(
+        (DATA / "verify_all_max_e3_max_q3.csv").read_text())))
+    got = list(csv.reader(io.StringIO(out_path.read_text())))
+    assert got[0] == want[0]
+    missing = Counter(map(tuple, want[1:])) - Counter(map(tuple, got[1:]))
+    assert not missing, sorted(missing)
+
+
+def test_hecke_oracle_output_is_golden(tmp_path, capsys):
+    # the constants file at (3, 3) byte for byte, and at (4, 2), 456 KB,
+    # by its SHA-256
+    for e, q in ((3, 3), (4, 2)):
+        out_path = tmp_path / f"oracle_{e}{q}.csv"
+        code, _, _ = run(capsys, "hecke", "oracle", "--e", str(e),
+                         "--q", str(q), "--out", str(out_path))
+        assert code == 0
+        got = out_path.read_bytes()
+        if (e, q) == (3, 3):
+            assert got == (DATA / "hecke_oracle_e3_q3.csv").read_bytes()
+        else:
+            assert hashlib.sha256(got).hexdigest() == ORACLE_42_SHA256
 
 
 def test_verify_all_raising_check_is_one_fail_record(tmp_path, capsys,

@@ -54,7 +54,7 @@ def test_generator_and_log(q):
         acc = F.mul(acc, F.generator)
         seen.add(acc)
     assert seen == set(range(1, q))
-    for u in F.units():
+    for u in range(1, F.q):
         k = F.log(u)
         acc = 1
         for _ in range(k):
@@ -75,16 +75,16 @@ def test_characters(q):
     F = get_field(q)
     for chi in chars:
         # multiplicative on all unit pairs
-        for a in F.units():
-            for b in F.units():
+        for a in range(1, F.q):
+            for b in range(1, F.q):
                 va, vb = complex(chi(a)), complex(chi(b))
                 assert abs(va * vb - complex(chi(F.mul(a, b)))) < 1e-12
     trivial = chars[0]
-    assert all(trivial(u) == Fraction(1) for u in F.units())
+    assert all(trivial(u) == Fraction(1) for u in range(1, F.q))
     if q % 2 == 1:
         sign_char = MultChar(q, (q - 1) // 2)
         assert sign_char.is_rational
-        vals = {sign_char(u) for u in F.units()}
+        vals = {sign_char(u) for u in range(1, F.q)}
         assert vals == {Fraction(1), Fraction(-1)}
 
 
@@ -97,7 +97,7 @@ def test_character_table_matches_formula(q):
     n = q - 1
     for k in range(-1, q):
         chi = MultChar(q, k)
-        for u in F.units():
+        for u in range(1, F.q):
             m = F.log(u)
             if chi.k == 0:
                 want = Fraction(1)
@@ -516,18 +516,22 @@ def test_serialization_roundtrip():
     assert mat_from_ints(2, mat_to_ints(g)) == g
 
 
-def _mislabel(monkeypatch, e, q, wrong_label):
+def _mislabel(monkeypatch, wrong_label):
     """Patch the labelling kernel `_bruhat_labels` so that
-    `wrong_label(g, (w, v))` gives the label of g, for every g of the
-    code array of GL(e, q) (the order of `elements`)."""
+    `wrong_label(g, (w, v))` gives the label of g, for every matrix g of
+    any code array it reduces, keyed by the matrix, not by its place: G's
+    array in `_bruhat_index`, and the matrices and their products by the
+    generators in `label_positions`."""
     real = finglq._bruhat_labels
-    els = gl_group(e, q).elements
 
     def patched(F, codes):
         w, v = real(F, codes)
-        assert len(w) == len(els)
-        for i, g in enumerate(els):
-            w[i], v[i] = wrong_label(g, (tuple(w[i].tolist()), int(v[i])))
+        for i, (g, wi, vi) in enumerate(zip(codes.tolist(), w.tolist(),
+                                            v.tolist())):
+            label = (tuple(wi), vi)
+            got = wrong_label(tuple(map(tuple, g)), label)
+            if got != label:
+                w[i], v[i] = got
         return w, v
 
     monkeypatch.setattr(finglq, "_bruhat_labels", patched)
@@ -539,7 +543,7 @@ def test_bruhat_rejects_a_wrong_unit_at_one_element(monkeypatch, e, q):
     # v times a unit other than 1 at one g: every cell keeps its size
     F = get_field(q)
     target = gl_group(e, q).elements[len(gl_group(e, q).elements) // 2]
-    _mislabel(monkeypatch, e, q, lambda g, wv: (
+    _mislabel(monkeypatch, lambda g, wv: (
         (wv[0], F.mul(F.generator, wv[1])) if g == target else wv))
     with pytest.raises(AssertionError, match="bi-equivariant"):
         finglq._bruhat_index(gl_group(e, q))
@@ -553,7 +557,7 @@ def test_bruhat_rejects_two_swapped_labels(monkeypatch, e, q):
     g1 = identity_mat(e)
     g2 = next(g for g, (w, _) in dec.items() if w != dec[g1][0])
     swap = {g1: dec[g2], g2: dec[g1]}
-    _mislabel(monkeypatch, e, q, lambda g, wv: swap.get(g, wv))
+    _mislabel(monkeypatch, lambda g, wv: swap.get(g, wv))
     with pytest.raises(AssertionError, match="bi-equivariant"):
         finglq._bruhat_index(gl_group(e, q))
 
@@ -564,7 +568,7 @@ def test_bruhat_rejects_a_unit_at_a_permutation_matrix(monkeypatch, e, q):
     F = get_field(q)
     w0 = tuple(reversed(range(e)))
     target = finglq.perm_matrix(e, w0)
-    _mislabel(monkeypatch, e, q, lambda g, wv: (
+    _mislabel(monkeypatch, lambda g, wv: (
         (w0, F.generator) if g == target else wv))
     with pytest.raises(AssertionError):
         finglq._bruhat_index(gl_group(e, q))
@@ -577,7 +581,7 @@ def test_bruhat_rejects_a_unit_on_a_whole_cell(monkeypatch, e, q):
     # (w0, zeta), so g^-1 would not have the label (w^-1, v^-1)
     F = get_field(q)
     w0 = tuple(reversed(range(e)))
-    _mislabel(monkeypatch, e, q, lambda g, wv: (
+    _mislabel(monkeypatch, lambda g, wv: (
         (w0, F.mul(F.generator, wv[1])) if wv[0] == w0 else wv))
     with pytest.raises(AssertionError, match="permutation matrix"):
         finglq._bruhat_index(gl_group(e, q))
@@ -589,8 +593,7 @@ def test_bruhat_rejects_two_cells_trading_labels(monkeypatch):
     # matrix of s1 is labelled s2
     s1, s2 = (1, 0, 2), (0, 2, 1)
     trade = {s1: s2, s2: s1}
-    _mislabel(monkeypatch, 3, 2, lambda g, wv: (trade.get(wv[0], wv[0]),
-                                                wv[1]))
+    _mislabel(monkeypatch, lambda g, wv: (trade.get(wv[0], wv[0]), wv[1]))
     with pytest.raises(AssertionError, match="permutation matrix"):
         finglq._bruhat_index(gl_group(3, 2))
 
@@ -635,6 +638,81 @@ def test_bruhat_rejects_an_operation_on_the_wrong_line(monkeypatch, e, q,
     _misplace(monkeypatch, left)
     with pytest.raises(AssertionError, match="bi-equivariant"):
         finglq._bruhat_index(gl_group(e, q))
+
+
+# The same faults against the label reads by elimination, which enumerate
+# no group: `label_positions` over all of G, and `borel_flags` over the
+# normal forms of B\\G.  Each read checks bi-equivariance itself.
+LABEL_READS = {
+    "label_positions":
+        lambda e, q: finglq.label_positions(q, gl_group(e, q).codes),
+    "borel_flags": lambda e, q: finglq.borel_flags.__wrapped__(e, q),
+}
+
+
+def _form(e, q, k):
+    """Normal form k of `borel_flags(e, q)`, a matrix both reads read."""
+    return tuple(map(tuple, finglq.borel_flags(e, q).codes[k].tolist()))
+
+
+@pytest.mark.parametrize("read", LABEL_READS)
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 3)])
+def test_label_reads_reject_a_wrong_unit_at_one_matrix(monkeypatch, read,
+                                                       e, q):
+    # v times zeta at one normal form; F_2^x has no unit but 1, so q = 3
+    F = get_field(q)
+    target = _form(e, q, len(finglq.borel_flags(e, q).codes) // 2)
+    _mislabel(monkeypatch, lambda g, wv: (
+        (wv[0], F.mul(F.generator, wv[1])) if g == target else wv))
+    with pytest.raises(AssertionError, match="bi-equivariant"):
+        LABEL_READS[read](e, q)
+
+
+@pytest.mark.parametrize("read", LABEL_READS)
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 2)])
+def test_label_reads_reject_two_swapped_labels(monkeypatch, read, e, q):
+    # the identity and the last normal form, in the cell of w0, trade
+    # their labels (1, 1) and (w0, 1)
+    w0 = tuple(reversed(range(e)))
+    swap = {identity_mat(e): (w0, 1), _form(e, q, -1): (tuple(range(e)), 1)}
+    _mislabel(monkeypatch, lambda g, wv: swap.get(g, wv))
+    with pytest.raises(AssertionError, match="bi-equivariant"):
+        LABEL_READS[read](e, q)
+
+
+def _misplace_pairs(monkeypatch, on_left):
+    """Patch `_mul_pairs` so that the products s x (on_left) or x s by
+    the stacked generators of `label_positions` write the line each s
+    changes into the next line instead, leaving the changed one as it
+    was.  Products of two plain code arrays are left right."""
+    real = finglq._mul_pairs
+
+    def patched(F, a, b):
+        out = real(F, a, b)
+        gens, other = (a, b) if on_left else (b, a)
+        if gens.ndim != 4:
+            return out
+        bad = np.broadcast_to(other, out.shape).copy()
+        for k, s in enumerate(gens[:, 0].tolist()):
+            i = _changed_line(tuple(map(tuple, s)), on_left)
+            j = (i + 1) % len(s)
+            if on_left:
+                bad[k, :, j] = out[k, :, i]
+            else:
+                bad[k, :, :, j] = out[k, :, :, i]
+        return bad
+
+    monkeypatch.setattr(finglq, "_mul_pairs", patched)
+
+
+@pytest.mark.parametrize("read", LABEL_READS)
+@pytest.mark.parametrize("e,q", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("left", [True, False], ids=["row", "column"])
+def test_label_reads_reject_an_operation_on_the_wrong_line(monkeypatch, read,
+                                                           e, q, left):
+    _misplace_pairs(monkeypatch, left)
+    with pytest.raises(AssertionError, match="bi-equivariant"):
+        LABEL_READS[read](e, q)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 5), (3, 2)])
