@@ -528,10 +528,7 @@ def _mislabel(monkeypatch, wrong_label):
         w, v = real(F, codes)
         for i, (g, wi, vi) in enumerate(zip(codes.tolist(), w.tolist(),
                                             v.tolist())):
-            label = (tuple(wi), vi)
-            got = wrong_label(tuple(map(tuple, g)), label)
-            if got != label:
-                w[i], v[i] = got
+            w[i], v[i] = wrong_label(tuple(map(tuple, g)), (tuple(wi), vi))
         return w, v
 
     monkeypatch.setattr(finglq, "_bruhat_labels", patched)
