@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, finglq.GroupSizeError) as exc:
+    except ValueError as exc:  # GroupSizeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,18 +13,19 @@ are functions of the Bruhat label (w, v), v = diag(b1) diag(b2), and
 of them), read in the coset sums through G's label index
 `G.bruhat_index`: one array read per sum, not a dict lookup per coset.
 No library path builds the |G|-entry dict of `bruhat_decomposition`;
-only a read of a `FinHeckeElt` at one element g does.  The Borel-side
-computations, the convolution behind e_tau's idempotency check, the
-commutant dimension and the Hecke oracle's cell count, are sums over the
-normal forms of B\\G (`finglq.borel_flags`), their labels read by
-elimination, so they enumerate no GL(e, q).  The hypotheses the
-operator and the trace formula rest on, right sigma-equivariance and
-adjointness, are checked once per label; the label checks of
-`G.bruhat_index`, which the operator reads, make that as strong as
-checking them at every element.  The trace formulas, the Steinberg alternating
-sum, the sign identity on elliptic regular classes, and the module-action
-transport identity (for any torus character sigma, on g -> value dicts)
-are all implemented against explicit sums.  Sums of class functions run
+only a read of a `FinHeckeElt` at one element g does.  The convolution
+behind e_tau's idempotency check and the Hecke oracle's cell count are
+sums over the normal forms of B\\G (`finglq.borel_flags`), their labels
+read by elimination, so they enumerate no GL(e, q); the commutant
+dimension is a count per Bruhat cell over the torus, so it enumerates
+neither G nor B.  The hypotheses the operator and the trace formula
+rest on, right sigma-equivariance and adjointness, are checked once per
+label; the label checks of `G.bruhat_index`, which the operator reads,
+make that as strong as checking them at every element.  The trace
+formulas, the Steinberg alternating sum, the sign identity on elliptic
+regular classes, and the module-action transport identity (for any
+torus character sigma, on g -> value dicts) are all implemented against
+explicit sums.  Sums of class functions run
 over conjugacy classes weighted by class size, and fixed-point counts run
 over coset representatives rather than over the whole group.  Every coset
 sum reads the index arrays of `_coset_data`: the products it needs, such
@@ -55,7 +56,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -240,7 +241,9 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
     by label: fbar_w(w, v) = chi(v)/|B|, one value per v shared by every w.
 
     Verifies first that the commutant of the induced module has dimension
-    e!, so the (visibly independent) basis spans it.
+    e! (`intertwining_dimension`, counted per Bruhat cell), so the
+    (visibly independent) basis spans it.  ValueError for e < 1 and
+    GroupSizeError above the enumeration cap, from that count.
     """
     perms = all_perms(e)
     dim = intertwining_dimension(e, q, chi)
@@ -258,12 +261,13 @@ def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
     inflated to B, which Frobenius reciprocity makes
     <sigma, Res_B Ind sigma>_B = (1/|B|) sum over b in B of
     conj sigma(b) Ind sigma(b).  Ind sigma(b) is the sum of
-    sigma(r b r^-1) over the normal forms r of `finglq.borel_flags` with
-    r b r^-1 in B, the cosets B r that b fixes.  So the norm is
-    (1/|B|) sum over (a, c) of N[a, c] conj chi(a) chi(c), with the counts
-    N of `_fixed_diagonals`; G is not enumerated.  GroupSizeError above
-    the enumeration cap, from `borel_flags`."""
-    counts = _fixed_diagonals(e, q)
+    sigma(r b r^-1) over the cosets B r that b fixes, r b r^-1 in B.  So
+    the norm is (1/|B|) sum over (a, c) of N[a, c] conj chi(a) chi(c),
+    with the counts N summed over the Bruhat cells (`_cell_counts`);
+    neither G nor B is enumerated.  ValueError for e < 1 and
+    GroupSizeError above the enumeration cap, as for enumerating G."""
+    finglq._capped_order(e, q, SubgroupSpec.full())
+    counts = sum(_cell_counts(e, q, w) for w in all_perms(e)).reshape(q, q)
     chi_at = np.array([0] + [complex(chi(v)) for v in range(1, q)])
     val = complex((np.conj(chi_at)[:, None] * counts * chi_at).sum()
                   / finglq.group_order(e, q, SubgroupSpec.borel()))
@@ -273,32 +277,26 @@ def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fixed_diagonals(e: int, q: int) -> np.ndarray:
-    """N[a, c]: the number of pairs (b, r) of b in B = `borel(e, q)` and a
-    normal form r of `finglq.borel_flags(e, q)` with r b r^-1 in B,
-    d(b) = a and d(r b r^-1) = c, d the diagonal product; the part of
-    `intertwining_dimension` that does not depend on chi.  The |B| p_e(q)
-    products r b r^-1 are formed at once."""
-    flags = finglq.borel_flags(e, q)
-    B = borel(e, q)
-    F = B.field_
-    conj = _mul_pairs(F, _mul_pairs(F, flags.codes[:, None], B.codes[None]),
-                      flags.inv_codes[:, None])
-    fixed = ~np.tril(conj, -1).any(axis=(2, 3))  # r b r^-1 in B
-    a = np.broadcast_to(_diag_products(F, B.codes), fixed.shape)[fixed]
-    c = _diag_products(F, conj)[fixed]
-    return np.bincount(a.astype(np.int64) * q + c,
-                       minlength=q * q).reshape(q, q)
+def _cell_counts(e: int, q: int, w) -> np.ndarray:
+    """N_w[a q + c]: the number of pairs (b, r) of b in B and a normal form
+    r = w u of the cell of w with r b r^-1 in B, d(b) = a and
+    d(r b r^-1) = c, d the diagonal product; N is their sum over W.
 
-
-def _diag_products(F, codes):
-    """The product of the diagonal entries of each matrix of a code
-    array."""
-    out = codes[..., 0, 0]
-    for k in range(1, codes.shape[-1]):
-        out = F.mul_arr[out, codes[..., k, k]]
-    return out
+    By Mackey, B ∩ r^-1 B r = u^-1 (B ∩ w^-1 B w) u, whose elements are
+    b = u^-1 t v u with t in the torus T and v one of the q^(N - l(w))
+    upper unitriangular matrices with w v w^-1 upper, N = e(e-1)/2.
+    Conjugating by u keeps the diagonal, so d(b) = d(t), and
+    r b r^-1 = (w t w^-1)(w v w^-1) has d = d(w t w^-1).  The q^l(w)
+    forms times q^(N - l(w)) parts v weight each of the (q-1)^e elements
+    t by q^N."""
+    F = get_field(q)
+    # the diagonals of T's elements, one column each; w t w^-1 has t_j at
+    # w(j)
+    t = np.indices((q - 1,) * e).reshape(e, -1) + 1
+    a, c = (reduce(lambda x, y: F.mul_arr[x, y], rows)
+            for rows in (t, t[np.argsort(w)]))
+    return q ** (e * (e - 1) // 2) * np.bincount(
+        a.astype(np.int64) * q + c, minlength=q * q)
 
 
 def values_norm(G: MatrixGroup, values) -> float:

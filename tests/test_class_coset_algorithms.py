@@ -19,7 +19,7 @@ from hecke_forge.finglq import (
     get_field, gl_group, gl_order, MAX_GROUP_ORDER, mat_mul, perm_matrix,
     subgroup,
 )
-from hecke_forge.weyl import all_perms, poincare_poly
+from hecke_forge.weyl import all_perms, from_perm, length, poincare_poly
 from test_finglq import ENUMERABLE
 from test_repth import convolve, values_of
 
@@ -211,6 +211,35 @@ def ref_intertwining_dimension(e, q, chi):
     val = sum(abs(complex(ind(g))) ** 2 for g in G.elements) / G.order
     out = round(val)
     assert abs(val - out) <= 1e-6
+    return out
+
+
+def ref_fixed_diagonals(e, q, w=None):
+    """N[a, c]: the number of pairs (b, r) of b in the enumerated Borel B
+    and a normal form r of `finglq.borel_flags(e, q)`, of the cell of w
+    only if w is given, with r b r^-1 in B, d(b) = a and d(r b r^-1) = c,
+    d the diagonal product.  The |B| p_e(q) products r b r^-1 are formed
+    at once."""
+    flags = finglq.borel_flags(e, q)
+    B = repth.borel(e, q)
+    F = B.field_
+    keep = np.array([w is None or cell == w for cell in flags.cells])
+    conj = finglq._mul_pairs(
+        F, finglq._mul_pairs(F, flags.codes[keep][:, None], B.codes[None]),
+        flags.inv_codes[keep][:, None])
+    fixed = ~np.tril(conj, -1).any(axis=(2, 3))  # r b r^-1 in B
+    a = np.broadcast_to(ref_diag_products(F, B.codes), fixed.shape)[fixed]
+    c = ref_diag_products(F, conj)[fixed]
+    return np.bincount(a.astype(np.int64) * q + c,
+                       minlength=q * q).reshape(q, q)
+
+
+def ref_diag_products(F, codes):
+    """The product of the diagonal entries of each matrix of a code
+    array."""
+    out = codes[..., 0, 0]
+    for k in range(1, codes.shape[-1]):
+        out = F.mul_arr[out, codes[..., k, k]]
     return out
 
 
@@ -720,6 +749,44 @@ def test_e_tau_faults_fail_after_a_warm_run(monkeypatch, fault):
         for r in records), records
 
 
+def dropped_cell(monkeypatch):
+    # the cell of the longest element left out of the commutant count
+    real = repth._cell_counts
+    monkeypatch.setattr(repth, "_cell_counts", lambda e, q, w: (
+        0 if w == all_perms(e)[-1] else 1) * real(e, q, w))
+
+
+def cell_weighted_by_length(monkeypatch):
+    # each cell weighted by its q^l(w) normal forms in place of q^N
+    real = repth._cell_counts
+    monkeypatch.setattr(repth, "_cell_counts", lambda e, q, w: real(e, q, w)
+                        // q ** (e * (e - 1) // 2 - length(from_perm(w))))
+
+
+@pytest.mark.parametrize("fault", [dropped_cell, cell_weighted_by_length],
+                         ids=["dropped_cell", "length_weight"])
+def test_cell_count_faults_fail_oracle_and_e_tau(monkeypatch, fault):
+    # a wrong commutant count makes finite_hecke_basis raise, so both
+    # checks that build the basis write `fail` records under their own
+    # names and params, at every pair
+    fault(monkeypatch)
+    for e, q in verify._gl_pairs(3, 3):
+        with pytest.raises(ValueError, match="intertwining dimension"
+                           "|non-integral character norm"):
+            repth.finite_hecke_basis.__wrapped__(e, q, MultChar(q, 0))
+    # bypass the caches so the basis is checked again
+    monkeypatch.setattr(repth, "finite_hecke_basis",
+                        repth.finite_hecke_basis.__wrapped__)
+    monkeypatch.setattr(repth, "e_tau", repth.e_tau.__wrapped__)
+    records = verify.run_checks(
+        verify.checks_named("check_hecke_oracle", "check_e_tau"), 3, 3)
+    assert {r.name for r in records} == {"hecke.oracle_equivalence",
+                                         "repth.e_tau_idempotent_dim"}
+    assert {(r.params["e"], r.params["q"]) for r in records} \
+        == set(verify._gl_pairs(3, 3))
+    assert all(r.status == "fail" for r in records), records
+
+
 def test_e_tau_reads_the_cell_labels_once_per_pair(monkeypatch):
     # every chi's idempotency check reads the labels at the same e!
     # permutation matrices: one elimination per matrix and (e, q), and
@@ -987,10 +1054,25 @@ def test_normal_forms_are_one_per_coset(e, q):
     assert np.array_equal(finglq.label_positions(q, G.codes), label_at)
 
 
+@pytest.mark.parametrize("e,q", slow_if_large(verify._gl_pairs(5, 9)))
+def test_cell_counts_match_fixed_diagonals(e, q):
+    # each cell's count over the torus against the products r b r^-1 of
+    # that cell's normal forms with the enumerated Borel, their sum
+    # against all the forms', and the dimension at every chi against the
+    # norm of the induced character summed over G
+    cells = [repth._cell_counts(e, q, w).reshape(q, q) for w in all_perms(e)]
+    for w, got in zip(all_perms(e), cells):
+        assert np.array_equal(got, ref_fixed_diagonals(e, q, w)), w
+    assert np.array_equal(sum(cells), ref_fixed_diagonals(e, q))
+    for chi in all_characters(q):
+        assert (repth.intertwining_dimension(e, q, chi)
+                == ref_intertwining_dimension(e, q, chi))
+
+
 @pytest.mark.parametrize("e,q", slow_if_large(ENUMERABLE))
 def test_flag_routes_match_enumerated_routes(e, q):
-    # the oracle, convolve_at and the intertwining dimension on the
-    # normal forms against their enumerated references
+    # the oracle and convolve_at on the normal forms, and the
+    # intertwining dimension by cell, against their enumerated references
     G, B = gl_group(e, q), repth.borel(e, q)
     if e >= 2:
         assert hecke.convolution_oracle(e, q) == ref_label_pair_oracle(e, q)
@@ -1759,3 +1841,21 @@ print(misses, finglq.bruhat_decomposition.cache_info().misses - misses)
         int, run_fresh(code).strip().splitlines()[-1].split())
     assert sentinel == 1
     assert misses == 0
+
+
+def test_verify_all_enumerates_no_borel_of_gl33():
+    # the commutant dimension counts over the torus, cell by cell, so a
+    # fresh `verify all --max-e 3 --max-q 3` enumerates no Borel of
+    # GL(3,3).  A call after the run is a sentinel the counter must see
+    code = recording("enumerate_group") + """
+records = verify.run_all(3, 3)
+assert records and all(r.status == "pass" for r in records)
+key = (3, 3, finglq.SubgroupSpec.borel())
+built = calls["enumerate_group"][key]
+finglq.enumerate_group(*key)
+print(built, calls["enumerate_group"][key] - built)
+"""
+    built, sentinel = map(
+        int, run_fresh(code).strip().splitlines()[-1].split())
+    assert sentinel == 1
+    assert built == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke_forge import verify
+from hecke_forge import cli, finglq, verify
 from hecke_forge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -142,6 +142,19 @@ def test_rank_below_one_is_an_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err == "error: n must be positive\n"
+    assert out == ""
+
+
+def test_group_size_error_is_an_error_line(capsys, monkeypatch):
+    # a GroupSizeError no command turns into `skipped` is a ValueError,
+    # so main prints it as one error line, no traceback
+    def too_large(args):
+        raise finglq.GroupSizeError("full subgroup of GL(9,9) has order")
+
+    monkeypatch.setattr(cli, "cmd_weyl_orbits", too_large)
+    code, out, err = run(capsys, "weyl", "orbits", "--e", "2")
+    assert code == 1
+    assert err == "error: full subgroup of GL(9,9) has order\n"
     assert out == ""
 
 
