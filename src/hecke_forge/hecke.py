@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .qpoly import QPoly
 from .weyl import (
     AffineElt, affine_identity, all_perms, central_index, from_perm,
-    length, mul, pi_power, simple_reflection,
+    length, mul, mul_gen, pi_power,
 )
 
 
@@ -51,11 +50,10 @@ class HeckeElt:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.terms = {x: _as_poly(c) for x, c in self.terms.items()
-                      if not _as_poly(c).is_zero()}
-        for x in self.terms:
-            if x.rank != self.e:
-                raise ValueError("rank mismatch in support")
+        polys = ((x, _as_poly(c)) for x, c in self.terms.items())
+        self.terms = {x: c for x, c in polys if c.coeffs}
+        if any(len(x.perm) != self.e for x in self.terms):
+            raise ValueError("rank mismatch in support")
 
     @classmethod
     def unit(cls, e: int) -> "HeckeElt":
@@ -116,11 +114,6 @@ def _ascends(x: AffineElt, i: int) -> bool:
     return lam[a] - lam[b] + (a > b) <= 1
 
 
-@lru_cache(maxsize=None)
-def _generators(e: int) -> tuple[AffineElt, ...]:
-    return tuple(simple_reflection(e, i) for i in range(e))
-
-
 def _right_descent_word(y: AffineElt) -> list[int]:
     """Indices i1..ik of a reduced word y = s_{i1} * ... * s_{ik}.
 
@@ -139,15 +132,11 @@ def _right_descent_word(y: AffineElt) -> list[int]:
         else:
             raise AssertionError("nonzero length without a descent")
         word_rev.append(i)
-        cur = mul(cur, _generators(e)[i])
+        cur = mul_gen(cur, i)
     if cur != affine_identity(e):
         raise ValueError("element has length zero but is not the identity; "
                          "pi-part must be stripped first")
     return word_rev[::-1]
-
-
-_Q = QPoly.gen()
-_Q_MINUS_1 = QPoly((-1, 1))
 
 
 def _add_to(out: dict, x: AffineElt, c: QPoly):
@@ -155,17 +144,33 @@ def _add_to(out: dict, x: AffineElt, c: QPoly):
     out[x] = c if prev is None else prev + c
 
 
-def _mul_basis_by_gen(e: int, terms: dict, i: int) -> dict:
-    """Right-multiply sum(c_x T_x) by T_{s_i} for an affine node i."""
-    s = _generators(e)[i]
-    out: dict[AffineElt, QPoly] = {}
+# Inside the kernel a coefficient is a plain tuple c, c[k] the coefficient
+# of q^k: q*c is (0,) + c, and each summed tuple becomes a QPoly once.
+
+def _add_coeffs(out: dict, x: AffineElt, c: tuple):
+    prev = out.get(x)
+    if prev is None:
+        out[x] = c
+    else:
+        if len(prev) < len(c):
+            prev, c = c, prev
+        out[x] = tuple([a + b for a, b in zip(prev, c)]) + prev[len(c):]
+
+
+def _mul_basis_by_gen(terms: dict, i: int) -> dict:
+    """Right-multiply sum(c_x T_x) by T_{s_i} for an affine node i, on
+    coefficient tuples."""
+    out: dict[AffineElt, tuple] = {}
     for x, c in terms.items():
-        xs = mul(x, s)
+        xs = mul_gen(x, i)
         if _ascends(x, i):
-            _add_to(out, xs, c)
+            _add_coeffs(out, xs, c)
         else:
-            _add_to(out, xs, c * _Q)
-            _add_to(out, x, c * _Q_MINUS_1)
+            qc = (0,) + c
+            _add_coeffs(out, xs, qc)
+            # (q - 1)*c = q*c - c
+            _add_coeffs(out, x, tuple([a - b for a, b in zip(qc, c)])
+                        + qc[-1:])
     return out
 
 
@@ -174,22 +179,23 @@ def t_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     if a.e != b.e:
         raise ValueError("rank mismatch")
     e = a.e
-    out: dict[AffineElt, QPoly] = {}
+    out: dict[AffineElt, tuple] = {}
     for y, cb in b.terms.items():
         k = central_index(y)
         y_aff = mul(pi_power(e, -k), y)
         word = _right_descent_word(y_aff)
         # T_x T_y = T_{x Pi^k} T_{y_aff}: Pi^k multiplies freely
         pik = pi_power(e, k)
-        if cb == 1:
-            cur = {mul(x, pik): ca for x, ca in a.terms.items()}
+        if cb.coeffs == (1,):
+            cur = {mul(x, pik): ca.coeffs for x, ca in a.terms.items()}
         else:
-            cur = {mul(x, pik): ca * cb for x, ca in a.terms.items()}
+            cur = {mul(x, pik): (ca * cb).coeffs
+                   for x, ca in a.terms.items()}
         for i in word:
-            cur = _mul_basis_by_gen(e, cur, i)
+            cur = _mul_basis_by_gen(cur, i)
         for x, c in cur.items():
-            _add_to(out, x, c)
-    return HeckeElt(e, out)
+            _add_coeffs(out, x, c)
+    return HeckeElt(e, {x: QPoly(c) for x, c in out.items()})
 
 
 def t_power(a: HeckeElt, k: int) -> HeckeElt:
@@ -200,17 +206,30 @@ def t_power(a: HeckeElt, k: int) -> HeckeElt:
 
 
 def structure_constants(e: int) -> dict:
-    """c^{w3}_{w1,w2} over the finite Weyl basis, as polynomials in q."""
+    """c^{w3}_{w1,w2} over the finite Weyl basis, as polynomials in q.
+
+    From prefix products: with w2 taken in order of length and s_i its
+    first right descent (`_ascends`), T_{w1} T_{w2} = (T_{w1} T_{w2 s_i})
+    T_{s_i}, one `_mul_basis_by_gen` step per product, e!(e! - 1) in all.
+    The steps are those of `t_mul` along `_right_descent_word(w2)`.
+    """
     perms = all_perms(e)
+    # (w2, w2 s_i, i) for every w2 but the identity, shortest first
+    steps = []
+    for w2 in sorted(perms[1:], key=lambda w: length(from_perm(w))):
+        x2 = from_perm(w2)
+        i = next(i for i in range(1, e) if not _ascends(x2, i))
+        steps.append((w2, mul_gen(x2, i).perm, i))
     out = {}
     for w1 in perms:
+        prods = {perms[0]: {from_perm(w1): (1,)}}
+        for w2, prefix, i in steps:
+            prods[w2] = _mul_basis_by_gen(prods[prefix], i)
         for w2 in perms:
-            prod = t_mul(HeckeElt.basis(from_perm(w1)),
-                         HeckeElt.basis(from_perm(w2)))
-            for x, c in prod.terms.items():
+            for x, c in prods[w2].items():
                 if any(x.trans):
                     raise AssertionError("spherical product left W_0")
-                out[(w1, w2, x.perm)] = c
+                out[(w1, w2, x.perm)] = QPoly(c)
     return out
 
 
@@ -360,10 +379,11 @@ def central_reduction(f: HeckeElt, omega_at_pi=1) -> CentralHeckeElt:
     omega^n other than 1.
     """
     omega = Fraction(omega_at_pi)
+    weighted = omega != 1
     out: dict = {}
     for x, c in f.terms.items():
         rep, n = canonical_central_rep(x)
-        if n:
+        if n and weighted:
             factor = omega ** n
             if factor != 1:
                 c = c * factor

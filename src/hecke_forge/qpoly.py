@@ -119,11 +119,13 @@ class QPoly:
     __hash__ = None  # mutable-free but equality is by value; not for dict keys
 
     def __call__(self, q):
-        """Evaluate at q (Horner)."""
-        acc = Fraction(0)
+        """Evaluate at q (Horner), as a Fraction for rational q; in ints
+        when q and every coefficient are ints."""
+        ints = type(q) is int and all(type(c) is int for c in self.coeffs)
+        acc = 0 if ints else Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        return acc
+        return Fraction(acc) if ints else acc
 
     def __repr__(self):
         return f"QPoly({self})"

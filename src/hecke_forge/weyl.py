@@ -115,6 +115,23 @@ def mul(x: AffineElt, y: AffineElt) -> AffineElt:
     return AffineElt(tuple(lam), tuple([w[b] for b in y.perm]))
 
 
+def mul_gen(x: AffineElt, i: int) -> AffineElt:
+    """x * s_i for an affine node i in range(e), e >= 2, without building s_i.
+
+    For i >= 1, s_i = (0, (i-1 i)), so x * s_i swaps positions i-1 and i
+    of w.  The affine s_0 = (e_0 - e_{e-1}, (0 e-1)) swaps positions e-1
+    and 0 of w and adds +1 to lam at w(0) and -1 at w(e-1).
+    """
+    lam, w = x
+    if i:
+        return AffineElt(lam, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:])
+    a, b = w[0], w[-1]
+    lam = list(lam)
+    lam[a] += 1
+    lam[b] -= 1
+    return AffineElt(tuple(lam), (b,) + w[1:-1] + (a,))
+
+
 def inv(x: AffineElt) -> AffineElt:
     # (lam, w)^-1 = (-w^-1·lam, w^-1)
     wi = perm_inv(x.perm)
@@ -354,12 +371,11 @@ def parahoric_weyl_group(T: ParahoricType) -> list[AffineElt]:
     e = T.e
     out = {affine_identity(e)}
     if T.nodes:
-        gens = [simple_reflection(e, i) for i in T.nodes]
         frontier = deque(out)
         while frontier:
             x = frontier.popleft()
-            for s in gens:
-                y = mul(x, s)
+            for i in T.nodes:
+                y = mul_gen(x, i)
                 if y not in out:
                     out.add(y)
                     frontier.append(y)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from hecke_forge.hecke import (
 )
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
-    AffineElt, affine_identity, bfs_ball, from_perm, inv, length, mul,
+    AffineElt, affine_identity, all_perms, bfs_ball, from_perm, inv, length,
+    mul,
     pi_element, pi_power, simple_reflection, translation,
 )
 
@@ -111,6 +113,17 @@ def test_canonical_rep_window():
     y = AffineElt((-1, 0), (1, 0))
     rep, n = canonical_central_rep(y)
     assert n == -1 and rep == AffineElt((0, 1), (1, 0))
+
+
+def test_hecke_elt_wraps_and_filters_coefficients():
+    x, y = from_perm((1, 0)), affine_identity(2)
+    f = HeckeElt(2, {x: 3, y: 0, translation((1, 0)): QPoly()})
+    assert f.terms == {x: QPoly.const(3)}
+    assert type(f.terms[x]) is QPoly
+    # a zero term is dropped before its rank is read
+    assert HeckeElt(2, {affine_identity(3): 0}).is_zero()
+    with pytest.raises(ValueError, match="rank mismatch"):
+        HeckeElt(2, {y: 1, affine_identity(3): Fraction(1, 2)})
 
 
 def test_central_reduction_examples():
@@ -258,6 +271,46 @@ def test_structure_constants_match_quadratic():
     assert consts[(s, s, s)] == QPoly((-1, 1))
 
 
+def ref_structure_constants(e):
+    """One `t_mul` of T_{w1} by T_{w2} per pair of finite permutations."""
+    out = {}
+    for w1 in all_perms(e):
+        for w2 in all_perms(e):
+            prod = t_mul(T(from_perm(w1)), T(from_perm(w2)))
+            for x, c in prod.terms.items():
+                assert not any(x.trans)
+                out[(w1, w2, x.perm)] = c
+    return out
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_structure_constants_match_per_pair_products(e):
+    got, ref = structure_constants(e), ref_structure_constants(e)
+    assert list(got) == list(ref)
+    assert got == ref
+
+
+@pytest.mark.parametrize("e", [3, 4])
+def test_structure_constants_take_one_step_per_product(e, monkeypatch):
+    # e! (e! - 1) generator steps, and no t_mul
+    calls = {"step": 0, "t_mul": 0}
+    real_step, real_t_mul = hecke._mul_basis_by_gen, hecke.t_mul
+
+    def step(terms, i):
+        calls["step"] += 1
+        return real_step(terms, i)
+
+    def counted_t_mul(a, b):
+        calls["t_mul"] += 1
+        return real_t_mul(a, b)
+
+    monkeypatch.setattr(hecke, "_mul_basis_by_gen", step)
+    monkeypatch.setattr(hecke, "t_mul", counted_t_mul)
+    structure_constants(e)
+    n = math.factorial(e)
+    assert calls == {"step": n * (n - 1), "t_mul": 0}
+
+
 # --- integral coefficients stay int -------------------------------------------
 
 def test_t_mul_basis_products_have_int_coefficients():
@@ -285,6 +338,28 @@ def test_qpoly_whole_fractions_become_int():
     assert QPoly([True]).coeffs == (1,) and type(QPoly([True]).coeffs[0]) is int
     assert type(QPoly([1, 2])(Fraction(1, 3))) is Fraction
     assert QPoly([1, 2])(2) == Fraction(5)
+
+
+def ref_qpoly_value(p, q):
+    """Horner from Fraction(0), for every coefficient and q."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * q + c
+    return acc
+
+
+def test_qpoly_value_matches_fraction_horner():
+    coeff_sets = [[], [0], [3], [1, -2, 0, 5], [-7, 0, 0, 0, 1],
+                  [Fraction(1, 2), 3], [1, Fraction(-4, 3), 2],
+                  [2.5, -1], [1, 1j, 2], [Fraction(1, 3), 0.5, 1 - 2j]]
+    qs = [0, 1, -1, 2, 3, 7, -5, Fraction(5, 2), Fraction(-1, 3), 2.0, 0.5,
+          1j, 2 - 1j, True]
+    for cs in coeff_sets:
+        p = QPoly(cs)
+        for q in qs:
+            got, want = p(q), ref_qpoly_value(p, q)
+            assert type(got) is type(want), (cs, q)
+            assert got == want, (cs, q)
 
 
 def test_qpoly_text_same_for_int_and_whole_fraction():

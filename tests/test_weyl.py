@@ -6,7 +6,7 @@ import pytest
 from hecke_forge.qpoly import QPoly
 from hecke_forge.weyl import (
     AffineElt, affine_identity, bfs_ball, canonical_rep, central_index,
-    epsilon, from_perm, inv, length, length_bfs, mask_period, mul,
+    epsilon, from_perm, inv, length, length_bfs, mask_period, mul, mul_gen,
     orbit_reps,
     parahoric_type, parahoric_volume, parahoric_weyl_group, period_and_n,
     perm_inv, perm_mul, perm_sign, pi_element, pi_power, poincare_poly,
@@ -49,6 +49,20 @@ def test_mul_matches_perm_inv_formula(e):
         got = mul(x, y)
         assert got == ref_mul(x, y)
         assert type(got.trans) is tuple and type(got.perm) is tuple
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_mul_gen_matches_mul_by_simple_reflection(e):
+    # on the ball, its Pi-shifts and random elements; every node i
+    rng = random.Random(700 + e)
+    xs = [mul(pi_power(e, k), y) for y in bfs_ball(e, 4) for k in (-1, 0, 2)]
+    xs += [AffineElt(tuple(rng.randint(-3, 3) for _ in range(e)),
+                     tuple(rng.sample(range(e), e))) for _ in range(300)]
+    for x in xs:
+        for i in range(e):
+            got = mul_gen(x, i)
+            assert got == mul(x, simple_reflection(e, i)), (x, i)
+            assert type(got.trans) is tuple and type(got.perm) is tuple
 
 
 def test_pi_invariants():
@@ -298,6 +312,22 @@ def test_parahoric_weyl_group_sizes():
     W = parahoric_weyl_group(parahoric_type({0}, 2))
     assert len(W) == 2
     assert all(central_index(w) == 0 for w in W)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_parahoric_weyl_group_matches_closure_by_mul(e):
+    # every proper type, the affine node included, against a closure of
+    # {1} under `mul` by the simple reflections
+    for mask in range((1 << e) - 1):
+        T = parahoric_type([t for t in range(e) if mask >> t & 1], e)
+        gens = [simple_reflection(e, i) for i in T.nodes]
+        ref = {affine_identity(e)}
+        while True:
+            grown = ref | {mul(x, s) for x in ref for s in gens}
+            if grown == ref:
+                break
+            ref = grown
+        assert parahoric_weyl_group(T) == sorted(ref)
 
 
 def test_volume_invariant_under_rotation():
