@@ -46,10 +46,9 @@ p_n(q) = |G/B| normal forms w u of B\\G (`borel_flags`) are built as
 row permutations of unitriangular matrices, with their inverses, and
 the labels of any array of matrices are read by the same elimination
 (`label_positions`), which checks B-bi-equivariance at every matrix it
-reads.  The oracle's structure constants, e_tau's idempotency and the
-commutant dimension in `repth` and `hecke` are sums over the normal
-forms.  Labels, read either way, are positions in one list of every
-label in code order (`bruhat_labels`).
+reads.  The oracle's structure constants and e_tau's idempotency are
+sums over the normal forms.  Labels, read either way, are positions in
+one list of every label in code order (`bruhat_labels`).
 """
 
 from __future__ import annotations

@@ -86,9 +86,6 @@ class QPoly:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if self.is_zero() or other.is_zero():

@@ -17,15 +17,15 @@ only a read of a `FinHeckeElt` at one element g does.  The convolution
 behind e_tau's idempotency check and the Hecke oracle's cell count are
 sums over the normal forms of B\\G (`finglq.borel_flags`), their labels
 read by elimination, so they enumerate no GL(e, q); the commutant
-dimension is a count per Bruhat cell over the torus, so it enumerates
-neither G nor B.  The hypotheses the operator and the trace formula
-rest on, right sigma-equivariance and adjointness, are checked once per
-label; the label checks of `G.bruhat_index`, which the operator reads,
-make that as strong as checking them at every element.  The trace
-formulas, the Steinberg alternating sum, the sign identity on elliptic
-regular classes, and the module-action transport identity (for any
-torus character sigma, on g -> value dicts) are all implemented against
-explicit sums.  Sums of class functions run
+dimension is e!, one per double coset B w B by Mackey's formula, so it
+enumerates neither G nor B.  The hypotheses the operator and the trace
+formula rest on, right sigma-equivariance and adjointness, are checked
+once per label; the label checks of `G.bruhat_index`, which the
+operator reads, make that as strong as checking them at every element.
+The trace formulas, the Steinberg alternating sum, the sign identity on
+elliptic regular classes, and the module-action transport identity (for
+any torus character sigma, on g -> value dicts) are all implemented
+against explicit sums.  Sums of class functions run
 over conjugacy classes weighted by class size, and fixed-point counts run
 over coset representatives rather than over the whole group.  Every coset
 sum reads the index arrays of `_coset_data`: the products it needs, such
@@ -56,7 +56,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -241,7 +241,7 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
     by label: fbar_w(w, v) = chi(v)/|B|, one value per v shared by every w.
 
     Verifies first that the commutant of the induced module has dimension
-    e! (`intertwining_dimension`, counted per Bruhat cell), so the
+    e! (`intertwining_dimension`, by Mackey's formula), so the
     (visibly independent) basis spans it.  ValueError for e < 1 and
     GroupSizeError above the enumeration cap, from that count.
     """
@@ -257,46 +257,18 @@ def finite_hecke_basis(e: int, q: int, chi: MultChar) -> list[FinHeckeElt]:
 
 
 def intertwining_dimension(e: int, q: int, chi: MultChar) -> int:
-    """dim End_G(Ind_B sigma) = <Ind sigma, Ind sigma>_G, sigma = chi
-    inflated to B, which Frobenius reciprocity makes
-    <sigma, Res_B Ind sigma>_B = (1/|B|) sum over b in B of
-    conj sigma(b) Ind sigma(b).  Ind sigma(b) is the sum of
-    sigma(r b r^-1) over the cosets B r that b fixes, r b r^-1 in B.  So
-    the norm is (1/|B|) sum over (a, c) of N[a, c] conj chi(a) chi(c),
-    with the counts N summed over the Bruhat cells (`_cell_counts`);
-    neither G nor B is enumerated.  ValueError for e < 1 and
-    GroupSizeError above the enumeration cap, as for enumerating G."""
+    """dim End_G(Ind_B sigma), sigma = chi inflated to B through the
+    diagonal product d, by Mackey's formula: each double coset B w B,
+    w in W_0, adds the dimension of the maps between sigma and
+    sigma^w(x) = sigma(w^-1 x w) on B ∩ w B w^-1 (Iwahori 1964 for
+    chi = 1).  That intersection is the torus T times unipotent elements,
+    on which both are trivial, and sigma^w = sigma on T, because
+    conjugating by w permutes the diagonal and d is a product.  So each w
+    adds 1, and the dimension is e! whatever chi is.  Neither G nor B is
+    enumerated.  ValueError for e < 1 and GroupSizeError above the
+    enumeration cap, as for enumerating G."""
     finglq._capped_order(e, q, SubgroupSpec.full())
-    counts = sum(_cell_counts(e, q, w) for w in all_perms(e)).reshape(q, q)
-    chi_at = np.array([0] + [complex(chi(v)) for v in range(1, q)])
-    val = complex((np.conj(chi_at)[:, None] * counts * chi_at).sum()
-                  / finglq.group_order(e, q, SubgroupSpec.borel()))
-    out = round(val.real)
-    if abs(val - out) > 1e-6:
-        raise ValueError(f"non-integral character norm {val}")
-    return out
-
-
-def _cell_counts(e: int, q: int, w) -> np.ndarray:
-    """N_w[a q + c]: the number of pairs (b, r) of b in B and a normal form
-    r = w u of the cell of w with r b r^-1 in B, d(b) = a and
-    d(r b r^-1) = c, d the diagonal product; N is their sum over W.
-
-    By Mackey, B ∩ r^-1 B r = u^-1 (B ∩ w^-1 B w) u, whose elements are
-    b = u^-1 t v u with t in the torus T and v one of the q^(N - l(w))
-    upper unitriangular matrices with w v w^-1 upper, N = e(e-1)/2.
-    Conjugating by u keeps the diagonal, so d(b) = d(t), and
-    r b r^-1 = (w t w^-1)(w v w^-1) has d = d(w t w^-1).  The q^l(w)
-    forms times q^(N - l(w)) parts v weight each of the (q-1)^e elements
-    t by q^N."""
-    F = get_field(q)
-    # the diagonals of T's elements, one column each; w t w^-1 has t_j at
-    # w(j)
-    t = np.indices((q - 1,) * e).reshape(e, -1) + 1
-    a, c = (reduce(lambda x, y: F.mul_arr[x, y], rows)
-            for rows in (t, t[np.argsort(w)]))
-    return q ** (e * (e - 1) // 2) * np.bincount(
-        a.astype(np.int64) * q + c, minlength=q * q)
+    return len(all_perms(e))
 
 
 def values_norm(G: MatrixGroup, values) -> float:

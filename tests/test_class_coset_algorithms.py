@@ -19,7 +19,7 @@ from hecke_forge.finglq import (
     get_field, gl_group, gl_order, MAX_GROUP_ORDER, mat_mul, perm_matrix,
     subgroup,
 )
-from hecke_forge.weyl import all_perms, from_perm, length, poincare_poly
+from hecke_forge.weyl import all_perms, poincare_poly
 from test_finglq import ENUMERABLE
 from test_repth import convolve, values_of
 
@@ -214,16 +214,15 @@ def ref_intertwining_dimension(e, q, chi):
     return out
 
 
-def ref_fixed_diagonals(e, q, w=None):
+def ref_fixed_diagonals(e, q, w):
     """N[a, c]: the number of pairs (b, r) of b in the enumerated Borel B
-    and a normal form r of `finglq.borel_flags(e, q)`, of the cell of w
-    only if w is given, with r b r^-1 in B, d(b) = a and d(r b r^-1) = c,
-    d the diagonal product.  The |B| p_e(q) products r b r^-1 are formed
-    at once."""
+    and a normal form r of `finglq.borel_flags(e, q)` in the cell of w,
+    with r b r^-1 in B, d(b) = a and d(r b r^-1) = c, d the diagonal
+    product.  The |B| q^l(w) products r b r^-1 are formed at once."""
     flags = finglq.borel_flags(e, q)
     B = repth.borel(e, q)
     F = B.field_
-    keep = np.array([w is None or cell == w for cell in flags.cells])
+    keep = np.array([cell == w for cell in flags.cells])
     conj = finglq._mul_pairs(
         F, finglq._mul_pairs(F, flags.codes[keep][:, None], B.codes[None]),
         flags.inv_codes[keep][:, None])
@@ -750,17 +749,16 @@ def test_e_tau_faults_fail_after_a_warm_run(monkeypatch, fault):
 
 
 def dropped_cell(monkeypatch):
-    # the cell of the longest element left out of the commutant count
-    real = repth._cell_counts
-    monkeypatch.setattr(repth, "_cell_counts", lambda e, q, w: (
-        0 if w == all_perms(e)[-1] else 1) * real(e, q, w))
+    # one double coset left out of the commutant dimension
+    monkeypatch.setattr(repth, "intertwining_dimension",
+                        lambda e, q, chi: len(all_perms(e)) - 1)
 
 
 def cell_weighted_by_length(monkeypatch):
-    # each cell weighted by its q^l(w) normal forms in place of q^N
-    real = repth._cell_counts
-    monkeypatch.setattr(repth, "_cell_counts", lambda e, q, w: real(e, q, w)
-                        // q ** (e * (e - 1) // 2 - length(from_perm(w))))
+    # each cell weighted by its q^l(w) normal forms in place of q^N: the
+    # dimension p_e(q)/q^N, not an integer
+    monkeypatch.setattr(repth, "intertwining_dimension", lambda e, q, chi:
+                        poincare_poly(e)(q) / q ** (e * (e - 1) // 2))
 
 
 @pytest.mark.parametrize("fault", [dropped_cell, cell_weighted_by_length],
@@ -771,8 +769,7 @@ def test_cell_count_faults_fail_oracle_and_e_tau(monkeypatch, fault):
     # names and params, at every pair
     fault(monkeypatch)
     for e, q in verify._gl_pairs(3, 3):
-        with pytest.raises(ValueError, match="intertwining dimension"
-                           "|non-integral character norm"):
+        with pytest.raises(ValueError, match="intertwining dimension"):
             repth.finite_hecke_basis.__wrapped__(e, q, MultChar(q, 0))
     # bypass the caches so the basis is checked again
     monkeypatch.setattr(repth, "finite_hecke_basis",
@@ -1056,17 +1053,19 @@ def test_normal_forms_are_one_per_coset(e, q):
 
 @pytest.mark.parametrize("e,q", slow_if_large(verify._gl_pairs(5, 9)))
 def test_cell_counts_match_fixed_diagonals(e, q):
-    # each cell's count over the torus against the products r b r^-1 of
-    # that cell's normal forms with the enumerated Borel, their sum
-    # against all the forms', and the dimension at every chi against the
-    # norm of the induced character summed over G
-    cells = [repth._cell_counts(e, q, w).reshape(q, q) for w in all_perms(e)]
-    for w, got in zip(all_perms(e), cells):
-        assert np.array_equal(got, ref_fixed_diagonals(e, q, w)), w
-    assert np.array_equal(sum(cells), ref_fixed_diagonals(e, q))
+    # Mackey's formula cell by cell: of the products r b r^-1 of a cell's
+    # normal forms with the enumerated Borel, those in B keep the diagonal
+    # product, q^N (q-1)^(e-1) of them at each unit; and the dimension at
+    # every chi is e!, as is the norm of the induced character summed
+    # over G
+    N = e * (e - 1) // 2
+    want = q ** N * (q - 1) ** (e - 1) * np.diag([0] + [1] * (q - 1))
+    for w in all_perms(e):
+        assert np.array_equal(ref_fixed_diagonals(e, q, w), want), w
     for chi in all_characters(q):
         assert (repth.intertwining_dimension(e, q, chi)
-                == ref_intertwining_dimension(e, q, chi))
+                == ref_intertwining_dimension(e, q, chi)
+                == len(all_perms(e)))
 
 
 @pytest.mark.parametrize("e,q", slow_if_large(ENUMERABLE))

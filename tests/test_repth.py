@@ -7,8 +7,8 @@ import pytest
 
 from hecke_forge import repth
 from hecke_forge.finglq import (
-    MultChar, all_characters, bruhat_decomposition, elliptic_regular,
-    get_field, gl_group, mat_det, mat_to_ints, perm_matrix,
+    GroupSizeError, MultChar, all_characters, bruhat_decomposition,
+    elliptic_regular, get_field, gl_group, mat_det, mat_to_ints, perm_matrix,
 )
 from hecke_forge.repth import (
     FinHeckeElt, FinRep, InducedRep, alvis_curtis_sign_check, borel,
@@ -676,6 +676,17 @@ def test_intertwining_dimension_values():
     assert intertwining_dimension(2, 2, trivial(2)) == 2
     assert intertwining_dimension(2, 3, MultChar(3, 1)) == 2
     assert intertwining_dimension(3, 2, trivial(2)) == 6
+
+
+def test_intertwining_dimension_input_checks():
+    # the dimension and the basis built on it refuse what enumerating G
+    # refuses: e < 1, and a pair above the cap
+    with pytest.raises(ValueError, match="n must be positive"):
+        intertwining_dimension(0, 2, trivial(2))
+    cap = r"full subgroup of GL\(3,5\) has order 1488000"
+    for fn in (intertwining_dimension, finite_hecke_basis):
+        with pytest.raises(GroupSizeError, match=cap):
+            fn(3, 5, MultChar(5, 1))
 
 
 def test_induce_is_kept_per_character():
