@@ -510,19 +510,6 @@ class SubgroupSpec:
     def levi(blocks) -> "SubgroupSpec":
         return SubgroupSpec("levi", tuple(blocks))
 
-    @staticmethod
-    def parahoric_image(nodes, e: int) -> "SubgroupSpec":
-        """Reduction of the parahoric of type T ⊆ {1..e-1}: the standard
-        parabolic whose blocks are the runs of consecutive nodes in T, the
-        Borel itself for T = ∅ and all of GL(e) for T = {1..e-1}, so
-        neither is enumerated a second time as a standard parabolic."""
-        blocks = blocks_from_type(nodes, e)
-        if blocks == (1,) * e:
-            return SubgroupSpec.borel()
-        if blocks == (e,):
-            return SubgroupSpec.full()
-        return SubgroupSpec("standard_parabolic", blocks)
-
 
 def blocks_from_type(nodes, e: int) -> tuple[int, ...]:
     nodes = set(nodes)
@@ -577,18 +564,13 @@ def _block_starts(blocks) -> list[int]:
     return starts
 
 
-def is_block_upper(g: Mat, blocks) -> bool:
-    starts = _block_starts(blocks)
-    n = len(g)
-    block_of = [0] * n
-    for bi, s in enumerate(starts):
-        for i in range(s, s + blocks[bi]):
-            block_of[i] = bi
-    for i in range(n):
-        for j in range(n):
-            if g[i][j] != 0 and block_of[i] > block_of[j]:
-                return False
-    return True
+def is_block_upper(g, blocks):
+    """Whether g is zero below its diagonal blocks, so lies in the
+    standard parabolic of `blocks`: one truth value for a tuple matrix,
+    and for a code array one per matrix, over any leading axes."""
+    block_of = np.repeat(np.arange(len(blocks)), blocks)
+    ok = ~np.asarray(g)[..., block_of[:, None] > block_of].any(axis=-1)
+    return ok if ok.ndim else bool(ok)
 
 
 def enumerate_group(n: int, q: int, spec: SubgroupSpec) -> list[Mat]:
@@ -1165,17 +1147,16 @@ def proper_parabolic_avoidance(n: int, q: int, g: Mat) -> bool:
     """True iff g lies in no conjugate of a proper standard parabolic.
 
     Brute force over all conjugates x g x^-1, the members of g's class,
-    and all proper block compositions; must agree with elliptic_regular.
+    tested as one code array (`is_block_upper`) under every proper block
+    composition; must agree with elliptic_regular.
     """
     G = gl_group(n, q)
     if g not in G:
         raise ValueError("element is not invertible of the right size")
-    compositions = [c for c in _compositions(n) if len(c) >= 2]
-    for y in G.conjugacy_classes()[G.class_index(g)]:
-        for blocks in compositions:
-            if is_block_upper(y, blocks):
-                return False
-    return True
+    members = np.array(G.conjugacy_classes()[G.class_index(g)],
+                       dtype=np.uint8)
+    return not any(is_block_upper(members, blocks).any()
+                   for blocks in _compositions(n) if len(blocks) >= 2)
 
 
 def _compositions(n: int) -> list[tuple[int, ...]]:

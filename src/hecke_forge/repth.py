@@ -26,10 +26,11 @@ The trace formulas, the Steinberg alternating sum, the sign identity on
 elliptic regular classes, and the module-action transport identity (for
 any torus character sigma, on g -> value dicts) are all implemented
 against explicit sums.  Sums of class functions run
-over conjugacy classes weighted by class size, and fixed-point counts run
-over coset representatives rather than over the whole group.  Every coset
-sum reads the index arrays of `_coset_data`: the products it needs, such
-as r_i y or x gamma x^-1 for each representative, are formed for all
+over conjugacy classes weighted by class size, and the fixed-point counts
+of the parabolic inductions run over the normal forms of B\\G, tested for
+membership in P_T by `finglq.is_block_upper`, so no P_T is built.
+Every coset sum reads the index arrays of `_coset_data`: the products it
+needs, such as r_i y or x gamma x^-1 for each representative, are formed for all
 cosets at once on the group's code array (`finglq._mul_codes`,
 `finglq._mul_pairs`) and located in G, not multiplied one tuple matrix
 at a time.
@@ -741,19 +742,28 @@ class ClassFunction:
 def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
     """Character of Ind_{P_T}^G 1 by fixed-point counting on P_T\\G: at
     each class representative gamma, the number of cosets P t fixed by
-    gamma, P t gamma = P t, which is t gamma t^-1 in P (Carter, *Finite
-    Groups of Lie Type*, Ch. 2).  The products t gamma for every
-    representative t and every class representative gamma are the class
-    table of `_coset_data(G, P_T)`.  The full type's
-    P_S is G itself, `gl_group(e, q)`: one coset, not a second
-    enumeration of G."""
+    gamma, P t gamma = P t, which is t gamma t^-1 in P.  Each P t is the
+    union of [P : B] Borel cosets B r, and r gamma r^-1 lies in P for all
+    of them or for none (Carter, *Finite Groups of Lie Type*, Ch. 2), so
+    the value is the count over the normal forms r of B\\G
+    (`finglq.borel_flags`) divided by [P : B].  The r gamma r^-1 are
+    formed for every form and every class representative at once and
+    tested by `finglq.is_block_upper`: no P_T is built.  AssertionError
+    when a count is not a multiple of [P : B]."""
     G = gl_group(e, q)
-    spec = SubgroupSpec.parahoric_image(frozenset(nodes), e)
-    P = G if spec == G.spec else subgroup(e, q, spec)
-    data = _coset_data(G, P)
-    j, _ = data.class_table
-    fixed = j == np.arange(len(data.codes))[:, None]
-    return ClassFunction(G, [Fraction(int(c)) for c in fixed.sum(axis=0)])
+    flags = finglq.borel_flags(e, q)
+    blocks = finglq.blocks_from_type(nodes, e)
+    index = (finglq.group_order(e, q, SubgroupSpec.standard_parabolic(blocks))
+             // finglq.group_order(e, q, SubgroupSpec.borel()))
+    reps = np.array(G.class_reps(), dtype=np.uint8)
+    conj = _mul_pairs(G.field_, _mul_pairs(G.field_, flags.codes[:, None],
+                                           reps[None]),
+                      flags.inv_codes[:, None])
+    counts = finglq.is_block_upper(conj, blocks).sum(axis=0).tolist()
+    if any(c % index for c in counts):
+        raise AssertionError(f"a fixed-point count of GL({e},{q}) is not a "
+                             f"multiple of [P : B] = {index}")
+    return ClassFunction(G, [Fraction(c // index) for c in counts])
 
 
 @lru_cache(maxsize=None)

@@ -8,15 +8,15 @@ enumeration cap and the check's order limit, a constant measured from
 its cost: none for the Hecke oracle and e_tau; 168 = |GL(3,2)| for the
 trace formula, the generalized trivial character and the elliptic
 equivalence; 5760 = |GL(2,9)| for the two sign-identity checks (GL(3,3)
-would add 0.19 s to every `--max-e 3 --max-q 3` run); 48 = |GL(2,3)| for
-the numpy checks and the transport.  The trace formula reads every
-element up to order 48 and the class representatives above.  A pair that
-raises becomes one `fail` record with that pair's params.  Only
-`gl_order_formula` reports groups over the cap, as `skipped`;
-pure-combinatorics checks run at their natural desk-scale ranges (they
-cost milliseconds).  The ranges and tolerances written here are the only
-ones, apart from the 1e-8 fixed in `repth.SIGN_IDENTITY_TOL`: every entry
-point runs the checks through `run_checks`.
+would add 0.08-0.12 s to every `--max-e 3 --max-q 3` run, 2 vCPU);
+48 = |GL(2,3)| for the numpy checks and the transport.  The trace
+formula reads every element up to order 48 and the class representatives
+above.  A pair that raises becomes one `fail` record with that pair's
+params.  Only `gl_order_formula` reports groups over the cap, as
+`skipped`; pure-combinatorics checks run at their natural desk-scale
+ranges (they cost milliseconds).  The ranges and tolerances written here
+are the only ones, apart from the 1e-8 fixed in `repth.SIGN_IDENTITY_TOL`:
+every entry point runs the checks through `run_checks`.
 """
 
 from __future__ import annotations
@@ -261,6 +261,9 @@ def check_gl_orders(max_e, max_q):
             except GroupSizeError as exc:
                 out.append(VerificationReport.skipped(
                     "finglq.gl_order_formula", params, str(exc)))
+                continue
+            except Exception as exc:  # one pair must not hide the rest
+                out.append(_raised("finglq.gl_order_formula", params, exc))
                 continue
             expect = finglq.gl_order(n, q)
             out.append(VerificationReport.exact(

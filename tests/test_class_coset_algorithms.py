@@ -2,6 +2,7 @@
 against their whole-group reference implementations, and against closed
 forms that do not depend on either."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -16,8 +17,8 @@ import pytest
 from hecke_forge import finglq, hecke, repth, verify
 from hecke_forge.finglq import (
     GroupSizeError, MultChar, SubgroupSpec, all_characters, enumerate_group,
-    get_field, gl_group, gl_order, MAX_GROUP_ORDER, mat_mul, perm_matrix,
-    subgroup,
+    blocks_from_type, get_field, gl_group, gl_order, MAX_GROUP_ORDER, mat_mul,
+    perm_matrix, subgroup,
 )
 from hecke_forge.weyl import all_perms, poincare_poly
 from test_finglq import ENUMERABLE
@@ -269,7 +270,8 @@ def ref_convolution_oracle(e, q):
 def ref_parabolic_induction_values(e, q, nodes):
     """#{x in G : x^-1 gamma x in P} / |P| at every class representative."""
     G = gl_group(e, q)
-    P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
+    P = subgroup(e, q, SubgroupSpec.standard_parabolic(
+        blocks_from_type(nodes, e)))
     p_set = set(P.elements)
     values = []
     for cls in G.conjugacy_classes():
@@ -278,25 +280,6 @@ def ref_parabolic_induction_values(e, q, nodes):
                     if G.mul(G.mul(G.inv(x), gamma), x) in p_set)
         values.append(Fraction(count, P.order))
     return values
-
-
-def ref_one_block_induction(e, q):
-    """Ind_{P_S}^G 1 at every class representative for the full type S,
-    by the route that enumerated P_S = G a second time: the one-block
-    standard parabolic as a group of its own, its cosets from
-    `_coset_data` (dropped again afterwards) and the fixed cosets of each
-    class representative counted."""
-    G = gl_group(e, q)
-    spec = SubgroupSpec.standard_parabolic((e,))
-    P = finglq.MatrixGroup(e, q, spec, enumerate_group(e, q, spec))
-    try:
-        data = repth._coset_data(G, P)
-        at = repth._product_table(G, data.codes, np.array(
-            G.class_reps(), dtype=np.uint8))
-        fixed = data.coset[at] == np.arange(len(data.codes))[:, None]
-    finally:
-        G._cosets.pop(spec, None)
-    return [Fraction(int(c)) for c in fixed.sum(axis=0)]
 
 
 def ref_coset_data(G, H):
@@ -320,7 +303,8 @@ def ref_parabolic_fixed_points(e, q, nodes):
     t of each coset P t in the order of G.elements, and the number of t
     with t gamma t^-1 in the set of P's elements."""
     G = gl_group(e, q)
-    P = subgroup(e, q, SubgroupSpec.parahoric_image(frozenset(nodes), e))
+    P = subgroup(e, q, SubgroupSpec.standard_parabolic(
+        blocks_from_type(nodes, e)))
     p_set = set(P.elements)
     seen, pairs = set(), []
     for g in G.elements:
@@ -1355,12 +1339,38 @@ def test_parabolic_induction_matches_fixed_point_scan(n, q):
     pytest.param(3, 3, marks=pytest.mark.slow),
     pytest.param(4, 2, marks=pytest.mark.slow)])
 def test_full_type_induction_matches_one_block_route(n, q):
-    # T = S reads G itself: no second enumeration of G, the same values
-    full = frozenset(range(1, n))
-    assert SubgroupSpec.parahoric_image(full, n) == SubgroupSpec.full()
-    got = repth.parabolic_induction_character(n, q, full).values
-    assert got == ref_one_block_induction(n, q)
+    # the one-block parabolic P_S is G, and Ind_G^G 1 = 1 at every class
+    got = repth.parabolic_induction_character(n, q, range(1, n)).values
+    assert got == [Fraction(1)] * len(gl_group(n, q).conjugacy_classes())
     assert all(type(v) is Fraction for v in got)
+
+
+def test_parabolic_induction_enumerates_only_g(monkeypatch):
+    # every type of GL(4,2) reads G's classes and the normal forms of
+    # B\G: no parabolic, and no Borel, is enumerated
+    real, calls = finglq.enumerate_group, []
+
+    def counted(n, q, spec):
+        calls.append((n, q, spec))
+        return real(n, q, spec)
+
+    monkeypatch.setattr(finglq, "enumerate_group", counted)
+    for nodes in all_types(4) + [range(1, 4)]:
+        repth.parabolic_induction_character(4, 2, nodes)
+    assert set(calls) <= {(4, 2, SubgroupSpec.full())}, calls
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_a_dropped_normal_form_fails_the_induction(n, q, monkeypatch):
+    # at T = S the count over the p_n(q) - 1 forms left is not a multiple
+    # of [G : B] = p_n(q)
+    flags = finglq.borel_flags(n, q)
+    dropped = dataclasses.replace(
+        flags, cells=flags.cells[1:], codes=flags.codes[1:],
+        inv_codes=flags.inv_codes[1:], at=flags.at[1:])
+    monkeypatch.setattr(finglq, "borel_flags", lambda e, q: dropped)
+    with pytest.raises(AssertionError, match="not a multiple"):
+        repth.parabolic_induction_character(n, q, range(1, n))
 
 
 @pytest.mark.parametrize("e,q", [
@@ -1734,9 +1744,9 @@ print(peak, tracemalloc.get_traced_memory()[1] - current)
 
 def test_verify_all_enumerates_no_group_twice():
     # every enumerate_group call of a fresh `verify all --max-e 4
-    # --max-q 9`, by (n, q, spec): the full type reads gl_group, so no
-    # one-block standard parabolic is enumerated, and full GL(n, q) only
-    # by gl_group and by check_gl_orders' own count
+    # --max-q 9`, by (n, q, spec): the parabolic inductions count over
+    # the normal forms of B\G, so no standard parabolic is enumerated,
+    # and full GL(n, q) only by gl_group and by check_gl_orders' own count
     code = """
 import collections, json
 from hecke_forge import finglq, verify
@@ -1751,8 +1761,7 @@ print(json.dumps([[n, q, kind, blocks, c]
                   for (n, q, kind, blocks), c in calls.items()]))
 """
     calls = json.loads(run_fresh(code).strip().splitlines()[-1])
-    assert not [c for c in calls
-                if c[2] == "standard_parabolic" and len(c[3]) == 1], calls
+    assert not [c for c in calls if c[2] == "standard_parabolic"], calls
     full = {(n, q): c for n, q, kind, _, c in calls if kind == "full"}
     assert max(full.values()) <= 2, full
     # both counts are seen: gl_group's and check_gl_orders' own
@@ -1784,19 +1793,16 @@ from hecke_forge import verify
 
 
 def test_empty_type_reuses_the_borel():
-    # Ind_B^G 1 reads the Borel's own coset data: after a fresh run no
-    # group that was built holds a second copy under an all-ones standard
-    # parabolic
-    assert SubgroupSpec.parahoric_image(frozenset(), 3) == SubgroupSpec.borel()
+    # the parabolic inductions build no coset data: after a fresh run the
+    # Borel's, which the trace and module checks read, is the only one
+    # kept on any group that was built
     code = recording("gl_group") + """
 verify.run_all(3, 3)
 built = sorted(calls["gl_group"])
 assert built == [(2, 2), (2, 3), (3, 2)], built
 for e, q in built:
-    specs = finglq.gl_group(e, q)._cosets
-    assert finglq.SubgroupSpec.borel() in specs, (e, q)
-    assert not [s for s in specs if s.kind == "standard_parabolic"
-                and set(s.blocks) == {1}], (e, q)
+    specs = list(finglq.gl_group(e, q)._cosets)
+    assert specs == [finglq.SubgroupSpec.borel()], (e, q, specs)
 """
     run_fresh(code)
 

@@ -173,8 +173,7 @@ def test_subgroup_orders_and_membership():
     for spec in [SubgroupSpec.borel(),
                  SubgroupSpec.standard_parabolic((2, 1)),
                  SubgroupSpec.unipotent_radical((2, 1)),
-                 SubgroupSpec.levi((2, 1)),
-                 SubgroupSpec.parahoric_image({1}, 3)]:
+                 SubgroupSpec.levi((2, 1))]:
         els = enumerate_group(n, q, spec)
         assert len(els) == group_order(n, q, spec)
         F = get_field(q)
@@ -206,6 +205,38 @@ def test_levi_and_unipotent_are_slices_of_the_parabolic(n, q):
     borel = enumerate_group(n, q, SubgroupSpec.borel())
     assert borel == enumerate_group(
         n, q, SubgroupSpec.standard_parabolic((1,) * n))
+
+
+def ref_is_block_upper(g, blocks):
+    """Entry by entry: no nonzero entry of g below its diagonal blocks."""
+    block_of = _block_of(blocks)
+    n = len(g)
+    for i in range(n):
+        for j in range(n):
+            if g[i][j] != 0 and block_of[i] > block_of[j]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_block_upper_array_matches_entry_loop(n, q):
+    # the code array of each class under every composition, one truth
+    # value per matrix; over two leading axes the same values; a tuple
+    # matrix gives one bool
+    G = gl_group(n, q)
+    for blocks in finglq._compositions(n):
+        for cls in G.conjugacy_classes():
+            want = [ref_is_block_upper(g, blocks) for g in cls]
+            got = finglq.is_block_upper(np.array(cls, dtype=np.uint8), blocks)
+            assert got.shape == (len(cls),)
+            assert got.tolist() == want
+            assert [finglq.is_block_upper(g, blocks) for g in cls] == want
+            assert all(type(finglq.is_block_upper(g, blocks)) is bool
+                       for g in cls)
+        flat = finglq.is_block_upper(G.codes, blocks)
+        assert np.array_equal(
+            finglq.is_block_upper(G.codes.reshape(2, -1, n, n), blocks),
+            flat.reshape(2, -1))
 
 
 def test_blocks_from_type():

@@ -129,6 +129,33 @@ def test_a_raising_pair_hides_no_other_pair(monkeypatch, capsys):
     assert _away_from_23(faulted) == _away_from_23(clean)
 
 
+def test_a_raising_order_count_hides_no_other_pair(monkeypatch, capsys):
+    # the order check gives each (n, q) its own fail record, as `_per_pair`
+    # does, and keeps the others
+    checks = verify.checks_named("check_gl_orders")
+    clean = verify.run_checks(checks, 3, 3)
+    assert clean and all(r.status == "pass" for r in clean)
+    real = finglq.enumerate_group
+
+    def raises_at_23(n, q, spec):
+        if (n, q) == (2, 3):
+            raise AssertionError("enumeration bug at (2, 3)")
+        return real(n, q, spec)
+
+    monkeypatch.setattr(finglq, "enumerate_group", raises_at_23)
+    faulted = verify.run_checks(checks, 3, 3)
+    assert [r.params for r in faulted] == [r.params for r in clean]
+    assert {r.name for r in faulted} == {"finglq.gl_order_formula"}
+    failed = [r for r in faulted if r.status == "fail"]
+    assert [r.params for r in failed] == [{"n": 2, "q": 3}]
+    assert failed[0].lhs == "AssertionError: enumeration bug at (2, 3)"
+    assert "Traceback" in capsys.readouterr().err
+    assert [r.to_obj(with_timing=False) for r in faulted
+            if r.params != {"n": 2, "q": 3}] == [
+        r.to_obj(with_timing=False) for r in clean
+        if r.params != {"n": 2, "q": 3}]
+
+
 @pytest.mark.slow
 def test_oracle_and_e_tau_pass_at_every_enumerable_pair():
     want = {(n, q) for n, q in ENUMERABLE if n >= 2}
