@@ -30,8 +30,8 @@ over conjugacy classes weighted by class size, and the fixed-point counts
 of the parabolic inductions run over the normal forms of B\\G, tested for
 membership in P_T by `finglq.is_block_upper`, so no P_T is built.
 Every coset sum reads the index arrays of `_coset_data`: the products it
-needs, such as r_i y or x gamma x^-1 for each representative, are formed for all
-cosets at once on the group's code array (`finglq._mul_codes`,
+needs, such as r_i y or x gamma x^-1 for each representative, are formed
+for all cosets at once on the group's code array (`finglq._mul_codes`,
 `finglq._mul_pairs`) and located in G, not multiplied one tuple matrix
 at a time.
 
@@ -750,14 +750,13 @@ def parabolic_induction_character(e: int, q: int, nodes) -> ClassFunction:
     formed for every form and every class representative at once and
     tested by `finglq.is_block_upper`: no P_T is built.  AssertionError
     when a count is not a multiple of [P : B]."""
-    G = gl_group(e, q)
+    G, F = gl_group(e, q), get_field(q)
     flags = finglq.borel_flags(e, q)
     blocks = finglq.blocks_from_type(nodes, e)
     index = (finglq.group_order(e, q, SubgroupSpec.standard_parabolic(blocks))
              // finglq.group_order(e, q, SubgroupSpec.borel()))
     reps = np.array(G.class_reps(), dtype=np.uint8)
-    conj = _mul_pairs(G.field_, _mul_pairs(G.field_, flags.codes[:, None],
-                                           reps[None]),
+    conj = _mul_pairs(F, _mul_pairs(F, flags.codes[:, None], reps[None]),
                       flags.inv_codes[:, None])
     counts = finglq.is_block_upper(conj, blocks).sum(axis=0).tolist()
     if any(c % index for c in counts):
